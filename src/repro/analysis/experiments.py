@@ -20,6 +20,7 @@ from ..runtime.activepy import ActivePy, RunOptions, run_plan
 from ..runtime.codegen import ExecutionMode
 from ..runtime.estimator import build_estimates
 from ..runtime.planner import host_only_plan
+from ..runtime.profcache import cached_sampling, default_cache
 from ..runtime.sampling import SamplingPhase
 from ..units import GB
 from ..workloads import Workload, get_workload, workload_names
@@ -379,13 +380,20 @@ def run_prediction_accuracy(
     workloads: Sequence[str] = FIG5_WORKLOADS,
     config: SystemConfig = DEFAULT_CONFIG,
 ) -> PredictionResult:
-    """Per-line data-volume prediction vs population ground truth."""
+    """Per-line data-volume prediction vs population ground truth.
+
+    Sampling goes through the profile cache, so after Fig. 4/5 have
+    profiled the same programs nothing is re-profiled.
+    """
     rows: List[PredictionRow] = []
     csr_lines: List[PredictionRow] = []
     sampler = SamplingPhase(config)
+    cache = default_cache()
     for name in workloads:
         workload = get_workload(name)
-        report = sampler.run(workload.program, workload.dataset)
+        report, _, _ = cached_sampling(
+            sampler, workload.program, workload.dataset, cache
+        )
         estimates = build_estimates(report, workload.n_records, config)
         truths = ground_truth_estimates(workload.program, workload.n_records, config)
         for estimate, truth, statement in zip(estimates, truths, workload.program):

@@ -143,13 +143,16 @@ def _cmd_plan_search(args) -> int:
     from .runtime.estimator import build_estimates
     from .runtime.planner import assign_csd_code
     from .runtime.plansearch import SearchOptions, search_plan
+    from .runtime.profcache import cached_sampling, default_cache
     from .runtime.sampling import SamplingPhase
 
     workload = get_workload(args.workload, scale=args.scale)
     print(f"planning {workload.name} at scale {args.scale} "
           f"({format_bytes(workload.raw_bytes)})")
-    sampling = SamplingPhase(DEFAULT_CONFIG).run(workload.program,
-                                                 workload.dataset)
+    sampling, _, _ = cached_sampling(
+        SamplingPhase(DEFAULT_CONFIG), workload.program, workload.dataset,
+        default_cache(),
+    )
     estimates = build_estimates(sampling, workload.n_records, DEFAULT_CONFIG)
     greedy = assign_csd_code(estimates, DEFAULT_CONFIG)
     report = search_plan(

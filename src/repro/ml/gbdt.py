@@ -6,13 +6,15 @@ gradient histograms, and trees grow depth-wise to a height limit.
 Squared-error loss (regression) is what the evaluation workload uses:
 the LightGBM application in the paper is batch *inference* over a large
 stored feature table, so training happens once at model-build time and
-the hot path is :meth:`GBDTModel.predict`.
+the hot path is :meth:`GBDTModel.predict`.  Each tree is compiled once
+into a :class:`DecisionTable`, so a prediction is one comparison per
+node and a fixed number of index steps per row, not a recursive walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -144,17 +146,63 @@ def _grow_tree(
     )
 
 
-def _predict_tree(node: TreeNode, codes: np.ndarray) -> np.ndarray:
-    """Vectorised traversal of one tree over binned rows."""
-    if node.is_leaf:
-        return np.full(codes.shape[0], node.value)
-    out = np.empty(codes.shape[0])
-    goes_left = codes[:, node.feature] <= node.threshold_bin
-    if node.left is not None:
-        out[goes_left] = _predict_tree(node.left, codes[goes_left])
-    if node.right is not None:
-        out[~goes_left] = _predict_tree(node.right, codes[~goes_left])
-    return out
+@dataclass(frozen=True)
+class DecisionTable:
+    """One tree compiled into a complete heap-layout table.
+
+    Slot ``i`` has children ``2i+1`` (left, ``code <= threshold``) and
+    ``2i+2`` (right).  A leaf above the bottom level becomes a run of
+    pass-through slots that always go left, and its value is copied
+    into every bottom-level leaf below it, so every row walks exactly
+    ``depth`` levels.
+    """
+
+    depth: int
+    #: ``(feature, threshold_bin)`` per internal slot; None passes through.
+    splits: Tuple[Optional[Tuple[int, int]], ...]
+    #: The ``2**depth`` bottom-level leaf values, left to right.
+    leaf_values: np.ndarray
+
+    @classmethod
+    def compile(cls, root: TreeNode) -> "DecisionTable":
+        """Lay ``root`` out as a table; an internal node needs both children."""
+        depth = root.depth()
+        splits: List[Optional[Tuple[int, int]]] = [None] * ((1 << depth) - 1)
+        leaf_values = np.empty(1 << depth)
+
+        def place(node: TreeNode, slot: int, level: int) -> None:
+            if node.is_leaf:
+                span = 1 << (depth - level)
+                first = (slot - (1 << level) + 1) * span
+                leaf_values[first:first + span] = node.value
+                return
+            if node.left is None or node.right is None:
+                raise WorkloadError(
+                    f"internal tree node (feature {node.feature}) at depth "
+                    f"{level} is missing a child"
+                )
+            splits[slot] = (int(node.feature), int(node.threshold_bin))
+            place(node.left, 2 * slot + 1, level + 1)
+            place(node.right, 2 * slot + 2, level + 1)
+
+        place(root, 0, 0)
+        return cls(depth=depth, splits=tuple(splits), leaf_values=leaf_values)
+
+    def add_to(self, codes_t: np.ndarray, out: np.ndarray) -> None:
+        """``out += `` this tree's prediction for the feature-major codes."""
+        n = out.shape[0]
+        # One row of go-right decisions per slot; freed on return.
+        decisions = np.zeros((len(self.splits), n), dtype=bool)
+        for slot, split in enumerate(self.splits):
+            if split is not None:
+                feature, threshold = split
+                np.greater(codes_t[feature], threshold, out=decisions[slot])
+        flat = decisions.reshape(-1)
+        rows = np.arange(n)
+        index = np.zeros(n, dtype=np.intp)
+        for _ in range(self.depth):
+            index = 2 * index + 1 + flat.take(index * n + rows)
+        out += self.leaf_values.take(index - len(self.splits))
 
 
 @dataclass
@@ -165,6 +213,10 @@ class GBDTModel:
     bin_edges: np.ndarray
     base_score: float
     n_bins: int
+    tables: List[DecisionTable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.tables = [DecisionTable.compile(tree) for tree in self.trees]
 
     @property
     def n_trees(self) -> int:
@@ -182,8 +234,9 @@ class GBDTModel:
     def predict_codes(self, codes: np.ndarray) -> np.ndarray:
         """Predict from already-binned rows (the CSD-friendly hot path)."""
         out = np.full(codes.shape[0], self.base_score)
-        for tree in self.trees:
-            out += _predict_tree(tree, codes)
+        codes_t = np.ascontiguousarray(codes.T)
+        for table in self.tables:
+            table.add_to(codes_t, out)
         return out
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -251,6 +304,7 @@ class GBDTRegressor:
         predictions = np.full(features.shape[0], base_score)
         trees: List[TreeNode] = []
         all_rows = np.ones(features.shape[0], dtype=bool)
+        codes_t = np.ascontiguousarray(codes.T)
         for _ in range(self.n_trees):
             residuals = targets - predictions
             tree = _grow_tree(
@@ -264,7 +318,7 @@ class GBDTRegressor:
                 learning_rate=self.learning_rate,
             )
             trees.append(tree)
-            predictions += _predict_tree(tree, codes)
+            DecisionTable.compile(tree).add_to(codes_t, predictions)
         return GBDTModel(
             trees=trees, bin_edges=edges, base_score=base_score, n_bins=self.n_bins
         )

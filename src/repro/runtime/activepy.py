@@ -32,7 +32,7 @@ from .executor import ExecutionResult, PlanExecutor, ProgressTrigger
 from .explain import PREDICTION_ERROR_BUCKETS, PlanExplanation, explain_plan
 from .planner import Plan, assign_csd_code
 from .plansearch import SearchOptions, SearchReport, search_plan
-from .profcache import ProfileCache, default_cache
+from .profcache import ProfileCache, cached_sampling, default_cache
 from .sampling import SamplingPhase, SamplingReport
 
 __all__ = ["ActivePy", "ActivePyReport", "PLAN_MODES", "RunOptions", "run_plan"]
@@ -274,31 +274,12 @@ class ActivePy:
         #    The profile cache short-circuits the *wall-clock* work of
         #    re-profiling an unchanged run; the simulated cost charged
         #    below comes from the (bit-identical) cached report, so sim
-        #    results do not depend on cache state.  Noisy profiles are
-        #    meant to differ between runs, so noise bypasses the cache.
-        sampling: Optional[SamplingReport] = None
-        cache_key: Optional[str] = None
-        cache_status = "off"
-        cache = (
-            self._profile_cache if self.config.profiler_noise == 0 else None
+        #    results do not depend on cache state.  The run's cache key
+        #    is computed once here and reused by the plan cache.
+        sampling, cache_key, cache_status = cached_sampling(
+            self._sampling_phase, program, dataset, self._profile_cache,
+            obs=handle,
         )
-        if cache is not None:
-            invalidations_before = cache.invalidations
-            cache_key = cache.key_for(program, dataset, self.config)
-            if cache_key is None:
-                cache_status = "uncacheable"
-            else:
-                sampling = cache.get(cache_key)
-                cache_status = "hit" if sampling is not None else "miss"
-            if handle.enabled:
-                handle.count(f"profcache.{cache_status}")
-                stale = cache.invalidations - invalidations_before
-                if stale:
-                    handle.count("profcache.invalidation", stale)
-        if sampling is None:
-            sampling = self._sampling_phase.run(program, dataset)
-            if cache is not None and cache_key is not None:
-                cache.put(cache_key, sampling)
         machine.simulator.clock.advance(sampling.sampling_seconds, component="host")
         handle.record_span("sampling-phase", "sampling", "host", start, machine.now)
 
@@ -326,7 +307,8 @@ class ActivePy:
         if plan_mode == "search":
             search_report = self._search_plan(
                 program, dataset, estimates, plan,
-                cache=cache, cache_key=cache_key, handle=handle, opts=opts,
+                cache=self._profile_cache, cache_key=cache_key, handle=handle,
+                opts=opts,
             )
             plan = search_report.plan
 

@@ -48,7 +48,7 @@ import tempfile
 import types
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -56,9 +56,12 @@ from ..config import SystemConfig
 from ..lang.dataset import Dataset
 from ..lang.program import Program, Statement
 from .fitting import ComplexityCurve, FittedCurve
-from .sampling import LineFits, SampleSeries, SamplingReport
+from .sampling import LineFits, SampleSeries, SamplingPhase, SamplingReport
 
-__all__ = ["ProfileCache", "default_cache", "fingerprint_run"]
+if TYPE_CHECKING:
+    from ..obs import Observability
+
+__all__ = ["ProfileCache", "cached_sampling", "default_cache", "fingerprint_run"]
 
 #: Bumped whenever the payload layout or fingerprint recipe changes.
 _SCHEMA_VERSION = 1
@@ -614,6 +617,50 @@ def default_cache() -> Optional[ProfileCache]:
         _DEFAULT_CACHE = ProfileCache(Path(root))
         _DEFAULT_CACHE_KEY = root
     return _DEFAULT_CACHE
+
+
+def cached_sampling(
+    sampler: SamplingPhase,
+    program: Program,
+    dataset: Dataset,
+    cache: Optional[ProfileCache],
+    obs: Optional["Observability"] = None,
+) -> Tuple[SamplingReport, Optional[str], str]:
+    """The sampling phase of one run, served from ``cache`` when it can be.
+
+    Every caller that profiles a program goes through here, so each
+    (program, dataset, config) is sampled once per cache.  Returns
+    ``(report, key, status)``: the report is bit-identical hit or miss;
+    ``key`` is the run's fingerprint (``None`` when uncached), which
+    the plan cache derives its own keys from; ``status`` is "hit",
+    "miss", "uncacheable" (unfingerprintable program) or "off".
+    Noisy profiles are meant to differ run to run, so a config with
+    ``profiler_noise > 0`` bypasses the cache.  An enabled ``obs``
+    handle counts ``profcache.<status>`` and ``profcache.invalidation``.
+    """
+    if sampler.config.profiler_noise > 0:
+        cache = None
+    report: Optional[SamplingReport] = None
+    key: Optional[str] = None
+    status = "off"
+    if cache is not None:
+        invalidations_before = cache.invalidations
+        key = cache.key_for(program, dataset, sampler.config)
+        if key is None:
+            status = "uncacheable"
+        else:
+            report = cache.get(key)
+            status = "hit" if report is not None else "miss"
+        if obs is not None and obs.enabled:
+            obs.count(f"profcache.{status}")
+            stale = cache.invalidations - invalidations_before
+            if stale:
+                obs.count("profcache.invalidation", stale)
+    if report is None:
+        report = sampler.run(program, dataset)
+        if key is not None:
+            cache.put(key, report)
+    return report, key, status
 
 
 def sampling_report_to_jsonable(report: SamplingReport) -> Dict[str, Any]:

@@ -1,10 +1,21 @@
 """From-scratch GBDT: quantisation, training, inference."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import WorkloadError
-from repro.ml.gbdt import GBDTRegressor, quantise_features
+from repro.ml.gbdt import (
+    DecisionTable,
+    GBDTModel,
+    GBDTRegressor,
+    TreeNode,
+    quantise_features,
+)
 
 
 def make_data(n=2000, seed=9):
@@ -100,3 +111,85 @@ class TestInference:
         model = GBDTRegressor(n_trees=7).fit(features, targets)
         assert model.n_trees == 7
         assert all(tree.node_count() >= 1 for tree in model.trees)
+
+    def test_served_model_predictions_pinned(self):
+        # Training feeds every tree's predictions back as residuals, so
+        # this digest pins both the fit-time and the serving-time walk.
+        from repro.workloads.lightgbm import _feature_matrix, trained_model
+
+        model = trained_model()
+        codes = model.quantise(_feature_matrix(4096, seed=7).astype(np.float64))
+        digest = hashlib.sha256(model.predict_codes(codes).tobytes()).hexdigest()
+        assert digest == (
+            "76c1ec9b1ad81d8fa7b27b39bb88375c7caa50f5e56f5dbc93507cf1d4a075a7"
+        )
+
+
+N_FEATURES = 5
+
+
+@st.composite
+def random_trees(draw, depth_left):
+    """A tree of height <= ``depth_left`` whose leaves may come early."""
+    if depth_left == 0 or draw(st.integers(0, 3)) == 0:
+        return TreeNode(value=draw(st.floats(-1e6, 1e6)))
+    return TreeNode(
+        feature=draw(st.integers(0, N_FEATURES - 1)),
+        threshold_bin=draw(st.one_of(st.sampled_from([0, 255]),
+                                     st.integers(0, 255))),
+        left=draw(random_trees(depth_left - 1)),
+        right=draw(random_trees(depth_left - 1)),
+    )
+
+
+def walk_row(node, row):
+    """Reference: follow one row from the root to its leaf."""
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold_bin else node.right
+    return node.value
+
+
+class TestDecisionTables:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        trees=st.integers(0, 6).flatmap(
+            lambda depth: st.lists(random_trees(depth), min_size=1, max_size=4)
+        ),
+        codes=st.integers(0, 40).flatmap(
+            lambda n: arrays(np.uint8, (n, N_FEATURES))
+        ),
+        base_score=st.floats(-10.0, 10.0),
+    )
+    def test_matches_per_row_walk(self, trees, codes, base_score):
+        model = GBDTModel(trees=trees, bin_edges=np.zeros((1, N_FEATURES)),
+                          base_score=base_score, n_bins=256)
+        expected = np.empty(codes.shape[0])
+        for i, row in enumerate(codes):
+            total = base_score
+            for tree in trees:
+                total += walk_row(tree, row)
+            expected[i] = total
+        assert model.predict_codes(codes).tobytes() == expected.tobytes()
+
+    def test_table_depth_is_tree_height(self):
+        tree = TreeNode(feature=0, threshold_bin=3,
+                        left=TreeNode(value=1.0),
+                        right=TreeNode(feature=1, threshold_bin=7,
+                                       left=TreeNode(value=2.0),
+                                       right=TreeNode(value=3.0)))
+        table = DecisionTable.compile(tree)
+        assert table.depth == 2
+        # The early left leaf fills both bottom leaves below it.
+        assert table.leaf_values.tolist() == [1.0, 1.0, 2.0, 3.0]
+        assert table.splits == ((0, 3), None, (1, 7))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_internal_node_missing_a_child_is_rejected(self, side):
+        tree = TreeNode(feature=0, threshold_bin=3,
+                        left=TreeNode(value=1.0), right=TreeNode(value=2.0))
+        setattr(tree, side, None)
+        with pytest.raises(WorkloadError, match="missing a child"):
+            DecisionTable.compile(tree)
+        with pytest.raises(WorkloadError, match="missing a child"):
+            GBDTModel(trees=[tree], bin_edges=np.zeros((1, 1)),
+                      base_score=0.0, n_bins=8)

@@ -11,8 +11,14 @@ from repro.config import DEFAULT_CONFIG
 from repro.obs import Observability
 from repro.runtime.activepy import ActivePy, RunOptions
 from repro.runtime.fitting import ComplexityCurve, FittedCurve
-from repro.runtime.profcache import ProfileCache, default_cache
-from repro.runtime.sampling import LineFits, SampleSeries, SamplingReport
+from repro.runtime.profcache import ProfileCache, cached_sampling, default_cache
+from repro.runtime.profiler import LineProfiler
+from repro.runtime.sampling import (
+    LineFits,
+    SampleSeries,
+    SamplingPhase,
+    SamplingReport,
+)
 from repro.workloads import get_workload
 
 from .conftest import make_toy_dataset, make_toy_program
@@ -297,6 +303,20 @@ class TestBitIdenticalRotation:
         assert warm.summary() == cold.summary()
         assert _strip_profcache(warm_metrics) == _strip_profcache(cold_metrics)
 
+    def test_invalidation_counted_once(self, cache):
+        program, dataset = make_toy_program(), make_toy_dataset()
+        _, key, _ = cached_sampling(SamplingPhase(DEFAULT_CONFIG), program,
+                                    dataset, cache)
+        (cache.root / "profiles" / f"{key}.json").write_text("{", encoding="utf-8")
+        obs = Observability()
+        with pytest.warns(RuntimeWarning, match="profile cache"):
+            _, _, status = cached_sampling(SamplingPhase(DEFAULT_CONFIG), program,
+                                           dataset, cache, obs=obs)
+        assert status == "miss"
+        counters = obs.snapshot()["counters"]
+        assert counters.get("profcache.miss") == 1.0
+        assert counters.get("profcache.invalidation") == 1.0
+
     def test_obs_counts_cache_traffic(self, cache):
         workload = get_workload("tpch_q6", scale=SCALE)
         obs = Observability()
@@ -308,3 +328,65 @@ class TestBitIdenticalRotation:
         counters = obs.snapshot()["counters"]
         assert counters.get("profcache.miss") == 1.0
         assert counters.get("profcache.hit") == 1.0
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Counts every real profile of a program on sample inputs."""
+    calls = []
+    profile = LineProfiler.profile
+
+    def counting(self, program, dataset):
+        calls.append(program.name)
+        return profile(self, program, dataset)
+
+    monkeypatch.setattr(LineProfiler, "profile", counting)
+    return calls
+
+
+class TestSharedSamplingEntryPoint:
+    """Every sampling caller goes through one cached entry point."""
+
+    def test_prediction_reuses_activepy_sampling(self, tmp_path, monkeypatch,
+                                                 profile_calls):
+        from repro.analysis.experiments import run_prediction_accuracy
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        workload = get_workload("tpch_q6")
+        ActivePy().run(workload.program, workload.dataset)
+        cache = default_cache()
+        hits_before = cache.hits
+        del profile_calls[:]
+        warm = run_prediction_accuracy(workloads=("tpch_q6",))
+        assert profile_calls == []
+        assert cache.hits - hits_before == 1
+
+        monkeypatch.setenv("REPRO_PROFCACHE", "0")
+        cold = run_prediction_accuracy(workloads=("tpch_q6",))
+        assert profile_calls
+        assert warm == cold
+
+    def test_noisy_config_bypasses_cache(self, cache, profile_calls):
+        noisy = dataclasses.replace(DEFAULT_CONFIG, profiler_noise=0.05)
+        program, dataset = make_toy_program(), make_toy_dataset()
+        for _ in range(2):
+            _, key, status = cached_sampling(SamplingPhase(noisy), program,
+                                             dataset, cache)
+            assert (key, status) == (None, "off")
+        assert len(profile_calls) == 2 * len(noisy.sampling_factors)
+        assert cache.stats()["misses"] == cache.stats()["hits"] == 0
+        assert not (cache.root / "profiles").exists()
+
+    def test_plan_search_cli_samples_once(self, tmp_path, monkeypatch, capsys,
+                                          profile_calls):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["plan", "search", "tpch_q6", "--scale", str(SCALE)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert profile_calls
+        del profile_calls[:]
+        assert main(argv) == 0
+        assert profile_calls == []
+        assert capsys.readouterr().out.splitlines()[:3] == first.splitlines()[:3]
