@@ -109,11 +109,7 @@ from .obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .parallel import (
-    merge_metric_snapshots,
-    ordered_pool_map,
-    run_campaign_parallel,
-)
+from .parallel import merge_metric_snapshots, run_campaign_parallel
 from .perfgate import GatedMetric, GateReport, PerfGateError
 from .perfgate import check as perf_check
 from .perfgate import snapshot as perf_snapshot
@@ -128,12 +124,7 @@ from .runtime.codegen import ExecutionMode
 from .runtime.executor import ExecutionResult
 from .runtime.explain import LineExplanation, PlanExplanation, explain_plan
 from .runtime.planner import PLAN_ORIGINS, Plan, assign_csd_code
-from .runtime.plansearch import (
-    SearchMetrics,
-    SearchOptions,
-    SearchReport,
-    search_plan,
-)
+from .runtime.plansearch import SearchReport, search_plan
 from .runtime.profcache import ProfileCache, default_cache
 from .sim import EventHandle, SimClock, SimSnapshot, Simulator
 from .workloads import Workload, all_workloads, get_workload, workload_names
@@ -203,8 +194,6 @@ __all__ = [
     "ReproError",
     "RunOptions",
     "SILENT_KINDS",
-    "SearchMetrics",
-    "SearchOptions",
     "SearchReport",
     "SimClock",
     "SimSnapshot",
@@ -239,7 +228,6 @@ __all__ = [
     "explain_plan",
     "get_workload",
     "merge_metric_snapshots",
-    "ordered_pool_map",
     "percentile",
     "perf_check",
     "perf_snapshot",

@@ -20,7 +20,7 @@
     python -m repro obs dashboard              # fleet sparkline dashboard
     python -m repro faults list                # catalogue of injectable faults
     python -m repro explain run tpch_q6        # plan vs. reality + critical path
-    python -m repro plan search pagerank       # branch-and-bound vs greedy
+    python -m repro plan search pagerank       # exact search vs greedy
     python -m repro run pagerank --plan-mode search  # run with the search plan
     python -m repro bench                      # wall-clock perf-layer benchmark
     python -m repro perf check                 # gate BENCH_*.json vs baselines
@@ -136,13 +136,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plan_search(args) -> int:
-    """Branch-and-bound plan search, diffed against greedy Algorithm 1."""
+    """Exact plan search, diffed against greedy Algorithm 1."""
     import json as json_module
 
     from .config import DEFAULT_CONFIG
     from .runtime.estimator import build_estimates
     from .runtime.planner import assign_csd_code
-    from .runtime.plansearch import SearchOptions, search_plan
+    from .runtime.plansearch import search_plan
     from .runtime.profcache import cached_sampling, default_cache
     from .runtime.sampling import SamplingPhase
 
@@ -157,11 +157,8 @@ def _cmd_plan_search(args) -> int:
     greedy = assign_csd_code(estimates, DEFAULT_CONFIG)
     report = search_plan(
         workload.program, workload.dataset, estimates, DEFAULT_CONFIG,
-        options=SearchOptions(beam_width=args.beam_width,
-                              workers=args.workers),
         greedy=greedy,
     )
-    metrics = report.metrics
 
     def plan_line(label, assignments, makespan):
         moves = ", ".join(
@@ -181,10 +178,8 @@ def _cmd_plan_search(args) -> int:
               f"{100 * report.improvement_fraction:.1f}% ({moves})")
     else:
         print("verdict: greedy's plan is optimal (search confirmed it)")
-    print(f"search  : {metrics.nodes_expanded} nodes expanded, "
-          f"{metrics.nodes_pruned} pruned, {metrics.memo_hits} memo hits, "
-          f"{metrics.steps_simulated} speculative steps, "
-          f"{metrics.wall_seconds:.3f}s wall")
+    print(f"search  : {report.steps_simulated} speculative steps, "
+          f"{report.wall_seconds:.3f}s wall")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json_module.dump(report.to_jsonable(), handle, indent=2)
@@ -695,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--plan-mode", choices=("greedy", "search"), default="greedy",
         help="how step 3 picks the host/CSD split: the paper's greedy "
-             "Algorithm 1, or the branch-and-bound speculative search",
+             "Algorithm 1, or the exact speculative search",
     )
     run_parser.add_argument("--json", metavar="PATH", default=None)
     run_parser.set_defaults(fn=_cmd_run)
@@ -706,21 +701,12 @@ def build_parser() -> argparse.ArgumentParser:
     plan_sub = plan_parser.add_subparsers(dest="plan_command", required=True)
     plan_search = plan_sub.add_parser(
         "search",
-        help="branch-and-bound plan search over forked simulator states, "
+        help="exact plan search over steps measured on forked simulator states, "
              "diffed against greedy Algorithm 1",
     )
     plan_search.add_argument("workload", choices=workload_choices)
     plan_search.add_argument("--scale", type=float, default=1.0,
                              help="input scale in (0, 1]")
-    plan_search.add_argument(
-        "--beam-width", type=int, default=None, metavar="W",
-        help="cap node expansions per depth (default: unbounded)",
-    )
-    plan_search.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for speculative step evaluation; any N "
-             "returns bit-identical plans and metrics (default: 1)",
-    )
     plan_search.add_argument("--json", metavar="PATH", default=None,
                              help="also write the search report as JSON")
     plan_search.set_defaults(fn=_cmd_plan_search)

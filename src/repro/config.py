@@ -39,8 +39,8 @@ class SystemConfig:
     cse_cores: int = 8
     #: Whether the CSD's compute engines accept offloaded work at all.
     #: ``False`` models a host with a plain (non-computational) SSD:
-    #: every planner — greedy Algorithm 1 and the branch-and-bound
-    #: search alike — must then keep all lines on the host.
+    #: every planner — greedy Algorithm 1 and the plan search
+    #: alike — must then keep all lines on the host.
     csd_enabled: bool = True
 
     # --- interconnect -------------------------------------------------

@@ -46,7 +46,6 @@ from .errors import ChaosError
 __all__ = [
     "default_workers",
     "merge_metric_snapshots",
-    "ordered_pool_map",
     "run_campaign_parallel",
 ]
 
@@ -93,43 +92,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
-
-
-def ordered_pool_map(
-    fn: Callable[[Any], Any],
-    items: List[Any],
-    *,
-    workers: int,
-    initializer: Optional[Callable[[], None]] = None,
-) -> List[Any]:
-    """``[fn(x) for x in items]`` across a pool, results in input order.
-
-    The deterministic fan-out the campaign runner uses, factored out
-    for any caller whose ``fn`` is a pure function of its item (given
-    worker state the parent installs before the pool forks): results
-    come back in submission order via ``Executor.map``, so for a
-    deterministic ``fn`` the returned list is bit-identical to the
-    serial comprehension — the property the plan search's
-    ``workers=N == workers=1`` guarantee rests on.
-
-    ``fn`` (and ``initializer``, used to rebuild worker state under
-    ``spawn``) must be module-level callables so they pickle.
-    ``workers <= 1`` or fewer than two items short-circuits to the
-    serial comprehension without touching multiprocessing at all.
-    """
-    if workers < 1:
-        raise ChaosError(f"workers must be at least 1, got {workers}")
-    if workers == 1 or len(items) < 2:
-        if initializer is not None:
-            initializer()
-        return [fn(item) for item in items]
-    context = _pool_context()
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(items)),
-        mp_context=context,
-        initializer=initializer,
-    ) as pool:
-        return list(pool.map(fn, items))
 
 
 def run_campaign_parallel(

@@ -31,15 +31,15 @@ from .estimator import LineEstimate, build_estimates
 from .executor import ExecutionResult, PlanExecutor, ProgressTrigger
 from .explain import PREDICTION_ERROR_BUCKETS, PlanExplanation, explain_plan
 from .planner import Plan, assign_csd_code
-from .plansearch import SearchOptions, SearchReport, search_plan
+from .plansearch import SearchReport, search_plan
 from .profcache import ProfileCache, cached_sampling, default_cache
 from .sampling import SamplingPhase, SamplingReport
 
 __all__ = ["ActivePy", "ActivePyReport", "PLAN_MODES", "RunOptions", "run_plan"]
 
 #: How step 3 picks the host/CSD split: the paper's greedy Algorithm 1,
-#: or the branch-and-bound speculative search over forked simulator
-#: states (:mod:`repro.runtime.plansearch`).
+#: or the exact speculative search over forked simulator states
+#: (:mod:`repro.runtime.plansearch`).
 PLAN_MODES = ("greedy", "search")
 
 #: Distinguishes "caller never passed the deprecated keyword" from any
@@ -69,12 +69,9 @@ class RunOptions:
         for a zero-overhead disabled handle.
     plan_mode:
         Override the instance's planning mode for this run: "greedy"
-        (Algorithm 1) or "search" (branch-and-bound over forked
-        simulator states).  ``None`` keeps the instance default.
-    search_options:
-        Knobs for ``plan_mode="search"``
-        (:class:`~repro.runtime.plansearch.SearchOptions`); ``None``
-        keeps the instance default.
+        (Algorithm 1) or "search" (the exact dynamic program over
+        steps measured on forked simulator states).  ``None`` keeps the
+        instance default.
     """
 
     trace: bool = False
@@ -82,7 +79,6 @@ class RunOptions:
     fault_plan: Optional[FaultPlan] = None
     obs: Optional[Observability] = None
     plan_mode: Optional[str] = None
-    search_options: Optional[SearchOptions] = None
 
     def __post_init__(self) -> None:
         if self.plan_mode is not None and self.plan_mode not in PLAN_MODES:
@@ -119,7 +115,7 @@ class ActivePyReport:
     #: How the profile cache treated this run: "hit", "miss",
     #: "uncacheable" (unfingerprintable program), or "off".
     sampling_cache_status: str = "off"
-    #: The branch-and-bound search's full outcome (None for greedy
+    #: The plan search's full outcome (None for greedy
     #: runs).  ``search.cache_hit`` marks warm runs that skipped the
     #: search and served the plan from the profile cache.
     search: Optional[SearchReport] = None
@@ -182,14 +178,11 @@ class ActivePy:
         are meant to differ run to run).
     plan_mode:
         "greedy" runs the paper's Algorithm 1 (the default); "search"
-        runs the branch-and-bound speculative search
-        (:mod:`repro.runtime.plansearch`), which never returns a plan
-        with a worse speculative makespan than greedy's.  Search
-        results are keyed into the profile cache, so warm runs skip
-        the search entirely.
-    search_options:
-        Default :class:`~repro.runtime.plansearch.SearchOptions` for
-        ``plan_mode="search"`` (beam width, worker processes).
+        runs the exact speculative search
+        (:mod:`repro.runtime.plansearch`), which returns the plan with
+        the smallest speculative makespan and keeps greedy's on a tie.
+        Search results are keyed into the profile cache, so warm runs
+        skip the search entirely.
     """
 
     def __init__(
@@ -198,7 +191,6 @@ class ActivePy:
         migration_enabled: bool = True,
         profile_cache: Any = None,
         plan_mode: str = "greedy",
-        search_options: Optional[SearchOptions] = None,
     ) -> None:
         if plan_mode not in PLAN_MODES:
             raise PlanningError(
@@ -208,7 +200,6 @@ class ActivePy:
         self.config = config
         self.migration_enabled = migration_enabled
         self.plan_mode = plan_mode
-        self.search_options = search_options
         self._sampling_phase = SamplingPhase(config)
         self._codegen = CodeGenerator(config)
         if profile_cache is None or profile_cache is True:
@@ -293,9 +284,9 @@ class ActivePy:
         )
 
         # 3. Pick the CSD code regions: Algorithm 1's greedy pass, and
-        #    — in "search" mode — the branch-and-bound refinement over
-        #    forked simulator states, seeded with greedy's plan so it
-        #    can only match or beat it.  Like greedy, the search is
+        #    — in "search" mode — the exact search over steps measured
+        #    on forked simulator states, which keeps greedy's plan on a
+        #    tie so it can only match or beat it.  Like greedy, the search is
         #    digital-twin work and charges no simulated time; its wall
         #    cost is bounded by the perf gate and amortised by the
         #    profile cache.
@@ -308,7 +299,6 @@ class ActivePy:
             search_report = self._search_plan(
                 program, dataset, estimates, plan,
                 cache=self._profile_cache, cache_key=cache_key, handle=handle,
-                opts=opts,
             )
             plan = search_report.plan
 
@@ -368,28 +358,16 @@ class ActivePy:
         cache: Optional[ProfileCache],
         cache_key: Optional[str],
         handle: Observability,
-        opts: RunOptions,
     ) -> SearchReport:
-        """Run (or cache-serve) the branch-and-bound plan search.
+        """Run (or cache-serve) the plan search.
 
-        The plan cache key derives from the sampling fingerprint plus
-        the search knobs, so a warm run skips the search entirely and
-        counts a ``plansearch.cache_hit``; any code or input change
-        that would re-profile also re-searches.
+        Plans are cached under the sampling fingerprint, so a warm run
+        skips the search entirely and counts a ``plansearch.cache_hit``;
+        any code or input change that would re-profile also re-searches.
         """
-        search_opts = (
-            opts.search_options if opts.search_options is not None
-            else self.search_options
-        )
-        if search_opts is None:
-            search_opts = SearchOptions()
         report: Optional[SearchReport] = None
-        plan_cache_key: Optional[str] = None
         if cache is not None and cache_key is not None:
-            plan_cache_key = cache.plan_key(
-                cache_key, search_opts.digest_token()
-            )
-            payload = cache.get_plan(plan_cache_key)
+            payload = cache.get_plan(cache_key)
             if payload is not None:
                 try:
                     report = SearchReport.from_jsonable(payload)
@@ -398,11 +376,10 @@ class ActivePy:
                     report = None
         if report is None:
             report = search_plan(
-                program, dataset, estimates, self.config,
-                options=search_opts, greedy=greedy_plan,
+                program, dataset, estimates, self.config, greedy=greedy_plan,
             )
-            if cache is not None and plan_cache_key is not None:
-                cache.put_plan(plan_cache_key, report.to_jsonable())
+            if cache is not None and cache_key is not None:
+                cache.put_plan(cache_key, report.to_jsonable())
         if handle.enabled:
             report.publish(handle)
         return report

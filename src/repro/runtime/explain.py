@@ -90,7 +90,7 @@ class PlanExplanation:
     migration_audit: List[Dict[str, object]] = None  # set in __post_init__
     #: Which planner produced the plan ("greedy", "search", "external").
     plan_origin: str = "greedy"
-    #: For search plans: how the branch-and-bound's choice differs from
+    #: For search plans: how the search's choice differs from
     #: greedy Algorithm 1 and what it bought (None for greedy plans).
     #: Keys: greedy_assignments, search_assignments, greedy_makespan_s,
     #: search_makespan_s, improvement_fraction, changed_lines,
@@ -242,7 +242,7 @@ def explain_plan(
 ) -> PlanExplanation:
     """Join the plan's per-line predictions with the measured timings.
 
-    ``search`` attaches plan provenance for branch-and-bound plans
+    ``search`` attaches plan provenance for searched plans
     (:mod:`repro.runtime.plansearch`): the explanation then carries an
     explicit diff against what greedy Algorithm 1 would have chosen —
     which lines moved and how many speculative seconds the move bought.

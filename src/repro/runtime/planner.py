@@ -30,7 +30,7 @@ HOST = "host"
 CSD = "csd"
 
 #: Where a plan came from: the paper's greedy Algorithm 1, the
-#: branch-and-bound search (:mod:`repro.runtime.plansearch`), or a
+#: exact plan search (:mod:`repro.runtime.plansearch`), or a
 #: caller-supplied assignment (baselines, replayed JSON).
 PLAN_ORIGINS = ("greedy", "search", "external")
 

@@ -1,55 +1,36 @@
-"""Branching plan search: branch-and-bound over forked simulator states.
+"""Exact plan search: a two-state dynamic program over measured steps.
 
-The paper's Algorithm 1 is a single greedy pass over Equation 1's
-*fitted* per-line estimates, and it inherits every extrapolation error
-the sampling phase makes: §V's CSR case study (``pagerank``,
-``sparsemv``) over-predicts an output volume ~2.4x because power-law
-sample prefixes genuinely look denser than the population, so greedy
-conservatively keeps the conversion on the host while the oracle
-offloads it.  No amount of re-fitting at sample scale recovers this —
-the bend in the volume curve is simply not observable from prefixes.
+Algorithm 1 plans from Equation 1's *fitted* estimates and inherits the
+sampling phase's extrapolation errors.  In §V's CSR case study
+(``pagerank``, ``sparsemv``) power-law sample prefixes over-predict the
+conversion's output ~2.4x, so greedy keeps it on the host while the
+oracle offloads it; no re-fitting at sample scale can see that bend.
 
-This module takes the other door the array engine opened (PR 8's O(1)
-copy-on-write :meth:`~repro.sim.Simulator.snapshot` /
-:meth:`~repro.sim.Simulator.restore`): instead of *modelling* a
-candidate assignment, **speculatively execute it on a forked simulator
-state** and read the clock.  The search is a priority-queue
-branch-and-bound over partial host/CSD assignments:
+The search measures instead.  A step — line ``i`` at ``location`` with
+the live value on ``value_location`` — is dry-run on a copy-on-write
+fork of a speculative machine through the executor's fault-free
+stepper, and costs the simulated seconds that elapse.  A makespan is
+the left fold of its steps in line order, and a step sees the past only
+through where the live value sits, so the state space is a two-state
+chain and a Viterbi-style pass is exact::
 
-* every node extension is simulated exactly once on a fork of the
-  speculative machine (the fault-free stepper
-  :meth:`~repro.runtime.executor.PlanExecutor.run_line_clean`), never
-  re-run — the (line, location, input-crossing) step space is shared
-  by all branches, which is the transposition table's currency;
-* nodes are ordered by ``elapsed + lower_bound(remaining)`` where the
-  remaining-work bound folds each remaining line's cheapest measured
-  step — admissible by construction (transfers are nonnegative and
-  float addition is monotone), the invariant
-  ``tests/test_plansearch.py`` re-checks with Hypothesis;
-* dominance pruning runs on (depth, value-location): two prefixes that
-  leave the live value on the same unit are interchangeable for the
-  future, so only the cheaper one survives (``memo_hits``);
-* the incumbent is seeded with greedy's leaf, so the search **provably
-  never returns a worse speculative makespan than Algorithm 1** —
-  improvements must be strict, ties keep greedy's plan bit-for-bit;
-* ``beam_width`` caps expansions per depth and ``workers > 1``
-  evaluates the speculative step space on
-  :mod:`repro.parallel`'s deterministic order-preserving pool —
-  bit-identical plan *and* metrics to ``workers == 1``, since the pool
-  only changes who runs the (deterministic) simulations.
+    best[-1] = {HOST: 0.0}
+    best[i][loc] = min over prev of best[i-1][prev] + step(i, loc, prev)
+    makespan = min(best[k-1][HOST], best[k-1][CSD] + step(FINAL, HOST, CSD))
 
-The cost-callable firewall stays intact: nothing here reads a
-statement's ground-truth cost model.  The search *measures* candidate
-prefixes by dry-running them in the simulator — the in-simulation
-analogue of speculative execution on the real device — which is
-precisely how it escapes the §V extrapolation trap.
+Every path is summed by the same fold and IEEE addition is monotone, so
+the DP minimum equals the brute-force minimum over all 2^k assignments
+with no epsilon.  Steps are measured lazily where the DP reaches them:
+4k-1 with the CSD on (line 0 is only fed from the host), k with it off.
+When greedy's walked makespan ties the optimum its assignment is
+returned bit for bit, so the search is never worse than Algorithm 1.
+Nothing here reads a statement's ground-truth cost model.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
@@ -63,96 +44,14 @@ from .estimator import LineEstimate
 from .executor import PlanExecutor
 from .planner import CSD, HOST, Plan, assign_csd_code, host_only_plan
 
-__all__ = [
-    "SearchMetrics",
-    "SearchOptions",
-    "SearchReport",
-    "estimate_priority",
-    "search_plan",
-]
+__all__ = ["SearchReport", "search_plan"]
 
 #: A speculative step: line ``index`` runs at ``location`` with the
 #: live value currently on ``value_location``.
 _StepKey = Tuple[int, str, str]
 
-#: Sentinel index for the final device→host readback steps.
+#: Sentinel index for the final device→host readback step.
 _FINAL = -1
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Knobs of one branch-and-bound search."""
-
-    #: Maximum nodes expanded per depth (``None`` = unbounded).  The
-    #: greedy incumbent is independent of the beam, so any width still
-    #: returns a plan no worse than Algorithm 1.
-    beam_width: Optional[int] = None
-    #: Worker processes evaluating the speculative step space.  The
-    #: search itself is sequential arithmetic over the (deterministic)
-    #: step costs, so any worker count returns bit-identical results.
-    workers: int = 1
-    #: Hard cap on expanded nodes (a 2^k tree for k lines never gets
-    #: near this; the cap bounds adversarial inputs).
-    max_nodes: int = 65536
-
-    def digest_token(self) -> str:
-        """A canonical token for cache keys (wall-clock knobs excluded)."""
-        return f"beam={self.beam_width!r}"
-
-
-@dataclass
-class SearchMetrics:
-    """What the search did, for ``plansearch.*`` observability."""
-
-    nodes_expanded: int = 0
-    nodes_pruned: int = 0
-    memo_hits: int = 0
-    #: Distinct speculative line-steps simulated (the step space).
-    steps_simulated: int = 0
-    #: Host wall-clock seconds the search took (excluded from the
-    #: workers=N == workers=1 identity — it is the one field that
-    #: legitimately differs).
-    wall_seconds: float = 0.0
-    #: Every incumbent improvement: (nodes_expanded_at, makespan,
-    #: assignments) — seeded with greedy's leaf at node 0.
-    incumbent_trajectory: List[Tuple[int, float, Tuple[str, ...]]] = field(
-        default_factory=list
-    )
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "nodes_pruned": self.nodes_pruned,
-            "memo_hits": self.memo_hits,
-            "steps_simulated": self.steps_simulated,
-            "wall_seconds": self.wall_seconds,
-            "incumbent_trajectory": [
-                {
-                    "nodes_expanded": at,
-                    "makespan_s": makespan,
-                    "assignments": list(assignments),
-                }
-                for at, makespan, assignments in self.incumbent_trajectory
-            ],
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: Dict[str, Any]) -> "SearchMetrics":
-        return cls(
-            nodes_expanded=int(payload["nodes_expanded"]),
-            nodes_pruned=int(payload["nodes_pruned"]),
-            memo_hits=int(payload["memo_hits"]),
-            steps_simulated=int(payload["steps_simulated"]),
-            wall_seconds=float(payload["wall_seconds"]),
-            incumbent_trajectory=[
-                (
-                    int(entry["nodes_expanded"]),
-                    float(entry["makespan_s"]),
-                    tuple(str(a) for a in entry["assignments"]),
-                )
-                for entry in payload["incumbent_trajectory"]
-            ],
-        )
 
 
 @dataclass
@@ -163,11 +62,13 @@ class SearchReport:
     greedy_plan: Plan
     #: Speculative (fault-free simulated) makespan of the chosen plan.
     makespan_s: float
-    #: Speculative makespan of greedy's plan — the seeded incumbent.
+    #: Speculative makespan of greedy's plan over the same steps.
     greedy_makespan_s: float
-    metrics: SearchMetrics
-    #: True when the plan came from the profile cache and the search
-    #: itself was skipped entirely.
+    #: Distinct speculative line-steps simulated.
+    steps_simulated: int = 0
+    #: Host wall-clock seconds the search took.
+    wall_seconds: float = 0.0
+    #: True when the plan cache served the report and no search ran.
     cache_hit: bool = False
 
     @property
@@ -183,38 +84,21 @@ class SearchReport:
 
     def changed_lines(self) -> List[Tuple[int, str, str, str]]:
         """(index, name, greedy_location, search_location) per diff."""
-        out = []
         names = {e.index: e.name for e in self.plan.estimates}
-        for i, (a, b) in enumerate(
-            zip(self.greedy_plan.assignments, self.plan.assignments)
-        ):
-            if a != b:
-                out.append((i, names.get(i, f"line{i}"), a, b))
-        return out
+        pairs = zip(self.greedy_plan.assignments, self.plan.assignments)
+        return [(i, names.get(i, f"line{i}"), a, b) for i, (a, b) in enumerate(pairs) if a != b]
 
     def publish(self, obs: Observability) -> None:
         """Emit ``plansearch.*`` metrics onto an observability handle."""
         if not obs.enabled:
             return
         metrics = obs.metrics
-        metrics.counter("plansearch.nodes_expanded").inc(
-            self.metrics.nodes_expanded
-        )
-        metrics.counter("plansearch.nodes_pruned").inc(self.metrics.nodes_pruned)
-        metrics.counter("plansearch.memo_hits").inc(self.metrics.memo_hits)
-        metrics.counter("plansearch.steps_simulated").inc(
-            self.metrics.steps_simulated
-        )
+        metrics.counter("plansearch.steps_simulated").inc(self.steps_simulated)
         if self.cache_hit:
             metrics.counter("plansearch.cache_hit").inc()
-        metrics.counter("plansearch.incumbent_improvements").inc(
-            max(0, len(self.metrics.incumbent_trajectory) - 1)
-        )
         metrics.gauge("plansearch.makespan_s").set(self.makespan_s)
         metrics.gauge("plansearch.greedy_makespan_s").set(self.greedy_makespan_s)
-        metrics.gauge("plansearch.improvement_fraction").set(
-            self.improvement_fraction
-        )
+        metrics.gauge("plansearch.improvement_fraction").set(self.improvement_fraction)
 
     def to_jsonable(self) -> Dict[str, Any]:
         return {
@@ -224,76 +108,44 @@ class SearchReport:
             "greedy_makespan_s": self.greedy_makespan_s,
             "beat_greedy": self.beat_greedy,
             "improvement_fraction": self.improvement_fraction,
+            "steps_simulated": self.steps_simulated,
+            "wall_seconds": self.wall_seconds,
             "cache_hit": self.cache_hit,
-            "metrics": self.metrics.to_jsonable(),
         }
 
     @classmethod
     def from_jsonable(cls, payload: Dict[str, Any]) -> "SearchReport":
-        """Rebuild a report serialised by :meth:`to_jsonable`.
-
-        Floats round-trip exactly through JSON ``repr``, so a
-        cache-served report carries the same makespans bit for bit —
-        what lets warm runs skip the search without changing any
-        simulated outcome.
-        """
+        """Rebuild a :meth:`to_jsonable` payload; floats round-trip exactly."""
         try:
             return cls(
                 plan=Plan.from_jsonable(payload["plan"]),
                 greedy_plan=Plan.from_jsonable(payload["greedy_plan"]),
                 makespan_s=float(payload["makespan_s"]),
                 greedy_makespan_s=float(payload["greedy_makespan_s"]),
-                metrics=SearchMetrics.from_jsonable(payload["metrics"]),
+                steps_simulated=int(payload["steps_simulated"]),
+                wall_seconds=float(payload["wall_seconds"]),
                 cache_hit=bool(payload.get("cache_hit", False)),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise PlanningError(
-                f"malformed search report payload: {exc}"
-            ) from exc
-
-
-def estimate_priority(estimates: Sequence[LineEstimate], depth: int) -> float:
-    """Equation-1 optimistic remaining work from ``depth`` onward.
-
-    The fitted-estimate heuristic that orders node expansion before
-    measured steps exist: each remaining line costs at least its
-    cheaper location, transfers optimistically free.  Ordering only —
-    pruning always uses the measured bound, so a misfitted estimate
-    (the §V trap) can delay exploration but never exclude the optimum.
-    """
-    return sum(
-        min(e.ct_host, e.ct_device) for e in estimates[depth:]
-    )
+            raise PlanningError(f"malformed search report payload: {exc}") from exc
 
 
 class _SpeculativeMachine:
-    """A private machine the search dry-runs candidate prefixes on.
+    """A private fault-free machine the search dry-runs steps on.
 
-    Built once per search (and once per pool worker): a fresh
-    fault-free machine with a disabled observability handle, every
-    line's device binary installed, and a base snapshot taken after
-    setup.  Each speculative step restores the base snapshot (O(1),
-    copy-on-write), executes exactly one line through the real
-    executor's fault-free stepper, and reads the elapsed simulated
-    time off the clock.
+    Every line's device binary is installed and a base snapshot taken
+    once; each step restores it (O(1), copy-on-write), runs one line
+    through the executor's fault-free stepper and reads the clock.
     """
 
-    def __init__(
-        self, program: Program, dataset: Dataset, config: SystemConfig
-    ) -> None:
-        self.config = config
+    def __init__(self, program: Program, dataset: Dataset, config: SystemConfig) -> None:
         self.n_records = dataset.n_records
-        self.machine: Machine = build_machine(
-            config, obs=Observability.disabled()
-        )
+        self.machine: Machine = build_machine(config, obs=Observability.disabled())
         self.machine.csd.store_dataset(dataset.name, dataset.raw_bytes)
-        k = len(program)
-        # Install binaries for every line so any assignment is runnable;
-        # with the CSD disabled nothing is ever dispatched to it.
-        codegen_assignments = [CSD if config.csd_enabled else HOST] * k
+        # With the CSD disabled nothing is ever dispatched to it.
         scaffold = Plan(
-            assignments=codegen_assignments, t_host=0.0, t_csd=0.0,
-            origin="external",
+            assignments=[CSD if config.csd_enabled else HOST] * len(program),
+            t_host=0.0, t_csd=0.0, origin="external",
         )
         self.compiled = CodeGenerator(config).generate(
             self.machine, program, scaffold, mode=ExecutionMode.ACTIVEPY,
@@ -316,256 +168,79 @@ class _SpeculativeMachine:
         return simulator.now - started
 
 
-#: Worker-side speculative machine for parallel step evaluation.  Set
-#: by the parent before the pool forks (children inherit it) and by
-#: the initializer otherwise — the same pattern as
-#: :data:`repro.parallel._WORKER_HARNESS`.
-_WORKER_SPEC: Optional[_SpeculativeMachine] = None
-_WORKER_CONTEXT: Optional[Tuple[Program, Dataset, SystemConfig]] = None
-
-
-def _init_step_worker() -> None:
-    global _WORKER_SPEC
-    if _WORKER_SPEC is None:
-        if _WORKER_CONTEXT is None:  # pragma: no cover - parent always set it
-            raise PlanningError("step worker started without a search context")
-        _WORKER_SPEC = _SpeculativeMachine(*_WORKER_CONTEXT)
-
-
-def _eval_step(key: _StepKey) -> float:
-    if _WORKER_SPEC is None:  # pragma: no cover - initializer always ran
-        raise PlanningError("step worker has no speculative machine")
-    return _WORKER_SPEC.step_seconds(key)
-
-
-def _step_space(k: int, locations: Sequence[str]) -> List[_StepKey]:
-    """Every step the search could need, in canonical order."""
-    keys: List[_StepKey] = []
-    for index in range(k):
-        for location in locations:
-            for value_location in (HOST, CSD):
-                keys.append((index, location, value_location))
-    # Final readback only matters when the last line ends on the CSD.
-    keys.append((_FINAL, HOST, CSD))
-    return keys
-
-
-def _measure_steps(
-    spec: _SpeculativeMachine,
-    keys: Sequence[_StepKey],
-    workers: int,
-    program: Program,
-    dataset: Dataset,
-    config: SystemConfig,
-) -> Dict[_StepKey, float]:
-    """Evaluate the step space, optionally across worker processes.
-
-    The values are deterministic functions of (program, dataset,
-    config) — every worker builds an identical speculative machine and
-    simulations share no state — so the table, and with it the whole
-    search, is bit-identical for any worker count.
-    """
-    global _WORKER_SPEC, _WORKER_CONTEXT
-    if workers <= 1 or len(keys) < 2:
-        return {key: spec.step_seconds(key) for key in keys}
-    # Imported lazily: repro.parallel pulls the chaos harness, which
-    # imports the runtime — a cycle at module-import time, not at call
-    # time.
-    from ..parallel import ordered_pool_map
-
-    _WORKER_SPEC = spec
-    _WORKER_CONTEXT = (program, dataset, config)
-    try:
-        values = ordered_pool_map(
-            _eval_step,
-            list(keys),
-            workers=workers,
-            initializer=_init_step_worker,
-        )
-    finally:
-        _WORKER_SPEC = None
-        _WORKER_CONTEXT = None
-    return dict(zip(keys, values))
-
-
-def _fold_bound(
-    elapsed: float, cheapest: Sequence[float], depth: int
-) -> float:
-    """``elapsed`` plus the measured optimistic remainder from ``depth``.
-
-    A left fold in line order, matching how leaf makespans accumulate:
-    float addition is monotone, so term-wise ``cheapest[i] <= actual
-    step`` makes the fold a true lower bound — exactly, not just to
-    tolerance (the Hypothesis admissibility test asserts ``<=`` with no
-    epsilon).
-    """
-    bound = elapsed
-    for i in range(depth, len(cheapest)):
-        bound += cheapest[i]
-    return bound
-
-
 def search_plan(
     program: Program,
     dataset: Dataset,
     estimates: Sequence[LineEstimate],
     config: SystemConfig,
     *,
-    options: Optional[SearchOptions] = None,
     greedy: Optional[Plan] = None,
 ) -> SearchReport:
-    """Branch-and-bound over host/CSD assignments; never worse than greedy.
+    """The minimum-makespan host/CSD assignment; never worse than greedy.
 
-    Returns a :class:`SearchReport` whose ``plan`` carries
-    ``origin="search"`` and whose ``t_host``/``t_csd`` are *measured*
-    speculative makespans (all-host, and the winner) rather than the
-    fitted model's projections — the search's projection is a
-    measurement, which is the whole point.
+    The returned plan has ``origin="search"``, and its ``t_host`` and
+    ``t_csd`` are *measured* speculative makespans (all-host, and the
+    winner), not fitted projections.  ``greedy`` defaults to Algorithm
+    1 on ``estimates``.  A greedy plan of the wrong length, or one that
+    offloads while the CSD is disabled, raises :class:`PlanningError`.
     """
-    opts = options if options is not None else SearchOptions()
-    if opts.workers < 1:
-        raise PlanningError(f"workers must be at least 1, got {opts.workers}")
-    if opts.beam_width is not None and opts.beam_width < 1:
-        raise PlanningError(
-            f"beam_width must be at least 1, got {opts.beam_width}"
-        )
-    if len(estimates) != len(program):
-        raise PlanningError(
-            f"{len(estimates)} estimates for a {len(program)}-line program"
-        )
-    wall_started = time.perf_counter()
-    metrics = SearchMetrics()
-    greedy_plan = greedy if greedy is not None else (
-        assign_csd_code(estimates, config) if estimates
-        else host_only_plan(estimates)
-    )
     k = len(program)
-    if k == 0:
-        plan = Plan(
-            assignments=[], t_host=0.0, t_csd=0.0, estimates=tuple(estimates),
-            origin="search",
-        )
-        metrics.wall_seconds = time.perf_counter() - wall_started
-        return SearchReport(
-            plan=plan, greedy_plan=greedy_plan,
-            makespan_s=0.0, greedy_makespan_s=0.0, metrics=metrics,
-        )
-
+    if len(estimates) != k:
+        raise PlanningError(f"{len(estimates)} estimates for a {k}-line program")
+    wall_started = time.perf_counter()
+    if greedy is None:
+        greedy = assign_csd_code(estimates, config) if k else host_only_plan(estimates)
     locations: Tuple[str, ...] = (HOST, CSD) if config.csd_enabled else (HOST,)
-    spec = _SpeculativeMachine(program, dataset, config)
-    keys = _step_space(k, locations)
-    steps = _measure_steps(
-        spec, keys, opts.workers, program, dataset, config,
-    )
-    metrics.steps_simulated = len(steps)
-    final_csd = steps[(_FINAL, HOST, CSD)]
+    greedy_assignments = tuple(greedy.assignments)
+    if len(greedy_assignments) != k or not set(greedy_assignments) <= set(locations):
+        raise PlanningError(
+            f"greedy assignments {list(greedy_assignments)} are not a "
+            f"{k}-line plan over {list(locations)}"
+        )
 
-    def leaf_tail(last_location: str) -> float:
-        return final_csd if last_location == CSD else 0.0
+    spec = _SpeculativeMachine(program, dataset, config) if k else None
+    steps: Dict[_StepKey, float] = {}
+
+    def step(key: _StepKey) -> float:
+        if key not in steps:
+            steps[key] = spec.step_seconds(key)
+        return steps[key]
+
+    def finish(elapsed: float, value_location: str) -> float:
+        return elapsed + step((_FINAL, HOST, CSD)) if value_location == CSD else elapsed
 
     def walk(assignments: Sequence[str]) -> float:
-        """Speculative makespan of a complete assignment."""
-        elapsed = 0.0
-        value_location = HOST
+        elapsed, value_location = 0.0, HOST
         for index, location in enumerate(assignments):
-            elapsed += steps[(index, location, value_location)]
+            elapsed += step((index, location, value_location))
             value_location = location
-        return elapsed + leaf_tail(value_location) if assignments else 0.0
+        return finish(elapsed, value_location)
 
-    # The measured optimistic cost of each line, for the admissible
-    # bound: its cheapest location, input optimistically in place.
-    cheapest = [
-        min(
-            steps[(index, location, value_location)]
+    # best[loc]: the cheapest (elapsed, assignments) prefix leaving the
+    # live value on ``loc``; the input starts on the host.
+    best: Dict[str, Tuple[float, Tuple[str, ...]]] = {HOST: (0.0, ())}
+    for index in range(k):
+        best = {
+            location: min(
+                (elapsed + step((index, location, prev)), prefix + (location,))
+                for prev, (elapsed, prefix) in best.items()
+            )
             for location in locations
-            for value_location in (HOST, CSD)
-        )
-        for index in range(k)
-    ]
-
-    # Incumbent: greedy's leaf.  Improvements must be strict, so on a
-    # workload where greedy is optimal the returned assignment is
-    # greedy's, bit for bit.
-    incumbent_assignments: Tuple[str, ...] = tuple(greedy_plan.assignments)
-    greedy_makespan = walk(incumbent_assignments)
-    incumbent_makespan = greedy_makespan
-    metrics.incumbent_trajectory.append(
-        (0, incumbent_makespan, incumbent_assignments)
+        }
+    makespan, assignments = min(
+        (finish(elapsed, location), prefix) for location, (elapsed, prefix) in best.items()
     )
+    # Ties keep greedy's plan, bit for bit.
+    greedy_makespan = walk(greedy_assignments)
+    if greedy_makespan <= makespan:
+        makespan, assignments = greedy_makespan, greedy_assignments
 
-    # Priority queue of partial assignments.  The priority leads with
-    # the measured admissible bound; the fitted-estimate heuristic and
-    # the assignment tuple break ties deterministically.
-    root = (
-        _fold_bound(0.0, cheapest, 0),
-        estimate_priority(estimates, 0),
-        (),  # assignments so far
-        0.0,  # elapsed
-        HOST,  # value location
-    )
-    frontier: List[Tuple[float, float, Tuple[str, ...], float, str]] = [root]
-    expanded_at_depth = [0] * (k + 1)
-    best_at_state: Dict[Tuple[int, str], float] = {}
-
-    while frontier and metrics.nodes_expanded < opts.max_nodes:
-        bound, _, assignments, elapsed, value_location = heapq.heappop(frontier)
-        depth = len(assignments)
-        if bound >= incumbent_makespan:
-            # The heap never shrinks its keys: every remaining node is
-            # at least this bad, so the incumbent is optimal (within
-            # the beam) and the search is done.
-            metrics.nodes_pruned += len(frontier) + 1
-            break
-        state = (depth, value_location)
-        seen = best_at_state.get(state)
-        if seen is not None and elapsed >= seen:
-            # Transposition: an interchangeable prefix already got here
-            # at least as fast.
-            metrics.memo_hits += 1
-            continue
-        best_at_state[state] = elapsed
-        if opts.beam_width is not None:
-            if expanded_at_depth[depth] >= opts.beam_width:
-                metrics.nodes_pruned += 1
-                continue
-            expanded_at_depth[depth] += 1
-        metrics.nodes_expanded += 1
-        if depth == k:
-            makespan = elapsed + leaf_tail(value_location)
-            if makespan < incumbent_makespan:
-                incumbent_makespan = makespan
-                incumbent_assignments = assignments
-                metrics.incumbent_trajectory.append(
-                    (metrics.nodes_expanded, makespan, assignments)
-                )
-            continue
-        for location in locations:
-            child_elapsed = elapsed + steps[(depth, location, value_location)]
-            child_bound = _fold_bound(child_elapsed, cheapest, depth + 1)
-            if child_bound >= incumbent_makespan:
-                metrics.nodes_pruned += 1
-                continue
-            heapq.heappush(frontier, (
-                child_bound,
-                estimate_priority(estimates, depth + 1),
-                assignments + (location,),
-                child_elapsed,
-                location,
-            ))
-
-    t_host = walk((HOST,) * k)
     plan = Plan(
-        assignments=list(incumbent_assignments),
-        t_host=t_host,
-        t_csd=incumbent_makespan,
-        estimates=tuple(estimates),
-        origin="search",
+        assignments=list(assignments), t_host=walk((HOST,) * k), t_csd=makespan,
+        estimates=tuple(estimates), origin="search",
     )
-    metrics.wall_seconds = time.perf_counter() - wall_started
     return SearchReport(
-        plan=plan,
-        greedy_plan=greedy_plan,
-        makespan_s=incumbent_makespan,
-        greedy_makespan_s=greedy_makespan,
-        metrics=metrics,
+        plan=plan, greedy_plan=greedy, makespan_s=makespan,
+        greedy_makespan_s=greedy_makespan, steps_simulated=len(steps),
+        wall_seconds=time.perf_counter() - wall_started,
     )

@@ -403,19 +403,6 @@ class ProfileCache:
     def _path(self, key: str) -> Path:
         return self.root / "profiles" / f"{key}.json"
 
-    @staticmethod
-    def plan_key(base_key: str, options_token: str) -> str:
-        """The plan-cache key for a run key plus search knobs.
-
-        Derived from the *sampling* fingerprint (so anything that
-        invalidates a profile invalidates its plans) salted with the
-        search options that shaped the plan — a beam-limited search and
-        an exhaustive one may legitimately disagree.
-        """
-        return hashlib.sha256(
-            f"{base_key}:plan:{options_token}".encode("utf-8")
-        ).hexdigest()
-
     def _plan_path(self, key: str) -> Path:
         return self.root / "plans" / f"{key}.json"
 
@@ -459,7 +446,8 @@ class ProfileCache:
     def get_plan(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached plan-search payload for ``key``, or ``None``.
 
-        Plan entries share the profile entries' envelope (schema, key,
+        ``key`` is the run's sampling fingerprint, so anything that
+        invalidates a profile invalidates its plan.  Plan entries share the profile entries' envelope (schema, key,
         checksum) and damage policy: anything unusable is dropped and
         recomputed, never served.  The payload is the JSON view of a
         :class:`~repro.runtime.plansearch.SearchReport`.
@@ -632,7 +620,7 @@ def cached_sampling(
     (program, dataset, config) is sampled once per cache.  Returns
     ``(report, key, status)``: the report is bit-identical hit or miss;
     ``key`` is the run's fingerprint (``None`` when uncached), which
-    the plan cache derives its own keys from; ``status`` is "hit",
+    also keys the run's plan-cache entry; ``status`` is "hit",
     "miss", "uncacheable" (unfingerprintable program) or "off".
     Noisy profiles are meant to differ run to run, so a config with
     ``profiler_noise > 0`` bypasses the cache.  An enabled ``obs``

@@ -1,8 +1,9 @@
-"""Branch-and-bound plan search over forked simulator states."""
+"""Exact plan search: a two-state dynamic program over measured steps."""
 
 import dataclasses
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.errors import PlanningError
 from repro.hw.topology import build_machine
 from repro.obs import Observability
+from repro.runtime import plansearch
 from repro.runtime.activepy import ActivePy, RunOptions
 from repro.runtime.codegen import CodeGenerator, ExecutionMode
 from repro.runtime.estimator import build_estimates
@@ -19,11 +21,8 @@ from repro.runtime.executor import PlanExecutor
 from repro.runtime.planner import CSD, HOST, Plan, assign_csd_code
 from repro.runtime.plansearch import (
     _FINAL,
-    SearchOptions,
     SearchReport,
-    _fold_bound,
     _SpeculativeMachine,
-    _step_space,
     search_plan,
 )
 from repro.runtime.profcache import ProfileCache
@@ -58,26 +57,51 @@ def _search(workload, estimates, config=DEFAULT_CONFIG, **kwargs):
     )
 
 
+def _locations(config):
+    return (HOST, CSD) if config.csd_enabled else (HOST,)
+
+
+def _step_table(workload, config=DEFAULT_CONFIG):
+    """Every (line, location, value-location) step, measured eagerly."""
+    spec = _SpeculativeMachine(workload.program, workload.dataset, config)
+    locations = _locations(config)
+    keys = [
+        (index, location, value_location)
+        for index in range(len(workload.program))
+        for location in locations
+        for value_location in locations
+    ]
+    if config.csd_enabled:
+        keys.append((_FINAL, HOST, CSD))
+    return {key: spec.step_seconds(key) for key in keys}
+
+
+def _walk(steps, assignments):
+    """The oracle makespan: a left fold of steps in line order."""
+    elapsed, value_location = 0.0, HOST
+    for index, location in enumerate(assignments):
+        elapsed += steps[(index, location, value_location)]
+        value_location = location
+    if value_location == CSD:
+        elapsed += steps[(_FINAL, HOST, CSD)]
+    return elapsed
+
+
+def _brute_force(steps, k, locations):
+    return min(
+        _walk(steps, a) for a in itertools.product(locations, repeat=k)
+    )
+
+
 class TestFidelity:
     """The step table reproduces the executor, step for step."""
 
     def test_leaf_scores_match_real_execution(self, tpch_q6):
         workload, estimates = tpch_q6
         k = len(workload.program)
-        spec = _SpeculativeMachine(
-            workload.program, workload.dataset, DEFAULT_CONFIG
-        )
-        steps = {
-            key: spec.step_seconds(key)
-            for key in _step_space(k, (HOST, CSD))
-        }
+        steps = _step_table(workload)
         for assignments in itertools.product((HOST, CSD), repeat=k):
-            elapsed, value_location = 0.0, HOST
-            for index, location in enumerate(assignments):
-                elapsed += steps[(index, location, value_location)]
-                value_location = location
-            if value_location == CSD:
-                elapsed += steps[(_FINAL, HOST, CSD)]
+            elapsed = _walk(steps, assignments)
 
             machine = build_machine(
                 DEFAULT_CONFIG, obs=Observability.disabled()
@@ -121,25 +145,13 @@ class TestSearchVsGreedy:
 
     @pytest.mark.parametrize("name", ["tpch_q6", "mixedgemm", "kmeans"])
     def test_ties_return_greedy_plan_exactly(self, name):
-        # Improvements must be strict: where greedy is optimal the
-        # search returns greedy's assignment bit for bit.
+        # Where greedy is optimal the search returns greedy's
+        # assignment bit for bit.
         workload, estimates = _estimates_for(name)
         report = _search(workload, estimates)
         assert report.plan.assignments == report.greedy_plan.assignments
         assert report.makespan_s == report.greedy_makespan_s
         assert not report.beat_greedy
-
-    def test_never_worse_even_with_beam_width_one(self, pagerank):
-        # Any beam still holds the never-worse guarantee — the greedy
-        # incumbent is seeded before the first expansion.
-        workload, estimates = pagerank
-        unbounded = _search(workload, estimates)
-        for width in (1, 2):
-            narrow = _search(
-                workload, estimates, options=SearchOptions(beam_width=width)
-            )
-            assert narrow.makespan_s <= narrow.greedy_makespan_s
-            assert narrow.makespan_s >= unbounded.makespan_s
 
     def test_plan_origin_and_measured_projections(self, pagerank):
         workload, estimates = pagerank
@@ -152,66 +164,25 @@ class TestSearchVsGreedy:
         assert report.improvement_fraction > 0.0
 
     def test_matches_exhaustive_oracle(self, pagerank):
-        # The pruning (bound, transposition, dominance) must be exact:
-        # same winner as brute force over all 2^k leaves.
+        # The DP is exact: same optimum as brute force over all 2^k
+        # leaves, with no epsilon.
         workload, estimates = pagerank
         k = len(workload.program)
-        spec = _SpeculativeMachine(
-            workload.program, workload.dataset, DEFAULT_CONFIG
-        )
-        steps = {
-            key: spec.step_seconds(key)
-            for key in _step_space(k, (HOST, CSD))
-        }
-
-        def walk(assignments):
-            elapsed, value_location = 0.0, HOST
-            for index, location in enumerate(assignments):
-                elapsed += steps[(index, location, value_location)]
-                value_location = location
-            if value_location == CSD:
-                elapsed += steps[(_FINAL, HOST, CSD)]
-            return elapsed
-
-        brute = min(
-            walk(a) for a in itertools.product((HOST, CSD), repeat=k)
-        )
+        steps = _step_table(workload)
         report = _search(workload, estimates)
-        assert report.makespan_s == brute
+        assert report.makespan_s == _brute_force(steps, k, (HOST, CSD))
+        assert _walk(steps, report.plan.assignments) == report.makespan_s
 
     def test_metrics_populated(self, pagerank):
+        # Steps are measured lazily: line 0 is only ever fed from the
+        # host, so 2 + 4(k-1) line steps plus the final readback.
         workload, estimates = pagerank
         report = _search(workload, estimates)
-        metrics = report.metrics
-        assert metrics.nodes_expanded > 0
-        assert metrics.steps_simulated == 4 * len(workload.program) + 1
-        assert metrics.wall_seconds > 0.0
-        # Trajectory starts at greedy's seed and ends at the winner.
-        assert metrics.incumbent_trajectory[0][1] == report.greedy_makespan_s
-        assert metrics.incumbent_trajectory[-1][1] == report.makespan_s
+        assert report.steps_simulated == 4 * len(workload.program) - 1
+        assert report.wall_seconds > 0.0
 
 
 class TestDeterminism:
-    def test_workers_bit_identical(self, pagerank):
-        workload, estimates = pagerank
-        greedy = assign_csd_code(estimates, DEFAULT_CONFIG)
-        reports = {
-            workers: _search(
-                workload, estimates,
-                options=SearchOptions(workers=workers), greedy=greedy,
-            )
-            for workers in (1, 4)
-        }
-        serial, parallel = reports[1], reports[4]
-        assert serial.plan.assignments == parallel.plan.assignments
-        assert serial.makespan_s == parallel.makespan_s
-        assert serial.greedy_makespan_s == parallel.greedy_makespan_s
-        serial_metrics = serial.metrics.to_jsonable()
-        parallel_metrics = parallel.metrics.to_jsonable()
-        serial_metrics.pop("wall_seconds")
-        parallel_metrics.pop("wall_seconds")
-        assert serial_metrics == parallel_metrics
-
     def test_repeated_searches_identical(self, tpch_q6):
         workload, estimates = tpch_q6
         first = _search(workload, estimates)
@@ -221,30 +192,39 @@ class TestDeterminism:
 
 
 class TestValidation:
-    def test_rejects_bad_workers(self, tpch_q6):
-        workload, estimates = tpch_q6
-        with pytest.raises(PlanningError):
-            _search(workload, estimates, options=SearchOptions(workers=0))
-
-    def test_rejects_bad_beam(self, tpch_q6):
-        workload, estimates = tpch_q6
-        with pytest.raises(PlanningError):
-            _search(workload, estimates, options=SearchOptions(beam_width=0))
-
     def test_rejects_estimate_mismatch(self, tpch_q6):
         workload, estimates = tpch_q6
         with pytest.raises(PlanningError):
             _search(workload, estimates[:-1])
 
-    def test_csd_disabled_returns_all_host(self, tpch_q6):
+    def test_rejects_greedy_of_wrong_length(self, tpch_q6):
+        # Walked as-is, a 1-entry greedy plan for a 2-line program would
+        # yield a 1-line "plan" below the true optimum.
+        workload, estimates = tpch_q6
+        short = Plan(assignments=[CSD], t_host=0.0, t_csd=0.0)
+        with pytest.raises(PlanningError, match="2-line plan"):
+            _search(workload, estimates, greedy=short)
+
+    def test_rejects_offloading_greedy_with_csd_disabled(self, tpch_q6):
+        # A typed error, not a raw KeyError on the missing CSD step.
         workload, estimates = tpch_q6
         config = dataclasses.replace(DEFAULT_CONFIG, csd_enabled=False)
-        report = _search(workload, estimates, config=config)
-        assert report.plan.assignments == [HOST] * len(workload.program)
-        assert report.greedy_plan.assignments == (
-            [HOST] * len(workload.program)
+        greedy = Plan(
+            assignments=[CSD] * len(workload.program), t_host=0.0, t_csd=0.0,
         )
-        assert report.makespan_s <= report.greedy_makespan_s
+        with pytest.raises(PlanningError, match="csd"):
+            _search(workload, estimates, config=config, greedy=greedy)
+
+    def test_csd_disabled_returns_all_host(self, tpch_q6):
+        workload, estimates = tpch_q6
+        k = len(workload.program)
+        config = dataclasses.replace(DEFAULT_CONFIG, csd_enabled=False)
+        report = _search(workload, estimates, config=config)
+        assert report.plan.assignments == [HOST] * k
+        assert report.greedy_plan.assignments == [HOST] * k
+        assert report.makespan_s == report.greedy_makespan_s
+        # One host step per line, no readback.
+        assert report.steps_simulated == k
 
     def test_report_round_trips_through_json(self, pagerank):
         workload, estimates = pagerank
@@ -255,12 +235,101 @@ class TestValidation:
         assert rebuilt.plan.t_csd == report.plan.t_csd
         assert rebuilt.makespan_s == report.makespan_s
         assert rebuilt.greedy_makespan_s == report.greedy_makespan_s
-        assert (
-            rebuilt.metrics.incumbent_trajectory
-            == report.metrics.incumbent_trajectory
-        )
+        assert rebuilt.steps_simulated == report.steps_simulated
+        assert rebuilt.wall_seconds == report.wall_seconds
         with pytest.raises(PlanningError):
             SearchReport.from_jsonable({"plan": {}})
+
+
+class _TableMachine:
+    """Stands in for the speculative machine: steps read off a table."""
+
+    def __init__(self, table):
+        self.table = table
+        self.measured = []
+
+    def step_seconds(self, key):
+        self.measured.append(key)
+        return self.table[key]
+
+
+#: Few distinct values, so ties are common, and non-dyadic ones, so the
+#: float sums round.
+_STEP_VALUES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0])
+
+
+class TestOracleProperties:
+    """The DP against independent brute-force oracles."""
+
+    @given(data=st.data(), k=st.integers(1, 7), csd_enabled=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_dp_equals_brute_force_on_random_step_tables(
+        self, data, k, csd_enabled
+    ):
+        config = dataclasses.replace(DEFAULT_CONFIG, csd_enabled=csd_enabled)
+        locations = _locations(config)
+        table = {
+            (index, location, value_location): data.draw(_STEP_VALUES)
+            for index in range(k)
+            for location in (HOST, CSD)
+            for value_location in (HOST, CSD)
+        }
+        table[(_FINAL, HOST, CSD)] = data.draw(_STEP_VALUES)
+        greedy_assignments = data.draw(
+            st.lists(st.sampled_from(locations), min_size=k, max_size=k)
+        )
+        greedy = Plan(assignments=greedy_assignments, t_host=0.0, t_csd=0.0)
+        machine = _TableMachine(table)
+        # search_plan only takes len() of the program and estimates
+        # once the speculative machine is replaced.
+        with mock.patch.object(
+            plansearch, "_SpeculativeMachine", lambda *args: machine
+        ):
+            report = search_plan(
+                [None] * k, None, [None] * k, config, greedy=greedy
+            )
+
+        brute = _brute_force(table, k, locations)
+        assert report.makespan_s == brute
+        assert _walk(table, report.plan.assignments) == brute
+        assert report.greedy_makespan_s == _walk(table, greedy_assignments)
+        if report.greedy_makespan_s == brute:
+            assert report.plan.assignments == greedy_assignments
+        else:
+            assert report.makespan_s < report.greedy_makespan_s
+        # Each step is measured at most once, only where the DP reaches.
+        assert len(machine.measured) == len(set(machine.measured))
+        assert report.steps_simulated == (4 * k - 1 if csd_enabled else k)
+
+    @given(
+        # Within SystemConfig's own limits: the CSE is no faster than
+        # the host, and the NAND array sustains bw_internal.
+        bw_host_storage=st.floats(0.2e9, 8e9),
+        bw_internal=st.floats(1e9, 10e9),
+        cse_ips=st.floats(0.5e9, DEFAULT_CONFIG.host_ips),
+        cse_cores=st.integers(1, 8),
+        csd_enabled=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_search_exact_and_never_worse_over_random_configs(
+        self, bw_host_storage, bw_internal, cse_ips, cse_cores, csd_enabled
+    ):
+        # SystemConfig carries no CSE availability (that is machine
+        # state); the share of the CSE a program gets is varied through
+        # its speed and core count instead.
+        config = dataclasses.replace(
+            DEFAULT_CONFIG, bw_host_storage=bw_host_storage,
+            bw_internal=bw_internal, cse_ips=cse_ips, cse_cores=cse_cores,
+            csd_enabled=csd_enabled,
+        )
+        workload, estimates = _estimates_for("pagerank", config=config)
+        greedy = assign_csd_code(estimates, config)
+        report = _search(workload, estimates, config=config, greedy=greedy)
+        steps = _step_table(workload, config)
+        k = len(workload.program)
+        assert report.makespan_s <= report.greedy_makespan_s
+        assert report.greedy_makespan_s == _walk(steps, greedy.assignments)
+        assert report.makespan_s == _brute_force(steps, k, _locations(config))
 
 
 class TestActivePyIntegration:
@@ -291,7 +360,9 @@ class TestActivePyIntegration:
         assert explanation.search_diff["changed_lines"]
         assert "search beat greedy" in explanation.render()
         counters = obs.snapshot()["counters"]
-        assert counters["plansearch.nodes_expanded"] > 0
+        assert counters["plansearch.steps_simulated"] == (
+            4 * len(workload.program) - 1
+        )
         assert "plansearch.cache_hit" not in counters
 
     def test_run_options_override_plan_mode(self):
@@ -328,116 +399,36 @@ class TestActivePyIntegration:
         assert warm.plan.t_csd == cold.plan.t_csd
         assert warm.result.total_seconds == cold.result.total_seconds
 
-    def test_search_options_change_plan_cache_key(self, tmp_path):
+    def test_plan_cache_keyed_by_sampling_fingerprint(self, tmp_path):
         cache = ProfileCache(tmp_path)
         workload = get_workload("tpch_q6", scale=SCALE)
-        runtime = ActivePy(plan_mode="search", profile_cache=cache)
-        runtime.run(workload.program, workload.dataset)
-        runtime.run(
-            workload.program, workload.dataset,
-            options=RunOptions(search_options=SearchOptions(beam_width=1)),
+        ActivePy(plan_mode="search", profile_cache=cache).run(
+            workload.program, workload.dataset
         )
-        # Different beam -> different plan-cache entry, not a hit.
-        assert cache.plan_misses == 2 and cache.plan_hits == 0
+        key = cache.key_for(workload.program, workload.dataset, DEFAULT_CONFIG)
+        assert (tmp_path / "plans" / f"{key}.json").is_file()
+        assert (tmp_path / "profiles" / f"{key}.json").is_file()
 
 
-class TestAdmissibleBound:
-    """The fold bound never exceeds any extension's true completion.
+class TestCli:
+    @pytest.fixture(autouse=True)
+    def _private_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
-    The production invariant with no epsilon: ``cheapest[i]`` is
-    term-wise at most the step actually taken, both sides accumulate
-    with the identical left fold in line order, and IEEE addition is
-    monotone — so the bound is exact, not just within tolerance.
-    """
+    @pytest.mark.parametrize("name", ["pagerank", "sparsemv"])
+    def test_plan_search_beats_greedy(self, name, capsys):
+        from repro.cli import main
 
-    @given(
-        per_line=st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=1e12),  # host, no cross
-                st.floats(min_value=0.0, max_value=1e12),  # csd, no cross
-                st.floats(min_value=0.0, max_value=1e9),   # crossing surcharge
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        data=st.data(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_bound_admissible_for_every_extension(self, per_line, data):
-        k = len(per_line)
-        steps = {}
-        for index, (host_cost, csd_cost, surcharge) in enumerate(per_line):
-            for location, base in ((HOST, host_cost), (CSD, csd_cost)):
-                for value_location in (HOST, CSD):
-                    cost = base
-                    if value_location != location:
-                        cost = base + surcharge
-                    steps[(index, location, value_location)] = cost
-        cheapest = [
-            min(
-                steps[(index, location, value_location)]
-                for location in (HOST, CSD)
-                for value_location in (HOST, CSD)
-            )
-            for index in range(k)
-        ]
+        assert main(["plan", "search", name, "--scale", str(SCALE)]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: search beat greedy" in out
+        assert "15 speculative steps" in out
 
-        prefix = data.draw(
-            st.lists(
-                st.sampled_from([HOST, CSD]), min_size=0, max_size=k
-            ),
-            label="prefix",
-        )
-        suffix = data.draw(
-            st.lists(
-                st.sampled_from([HOST, CSD]),
-                min_size=k - len(prefix),
-                max_size=k - len(prefix),
-            ),
-            label="suffix",
-        )
-        full = list(prefix) + list(suffix)
+    def test_run_plan_mode_search(self, capsys):
+        from repro.cli import main
 
-        elapsed, value_location = 0.0, HOST
-        for index, location in enumerate(prefix):
-            elapsed += steps[(index, location, value_location)]
-            value_location = location
-        bound = _fold_bound(elapsed, cheapest, len(prefix))
-
-        true_elapsed, value_location = 0.0, HOST
-        for index, location in enumerate(full):
-            true_elapsed += steps[(index, location, value_location)]
-            value_location = location
-        # Exact <=: no epsilon, by float-addition monotonicity.
-        assert bound <= true_elapsed
-
-    def test_bound_admissible_on_real_step_table(self, pagerank):
-        # The same invariant over the measured table of a real workload.
-        workload, _ = pagerank
-        k = len(workload.program)
-        spec = _SpeculativeMachine(
-            workload.program, workload.dataset, DEFAULT_CONFIG
-        )
-        steps = {
-            key: spec.step_seconds(key)
-            for key in _step_space(k, (HOST, CSD))
-        }
-        cheapest = [
-            min(
-                steps[(index, location, value_location)]
-                for location in (HOST, CSD)
-                for value_location in (HOST, CSD)
-            )
-            for index in range(k)
-        ]
-        for assignments in itertools.product((HOST, CSD), repeat=k):
-            elapsed, value_location = 0.0, HOST
-            for depth in range(k + 1):
-                bound = _fold_bound(elapsed, cheapest, depth)
-                # The leaf tail (final readback) only adds time.
-                if depth < k:
-                    location = assignments[depth]
-                    elapsed += steps[(depth, location, value_location)]
-                    value_location = location
-            assert _fold_bound(0.0, cheapest, 0) <= elapsed
-            assert bound <= elapsed
+        argv = ["run", "sparsemv", "--scale", str(SCALE), "--plan-mode", "search"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "origin: search" in out
+        assert "search     : beat greedy" in out
