@@ -16,9 +16,7 @@ its dataset (:meth:`Machine.device_holding`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
-
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import HardwareError, StorageError
@@ -92,6 +90,7 @@ class Machine:
         self.host.counters.reset()
         for device in self.csds:
             device.cse.counters.reset()
+            device.internal_link.reset_stats()
         for link in (self.host_storage_link, self.d2h_link, self.remote_access_link):
             link.reset_stats()
 

@@ -91,14 +91,14 @@ class PageMappingFTL:
     def _pick_active_block(self) -> int:
         """Find a block with free pages to program into."""
         if self._active_block is not None:
-            if not self.array.blocks[self._active_block].is_full:
+            if not self.array.block(self._active_block).is_full:
                 return self._active_block
-        for block in self.array.blocks:
-            if block.free_pages > 0 and not block.invalid_pages and block.write_pointer == 0:
-                self._active_block = block.block_id
-                return block.block_id
+        erased = self.array.first_erased_block()
+        if erased is not None:
+            self._active_block = erased
+            return erased
         # Fall back to any partially written block with room.
-        for block in self.array.blocks:
+        for block in self.array.touched_blocks():
             if block.free_pages > 0:
                 self._active_block = block.block_id
                 return block.block_id
@@ -156,14 +156,14 @@ class PageMappingFTL:
         """Blocks with no valid pages but some stale content."""
         return [
             b.block_id
-            for b in self.array.blocks
+            for b in self.array.touched_blocks()
             if b.valid_pages == 0 and (b.invalid_pages or b.write_pointer > 0)
         ]
 
     def _victim_block(self) -> Optional[int]:
         """Victim selection per the configured policy."""
         candidates = [
-            b for b in self.array.blocks
+            b for b in self.array.touched_blocks()
             if b.is_full and b.block_id != self._active_block
         ]
         if not candidates:
@@ -185,7 +185,9 @@ class PageMappingFTL:
 
     def erase_count_spread(self) -> int:
         """Max minus min per-block erase count (wear-evenness metric)."""
-        counts = [b.erase_count for b in self.array.blocks]
+        counts = [b.erase_count for b in self.array.touched_blocks()]
+        if len(counts) < self.array.geometry.total_blocks:
+            counts.append(0)  # any untouched block was never erased
         return max(counts) - min(counts)
 
     def _maybe_collect_garbage(self) -> float:
@@ -213,7 +215,7 @@ class PageMappingFTL:
         victim_id = self._victim_block()
         if victim_id is None:
             return None
-        victim = self.array.blocks[victim_id]
+        victim = self.array.block(victim_id)
         latency = 0.0
         moved_pages = 0
         geometry = self.array.geometry

@@ -103,6 +103,11 @@ class FlashArray:
     (channel, block, page).  The array reports latency costs but does
     not own a clock — the enclosing device decides whether an operation
     is on the critical path (foreground read) or background (GC).
+
+    Blocks are sparse: a :class:`Block` exists only once something
+    programs or erases it (see :meth:`block`).  A block never touched
+    is implicitly erased — all pages free, write pointer 0, erase count
+    0 — so a device that never takes a write costs no per-block state.
     """
 
     def __init__(
@@ -112,7 +117,8 @@ class FlashArray:
         metric_prefix: str = "nand",
     ) -> None:
         self.geometry = geometry
-        self.blocks = [Block(geometry, b) for b in range(geometry.total_blocks)]
+        self._blocks: dict[int, Block] = {}
+        self._in_order: Optional[list[Block]] = []
         self.reads = 0
         self.programs = 0
         self.erases = 0
@@ -237,6 +243,38 @@ class FlashArray:
             "NAND read failed beyond the ECC correction capability"
         )
 
+    # --- sparse block store ----------------------------------------------
+
+    def block(self, block_idx: int) -> Block:
+        """The block at ``block_idx``, created erased on first touch."""
+        block = self._blocks.get(block_idx)
+        if block is None:
+            if not 0 <= block_idx < self.geometry.total_blocks:
+                raise FlashError(f"block {block_idx} out of range")
+            block = self._blocks[block_idx] = Block(self.geometry, block_idx)
+            self._in_order = None
+        return block
+
+    def touched_blocks(self) -> list[Block]:
+        """Every materialised block, in ascending block id.
+
+        Scans that break ties by block id (the FTL's victim choice) walk
+        this list.  Untouched blocks are erased and hold nothing, so no
+        scan for data or for a GC victim needs to visit them.
+        """
+        if self._in_order is None:
+            self._in_order = [self._blocks[b] for b in sorted(self._blocks)]
+        return self._in_order
+
+    def first_erased_block(self) -> Optional[int]:
+        """The lowest block id that is erased, untouched blocks included."""
+        for position, block in enumerate(self.touched_blocks()):
+            if block.block_id != position or block.write_pointer == 0:
+                return position
+        if len(self._blocks) < self.geometry.total_blocks:
+            return len(self._blocks)
+        return None
+
     # --- addressing -----------------------------------------------------
 
     def split_address(self, page_addr: int) -> tuple[int, int]:
@@ -249,7 +287,8 @@ class FlashArray:
 
     def page_state(self, page_addr: int) -> PageState:
         block_idx, page_idx = self.split_address(page_addr)
-        return self.blocks[block_idx].pages[page_idx]
+        block = self._blocks.get(block_idx)
+        return PageState.FREE if block is None else block.pages[page_idx]
 
     def channel_of(self, page_addr: int) -> int:
         block_idx, _ = self.split_address(page_addr)
@@ -278,9 +317,7 @@ class FlashArray:
         Returns (flat page address, latency).  NAND forbids in-place
         update and out-of-order programming within a block.
         """
-        if not 0 <= block_idx < self.geometry.total_blocks:
-            raise FlashError(f"block {block_idx} out of range")
-        block = self.blocks[block_idx]
+        block = self.block(block_idx)
         if block.is_full:
             raise FlashError(f"block {block_idx} has no free pages")
         page_idx = block.write_pointer
@@ -303,8 +340,8 @@ class FlashArray:
     def invalidate_page(self, page_addr: int) -> None:
         """Mark a page stale after its logical data moved elsewhere."""
         block_idx, page_idx = self.split_address(page_addr)
-        block = self.blocks[block_idx]
-        if block.pages[page_idx] is not PageState.VALID:
+        block = self._blocks.get(block_idx)
+        if block is None or block.pages[page_idx] is not PageState.VALID:
             raise FlashError(f"page {page_addr} is not valid; cannot invalidate")
         block.pages[page_idx] = PageState.INVALID
         block.valid_pages -= 1
@@ -312,9 +349,7 @@ class FlashArray:
 
     def erase_block(self, block_idx: int) -> float:
         """Erase a block; all its pages must already be stale or free."""
-        if not 0 <= block_idx < self.geometry.total_blocks:
-            raise FlashError(f"block {block_idx} out of range")
-        block = self.blocks[block_idx]
+        block = self.block(block_idx)
         if block.valid_pages:
             raise FlashError(
                 f"block {block_idx} still holds {block.valid_pages} valid pages"
@@ -341,7 +376,7 @@ class FlashArray:
 
     @property
     def valid_pages(self) -> int:
-        return sum(b.valid_pages for b in self.blocks)
+        return sum(b.valid_pages for b in self._blocks.values())
 
     def utilisation(self) -> float:
         """Fraction of pages currently holding live data."""

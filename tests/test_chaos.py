@@ -92,7 +92,7 @@ class TestDeterminism:
         assert first.plan == second.plan
         assert first.violations == second.violations
         assert first.degraded == second.degraded
-        assert first.faults_injected == second.faults_injected
+        assert first.fault_event_count == second.fault_event_count
 
 
 class TestShrink:

@@ -15,20 +15,20 @@ import dataclasses
 from repro.config import SystemConfig
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 
 from .conftest import make_toy_dataset, make_toy_program
 
 #: Throttle the CSE to 5% once the offloaded work is half done — the
 #: congestion scenario that reliably drives a mid-line migration.
-CONGESTION = [(0.5, 0.05)]
+CONGESTION = ((0.5, 0.05),)
 
 
 def _run(config: SystemConfig, fault_plan=None, triggers=CONGESTION):
     machine = build_machine(config)
     report = ActivePy(config).run(
         make_toy_program(), make_toy_dataset(), machine=machine,
-        progress_triggers=triggers, fault_plan=fault_plan,
+        options=RunOptions(progress_triggers=triggers, fault_plan=fault_plan),
     )
     return report
 

@@ -5,7 +5,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import HardwareError, StorageError
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.runtime.planner import CSD
 
 from .conftest import make_toy_dataset, make_toy_program
@@ -43,8 +43,12 @@ class TestTopology:
     def test_reset_counters_covers_all_devices(self):
         machine = build_machine(num_csds=2)
         machine.csds[1].cse.execute(1e9)
+        machine.csds[1].internal_read(1e6)
+        assert machine.csds[1].internal_link.bytes_transferred > 0
         machine.reset_counters()
         assert machine.csds[1].cse.counters.retired_instructions == 0
+        assert machine.csds[1].internal_link.bytes_transferred == 0
+        assert machine.csds[1].internal_link.transfers == 0
 
 
 class TestPlacementAwareOffload:
@@ -94,7 +98,7 @@ class TestPlacementAwareOffload:
         machine.csds[1].store_dataset(dataset.name, dataset.raw_bytes)
         report = ActivePy(config).run(
             make_toy_program(), dataset, machine=machine,
-            progress_triggers=[(0.3, 0.05)],
+            options=RunOptions(progress_triggers=((0.3, 0.05),)),
         )
         if CSD in report.plan.assignments:
             assert report.result.migrated

@@ -6,7 +6,7 @@ from repro.config import SystemConfig
 from repro.hw.compute import ComputeUnit
 from repro.hw.interconnect import Link
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.sim.clock import SimClock
 from repro.baselines import run_c_baseline
 
@@ -83,6 +83,6 @@ class TestOverlappedExecution:
         overlap = SystemConfig(overlap_io_compute=True)
         report = ActivePy(overlap).run(
             make_toy_program(), make_toy_dataset(),
-            progress_triggers=[(0.3, 0.05)],
+            options=RunOptions(progress_triggers=((0.3, 0.05),)),
         )
         assert report.result.total_seconds > 0  # completes either way

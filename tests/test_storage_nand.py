@@ -83,8 +83,8 @@ class TestErase:
         array.invalidate_page(addr)
         array.erase_block(0)
         assert array.page_state(addr) is PageState.FREE
-        assert array.blocks[0].write_pointer == 0
-        assert array.blocks[0].erase_count == 1
+        assert array.block(0).write_pointer == 0
+        assert array.block(0).erase_count == 1
 
     def test_erase_refuses_live_data(self):
         array = small_array()

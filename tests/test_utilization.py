@@ -7,7 +7,7 @@ from repro.analysis.utilization import utilization_report
 from repro.errors import ReproError
 from repro.frontend import infer_column_bytes, program_from_function, FrontendError
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 
 from .conftest import make_toy_dataset, make_toy_program
 
@@ -56,7 +56,8 @@ class TestUtilizationReport:
     def test_timeline_spans_merged(self, config):
         machine = build_machine(config)
         report = ActivePy(config).run(
-            make_toy_program(), make_toy_dataset(), machine=machine, trace=True
+            make_toy_program(), make_toy_dataset(), machine=machine,
+            options=RunOptions(trace=True),
         )
         usage = utilization_report(
             machine, total_seconds=report.total_seconds,
