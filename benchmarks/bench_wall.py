@@ -70,18 +70,17 @@ def test_parallel_campaign_speedup(benchmark):
     assert campaign["speedup"] >= 3.0
 
 
-def test_engine_microbench_speedup(benchmark):
+def test_engine_microbench_overhead(benchmark):
     micro = run_once(benchmark, bench_engine_microbench)
 
     print(f"\n\nevent engine: {micro['events']} event(s) scheduled + drained, "
           f"best-of-3 wall time")
-    print(f"object engine : {micro['object_events_per_second'] / 1e6:.2f} M events/s")
-    print(f"array engine  : {micro['array_events_per_second'] / 1e6:.2f} M events/s "
-          f"({micro['speedup']:.2f}x)")
+    print(f"bare heapq loop : {micro['heapq_events_per_second'] / 1e6:.2f} M events/s")
+    print(f"Simulator       : {micro['engine_events_per_second'] / 1e6:.2f} M events/s "
+          f"({micro['fraction_of_heapq']:.2f}x the heapq time)")
 
     write_wall_bench({"engine_microbench": micro},
                      root=_REPO_ROOT, merge=True)
-    # The tentpole claim: struct-of-arrays storage + batched firing
-    # make the event engine at least 5x faster than the heap of
-    # Event objects it replaced.
-    assert micro["speedup"] >= 5.0
+    # Handles, cancellation, snapshots and counters must cost at most
+    # as much again as the cheapest correct event loop.
+    assert micro["fraction_of_heapq"] <= 2.0

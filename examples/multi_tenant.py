@@ -14,7 +14,7 @@ Run::
     python examples/multi_tenant.py
 """
 
-from repro import ActivePy, build_machine, get_workload, run_c_baseline
+from repro import ActivePy, RunOptions, build_machine, get_workload, run_c_baseline
 from repro.storage import BackgroundLoad
 from repro.units import format_seconds
 
@@ -34,7 +34,8 @@ def run_with_cotenant() -> None:
         start_at=8.0,               # it arrives mid-run
     ).start()
     report = ActivePy().run(
-        workload.program, workload.dataset, machine=machine, trace=True
+        workload.program, workload.dataset, machine=machine,
+        options=RunOptions(trace=True),
     )
     print(f"ActivePy under tenant bursts: "
           f"{format_seconds(report.total_seconds)} "

@@ -570,9 +570,9 @@ def _cmd_bench(args) -> int:
           f"({campaign['speedup']:.2f}x)")
     micro = payload["engine_microbench"]
     print(f"event engine: {micro['events']} event(s)  "
-          f"{micro['object_events_per_second'] / 1e6:.2f} M/s object -> "
-          f"{micro['array_events_per_second'] / 1e6:.2f} M/s array "
-          f"({micro['speedup']:.2f}x)")
+          f"{micro['engine_events_per_second'] / 1e6:.2f} M/s Simulator vs "
+          f"{micro['heapq_events_per_second'] / 1e6:.2f} M/s bare heapq "
+          f"({micro['fraction_of_heapq']:.2f}x the heapq time)")
     root_path, canonical = write_wall_bench(payload, workers=args.workers)
     print(f"wrote {root_path}")
     print(f"wrote {canonical}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import FaultError
-from ..sim.handle import EventHandle
+from ..sim import EventHandle
 from .log import FaultLog
 from .spec import FLEET_KINDS, FaultKind, FaultPlan, FaultSpec
 

@@ -164,7 +164,7 @@ GATED_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
     "wall": (
         GatedMetric("warm_run.fraction_of_cold", "max", rel_tol=1.5),
         GatedMetric("parallel_campaign.fraction_of_serial", "max", rel_tol=1.5),
-        GatedMetric("engine_microbench.fraction_of_object", "max", rel_tol=1.5),
+        GatedMetric("engine_microbench.fraction_of_heapq", "max", rel_tol=1.5),
     ),
 }
 

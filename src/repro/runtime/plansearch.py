@@ -7,8 +7,8 @@ conversion's output ~2.4x, so greedy keeps it on the host while the
 oracle offloads it; no re-fitting at sample scale can see that bend.
 
 The search measures instead.  A step — line ``i`` at ``location`` with
-the live value on ``value_location`` — is dry-run on a copy-on-write
-fork of a speculative machine through the executor's fault-free
+the live value on ``value_location`` — is dry-run on a restored
+snapshot of a speculative machine through the executor's fault-free
 stepper, and costs the simulated seconds that elapse.  A makespan is
 the left fold of its steps in line order, and a step sees the past only
 through where the live value sits, so the state space is a two-state
@@ -134,8 +134,9 @@ class _SpeculativeMachine:
     """A private fault-free machine the search dry-runs steps on.
 
     Every line's device binary is installed and a base snapshot taken
-    once; each step restores it (O(1), copy-on-write), runs one line
-    through the executor's fault-free stepper and reads the clock.
+    once (no events pending, so restoring it is O(1)); each step
+    restores it, runs one line through the executor's fault-free
+    stepper and reads the clock.
     """
 
     def __init__(self, program: Program, dataset: Dataset, config: SystemConfig) -> None:
@@ -153,7 +154,7 @@ class _SpeculativeMachine:
         self.base = self.machine.simulator.snapshot()
 
     def step_seconds(self, key: _StepKey) -> float:
-        """Simulated seconds of one line-step, measured on a fork."""
+        """Simulated seconds of one line-step, measured from the base snapshot."""
         index, location, value_location = key
         simulator = self.machine.simulator
         simulator.restore(self.base)

@@ -1,54 +1,19 @@
 """Discrete-event simulation substrate.
 
-A batched, index-based event engine behind a small public surface: a
-:class:`Simulator` owning the monotonic :class:`SimClock`, opaque
-:class:`EventHandle` objects returned by the scheduling calls, and
-cheap copy-on-write :class:`SimSnapshot` state for ``snapshot()`` /
-``fork()``.  All hardware models in :mod:`repro.hw` and
-:mod:`repro.storage` advance time through this engine, so an
-end-to-end ActivePy run is fully deterministic — and bit-identical
-whichever engine (``array`` or ``object``) backs it.
-
-The pre-redesign names ``Event`` and ``EventQueue`` remain importable
-here behind a warn-once deprecation shim; new code schedules through
-:class:`Simulator` and holds :class:`EventHandle` objects.
+A :class:`Simulator` owns the monotonic :class:`SimClock` and one
+heap-ordered event store; scheduling returns an :class:`EventHandle`,
+and ``snapshot()`` / ``restore()`` / ``fork()`` capture and rewind the
+pending events as a :class:`SimSnapshot`.  All hardware models in
+:mod:`repro.hw` and :mod:`repro.storage` advance time through this
+engine, so an end-to-end ActivePy run is fully deterministic.
 """
 
 from .clock import SimClock
-from .engine import DEFAULT_ENGINE, SimSnapshot, Simulator
-from .handle import EventHandle
+from .engine import EventHandle, SimSnapshot, Simulator
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "Event",
     "EventHandle",
-    "EventQueue",
     "SimClock",
     "SimSnapshot",
     "Simulator",
 ]
-
-#: Deprecated names still importable from this package, with the
-#: replacement named in the warning.
-_DEPRECATED = {
-    "Event": "hold the EventHandle returned by Simulator.schedule_at/schedule_after",
-    "EventQueue": "schedule through Simulator (events are stored engine-side)",
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        from .._deprecations import warn_once
-        from . import engine as _engine
-
-        warn_once(
-            f"sim:{name}",
-            f"repro.sim.{name} is deprecated and will be removed; "
-            f"{_DEPRECATED[name]}",
-        )
-        return getattr(_engine, name)
-    raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

@@ -1,33 +1,18 @@
-"""The simulator loop and its two interchangeable event engines.
+"""The simulator loop: one heap-ordered event store.
 
 :class:`Simulator` owns the shared :class:`~repro.sim.clock.SimClock`
-and an *event engine*, and runs scheduled callbacks in time order.
-Hardware models use it for asynchronous behaviour — background garbage
-collection, CSE availability changes, congestion onset — while
-straight-line execution cost is accounted synchronously via
-``clock.advance``.
+and a min-heap of :class:`EventHandle` entries, and runs scheduled
+callbacks in time order — same-time events in scheduling order, with
+cancels honoured at any point.  Hardware models use it for
+asynchronous behaviour (background garbage collection, CSE
+availability changes, injected faults); straight-line execution cost
+is accounted synchronously via ``clock.advance``.
 
-Two engines implement the same contract and fire events in bit-identical
-order (time, then scheduling sequence, with cancels honoured at any
-point):
+The traffic is small: a whole paper run keeps at most a handful of
+events pending, so a plain heap with lazy cancellation is all the
+engine needs, and a snapshot is an O(pending) copy.
 
-``array`` (the default)
-    The struct-of-arrays engine in :mod:`repro.sim.array_engine`:
-    NumPy timestamp column, batched due-event drains, O(1) live
-    counts, copy-on-write :meth:`Simulator.snapshot` / ``fork``.
-
-``object``
-    The original heap-of-:class:`Event` engine, kept as the reference
-    implementation and for the dual-engine equivalence harness.
-
-Select with ``Simulator(engine="array"|"object")`` or the
-``REPRO_SIM_ENGINE`` environment variable (the keyword wins).
-
-Scheduling returns an opaque :class:`~repro.sim.handle.EventHandle`;
-the mutable :class:`Event` dataclass and :class:`EventQueue` remain
-only as the object engine's internals and as deprecated imports (shimmed
-with a warn-once deprecation via ``repro.sim``).
-
+Scheduling returns an :class:`EventHandle`, the stored entry itself.
 When the simulator carries an enabled :class:`~repro.obs.Observability`
 handle it counts scheduled and fired events (``sim.events_scheduled``,
 ``sim.events_fired``); metric recording never advances the clock, so
@@ -36,256 +21,88 @@ results are identical with observability on or off.
 
 from __future__ import annotations
 
-import heapq
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Callable, FrozenSet, Optional, Tuple
 
 from ..errors import SimulationError
 from ..obs import Observability
-from .array_engine import _ArrayEngine, _ArrayState
 from .clock import SimClock
-from .handle import EventHandle
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "Event",
-    "EventHandle",
-    "EventQueue",
-    "SimSnapshot",
-    "Simulator",
-]
+__all__ = ["EventHandle", "SimSnapshot", "Simulator"]
 
-#: Engine used when neither the ``engine=`` keyword nor the
-#: ``REPRO_SIM_ENGINE`` environment variable picks one.
-DEFAULT_ENGINE = "array"
-
-_ENGINE_NAMES = ("array", "object")
+#: Builds an :class:`EventHandle` from its field tuple without a
+#: Python-level constructor call (scheduling is the engine's hot path).
+_new_handle = tuple.__new__
 
 
-@dataclass(order=True, slots=True)
-class Event:
-    """A scheduled callback (deprecated; the object engine's internal).
+class EventHandle(tuple):
+    """One scheduled callback, as returned by ``schedule_at``/``schedule_after``.
 
-    Events order by time, then by a monotonically increasing sequence
-    number so same-time events fire in scheduling order.  New code
-    should schedule through :class:`Simulator` and hold the returned
-    :class:`EventHandle` instead of touching this class.
+    The handle *is* the heap entry: a ``(time, seq, action, label,
+    simulator)`` tuple, so the heap orders entries by ``(time, seq)``
+    without a Python-level comparison.  Treat it as opaque and read
+    :attr:`time`, :attr:`seq` and :attr:`label`.  :meth:`cancel`
+    removes the event from its simulator's *current* timeline if it is
+    pending there, and is a no-op otherwise (already fired, already
+    cancelled, or scheduled after the snapshot that timeline was
+    restored from).  Sequence numbers are never reused, so a handle can
+    never cancel another event.
     """
 
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    #: Owning queue while the event is pending; cleared once popped so
-    #: a late cancel() cannot decrement the live count twice.
-    queue: Optional["EventQueue"] = field(compare=False, repr=False, default=None)
+    __slots__ = ()
+
+    time = property(itemgetter(0), doc="Absolute simulated time the event fires.")
+    seq = property(itemgetter(1), doc="Scheduling order; ties fire in seq order.")
+    label = property(itemgetter(3), doc="The diagnostic label given at scheduling.")
 
     def cancel(self) -> None:
-        """Mark the event so the simulator skips it when popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.queue is not None:
-            self.queue._on_cancel()
-            self.queue = None
-
-
-class EventQueue:
-    """A stable min-heap of :class:`Event` objects (deprecated).
-
-    Tracks the live (non-cancelled, not yet popped) count incrementally
-    so ``len()`` is O(1) instead of a scan over the heap.  Kept as the
-    object engine's storage and for legacy imports; new code should use
-    :class:`Simulator` directly.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._next_seq = 0
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def _on_cancel(self) -> None:
-        self._live -= 1
-
-    def push(self, time: float, action: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``action`` at absolute ``time`` and return the event."""
-        if time < 0:
-            raise SimulationError(f"cannot schedule event at negative time {time}")
-        event = Event(time=time, seq=self._next_seq, action=action, label=label)
-        self._next_seq += 1
-        event.queue = self
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or None if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                self._live -= 1
-                event.queue = None
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest live event, or None if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-
-class _ObjectEngine:
-    """Adapter putting the legacy heapq engine behind the engine contract."""
-
-    name = "object"
-
-    __slots__ = ("queue", "fired")
-
-    def __init__(self) -> None:
-        self.queue = EventQueue()
-        self.fired = 0
+        """Cancel the event if it is pending in the current timeline."""
+        seq, sim = self[1], self[4]
+        if seq in sim._pending:
+            sim._pending.remove(seq)
+            sim._cancelled.add(seq)
 
     @property
-    def live(self) -> int:
-        return len(self.queue)
+    def cancelled(self) -> bool:
+        """True when :meth:`cancel` removed the event from the current timeline."""
+        return self[1] in self[4]._cancelled
 
-    # --- scheduling -------------------------------------------------------
-
-    def push(self, time: float, action: Callable[[], None], label: str = "") -> EventHandle:
-        return EventHandle(self, self.queue.push(time, action, label))
-
-    def push_batch(
-        self,
-        times: np.ndarray,
-        action: Union[Callable[[], None], Sequence[Callable[[], None]]],
-        labels: Union[str, Sequence[str]] = "",
-    ) -> None:
-        push = self.queue.push
-        single_action = callable(action)
-        single_label = isinstance(labels, str)
-        for position, time in enumerate(times.tolist()):
-            push(
-                time,
-                action if single_action else action[position],
-                labels if single_label else labels[position],
-            )
-
-    # --- handle protocol --------------------------------------------------
-
-    def cancel_key(self, event: Event) -> None:
-        if event.queue is None and not event.cancelled:
-            return  # already popped and fired: cancel is a no-op
-        event.cancel()
-
-    def handle_time(self, event: Event) -> float:
-        return event.time
-
-    def handle_seq(self, event: Event) -> int:
-        return event.seq
-
-    def handle_label(self, event: Event) -> str:
-        return event.label
-
-    def handle_cancelled(self, event: Event) -> bool:
-        return event.cancelled
-
-    # --- firing -----------------------------------------------------------
-
-    def drain(
-        self,
-        deadline: float,
-        clock: Optional[SimClock] = None,
-        counter=None,
-        limit: Optional[int] = None,
-    ) -> int:
-        """Pop-and-fire every live event due at or before ``deadline``."""
-        queue = self.queue
-        fired_total = 0
-        while limit is None or fired_total < limit:
-            next_time = queue.peek_time()
-            if next_time is None or next_time > deadline:
-                break
-            event = queue.pop()
-            assert event is not None
-            if clock is not None:
-                clock.advance_to(max(event.time, clock.now))
-            event.action()
-            self.fired += 1
-            fired_total += 1
-            if counter is not None:
-                counter.inc()
-        return fired_total
-
-    # --- snapshot / restore ----------------------------------------------
-
-    def capture(self):
-        # Events are mutable (the cancelled flag), so an eager copy is
-        # required; the array engine's copy-on-write is the cheap path.
-        heap = [
-            Event(time=e.time, seq=e.seq, action=e.action,
-                  label=e.label, cancelled=e.cancelled)
-            for e in self.queue._heap
-        ]
-        return (heap, self.queue._next_seq, len(self.queue), self.fired)
-
-    def restore(self, state) -> None:
-        heap, next_seq, live, fired = state
-        queue = EventQueue()
-        # Copy again: the snapshot must survive this branch's mutations
-        # and stay restorable.  The copied list is already heap-ordered.
-        queue._heap = [
-            Event(time=e.time, seq=e.seq, action=e.action,
-                  label=e.label, cancelled=e.cancelled)
-            for e in heap
-        ]
-        for event in queue._heap:
-            if not event.cancelled:
-                event.queue = queue
-        queue._next_seq = next_seq
-        queue._live = live
-        self.queue = queue
-        self.fired = fired
+    def __repr__(self) -> str:
+        state = "cancelled" if self.cancelled else "scheduled"
+        return (
+            f"EventHandle(time={self.time!r}, seq={self.seq}, "
+            f"label={self.label!r}, {state})"
+        )
 
 
 @dataclass(frozen=True)
 class SimSnapshot:
-    """Frozen engine + clock state captured by :meth:`Simulator.snapshot`.
+    """Frozen event + clock state captured by :meth:`Simulator.snapshot`.
 
-    Opaque: the payload layout is engine-private.  A snapshot can be
-    restored any number of times (:meth:`Simulator.restore`) and only
-    into a simulator running the same engine kind.
+    Restorable any number of times (:meth:`Simulator.restore`), into the
+    simulator it came from or into a fresh one (:meth:`Simulator.fork`).
     """
 
-    engine: str
     clock_now: float
-    state: object = field(repr=False)
+    heap: Tuple[EventHandle, ...] = field(repr=False)
+    pending: FrozenSet[int] = field(repr=False)
+    cancelled: FrozenSet[int] = field(repr=False)
+    fired: int
+    next_seq: int
 
     @property
     def pending_events(self) -> int:
         """Live events captured in the snapshot (diagnostics)."""
-        if isinstance(self.state, _ArrayState):
-            return self.state.live
-        return self.state[2]
+        return len(self.pending)
 
 
 class Simulator:
-    """Owns the clock and an event engine; runs events in time order.
+    """Owns the clock and the event heap; runs events in time order.
 
-    Construction is keyword-only::
-
-        sim = Simulator(clock=..., obs=..., engine="array")
-
-    ``engine`` defaults to the ``REPRO_SIM_ENGINE`` environment
-    variable, then to :data:`DEFAULT_ENGINE`.
+    Construction is keyword-only: ``Simulator(clock=..., obs=...)``.
     """
 
     def __init__(
@@ -293,25 +110,20 @@ class Simulator:
         *,
         clock: Optional[SimClock] = None,
         obs: Optional[Observability] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.obs = obs if obs is not None else Observability.disabled()
-        if engine is None:
-            engine = os.environ.get("REPRO_SIM_ENGINE") or DEFAULT_ENGINE
-        if engine not in _ENGINE_NAMES:
-            raise SimulationError(
-                f"unknown sim engine {engine!r}; expected one of {_ENGINE_NAMES}"
-            )
-        self._engine_name = engine
-        self._engine = _ArrayEngine() if engine == "array" else _ObjectEngine()
+        #: Heap of :class:`EventHandle` entries; cancelled ones are
+        #: dropped lazily when they reach the top.
+        self._heap: list = []
+        #: Seqs of the events scheduled and neither fired nor cancelled.
+        self._pending: set = set()
+        #: Seqs cancelled in this timeline (answers ``handle.cancelled``).
+        self._cancelled: set = set()
+        self._fired = 0
+        self._next_seq = 0
 
     # --- introspection ------------------------------------------------------
-
-    @property
-    def engine_name(self) -> str:
-        """Which engine backs this simulator: ``"array"`` or ``"object"``."""
-        return self._engine_name
 
     @property
     def now(self) -> float:
@@ -320,17 +132,12 @@ class Simulator:
     @property
     def events_fired(self) -> int:
         """Number of events executed so far (for tests/diagnostics)."""
-        return self._engine.fired
+        return self._fired
 
     @property
     def pending_events(self) -> int:
         """Live (scheduled, not fired, not cancelled) events — O(1)."""
-        return self._engine.live
-
-    def _fired_counter(self):
-        """The obs events-fired counter, or None when obs is disabled."""
-        obs = self.obs
-        return obs.metrics.counter("sim.events_fired") if obs.enabled else None
+        return len(self._pending)
 
     # --- scheduling ---------------------------------------------------------
 
@@ -344,7 +151,12 @@ class Simulator:
             )
         if self.obs.enabled:
             self.obs.metrics.counter("sim.events_scheduled").inc()
-        return self._engine.push(time, action, label)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        handle = _new_handle(EventHandle, (time, seq, action, label, self))
+        heappush(self._heap, handle)
+        self._pending.add(seq)
+        return handle
 
     def schedule_after(
         self, delay: float, action: Callable[[], None], label: str = ""
@@ -352,42 +164,43 @@ class Simulator:
         """Schedule ``action`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule event with negative delay {delay}")
-        if self.obs.enabled:
-            self.obs.metrics.counter("sim.events_scheduled").inc()
-        return self._engine.push(self.clock.now + delay, action, label)
-
-    def schedule_batch(
-        self,
-        times,
-        action: Union[Callable[[], None], Sequence[Callable[[], None]]],
-        labels: Union[str, Sequence[str]] = "",
-    ) -> int:
-        """Bulk fire-and-forget scheduling; returns the count scheduled.
-
-        ``times`` is any 1-D sequence of absolute timestamps; ``action``
-        is one callable shared by every event or a parallel sequence of
-        callables (likewise ``labels``).  No handles are returned — use
-        :meth:`schedule_at` for events that may need cancelling.  On the
-        array engine the timestamps land in one vectorised write.
-        """
-        column = np.ascontiguousarray(times, dtype=np.float64)
-        if column.ndim != 1:
-            raise SimulationError(
-                f"schedule_batch needs a 1-D sequence of times, got shape {column.shape}"
-            )
-        if column.size == 0:
-            return 0
-        earliest = float(column.min())
-        if earliest < self.clock.now:
-            raise SimulationError(
-                f"cannot schedule event in the past ({earliest} < {self.clock.now})"
-            )
-        if self.obs.enabled:
-            self.obs.metrics.counter("sim.events_scheduled").inc(column.size)
-        self._engine.push_batch(column, action, labels)
-        return int(column.size)
+        return self.schedule_at(self.clock.now + delay, action, label)
 
     # --- running ------------------------------------------------------------
+
+    def _fire(self, deadline: Optional[float], limit: float = math.inf) -> int:
+        """Pop and fire pending events in ``(time, seq)`` order.
+
+        ``deadline`` None fires what is due at the clock's *current*
+        reading (re-read per event, since a callback may advance it) and
+        leaves the clock alone; otherwise the clock advances to each
+        event's timestamp before its callback runs.  At most ``limit``
+        events fire.  Returns the number fired.
+        """
+        heap = self._heap
+        pending = self._pending
+        clock = self.clock
+        counter = (
+            self.obs.metrics.counter("sim.events_fired") if self.obs.enabled else None
+        )
+        fired = 0
+        while heap and fired < limit:
+            time = heap[0][0]
+            if time > (clock.now if deadline is None else deadline):
+                break
+            _, seq, action, _, _ = heappop(heap)
+            if seq not in pending:
+                continue  # cancelled
+            pending.remove(seq)
+            if deadline is not None:
+                now = clock.now
+                clock.advance_to(time if time > now else now)
+            action()
+            self._fired += 1
+            fired += 1
+            if counter is not None:
+                counter.inc()
+        return fired
 
     def fire_due_events(self) -> int:
         """Run every event due at or before the current time.
@@ -395,17 +208,12 @@ class Simulator:
         Used by synchronous execution paths after advancing the clock:
         the executor consumes compute time, then lets any background
         events (availability changes, GC) that became due take effect.
-        Returns the number of events fired.
+        Never advances the clock.  Returns the number of events fired.
         """
-        counter = self._fired_counter()
-        fired = 0
-        while True:
-            # Re-read the clock per pass: a fired callback may advance
-            # it, making further events due.
-            drained = self._engine.drain(self.clock.now, clock=None, counter=counter)
-            if drained == 0:
-                return fired
-            fired += drained
+        heap = self._heap
+        if not heap or heap[0][0] > self.clock.now:
+            return 0
+        return self._fire(None)
 
     def run_until(self, deadline: float) -> None:
         """Advance to ``deadline``, firing all events on the way."""
@@ -413,9 +221,7 @@ class Simulator:
             raise SimulationError(
                 f"deadline {deadline} is before current time {self.clock.now}"
             )
-        counter = self._fired_counter()
-        while self._engine.drain(deadline, clock=self.clock, counter=counter):
-            pass
+        self._fire(deadline)
         self.clock.advance_to(deadline)
 
     def run_all(self, max_events: int = 1_000_000) -> None:
@@ -425,16 +231,8 @@ class Simulator:
         remain *beyond* the budget — draining exactly ``max_events``
         events is a successful run.
         """
-        counter = self._fired_counter()
-        remaining = max_events
-        while remaining > 0:
-            drained = self._engine.drain(
-                math.inf, clock=self.clock, counter=counter, limit=remaining
-            )
-            if drained == 0:
-                return
-            remaining -= drained
-        if self._engine.live > 0:
+        self._fire(math.inf, limit=max_events)
+        if self._pending:
             raise SimulationError(
                 f"run_all exceeded {max_events} events; likely a scheduling loop"
             )
@@ -442,7 +240,7 @@ class Simulator:
     # --- snapshot / fork ----------------------------------------------------
 
     def snapshot(self) -> SimSnapshot:
-        """Capture engine + clock state, cheaply (copy-on-write).
+        """Capture the event state and clock reading, O(pending events).
 
         The snapshot pins pending events (callbacks included, by
         reference), the fired count, and the clock reading.  Callbacks
@@ -450,41 +248,47 @@ class Simulator:
         state, not the state those callbacks mutate.
         """
         return SimSnapshot(
-            engine=self._engine_name,
             clock_now=self.clock.now,
-            state=self._engine.capture(),
+            heap=tuple(self._heap),
+            pending=frozenset(self._pending),
+            cancelled=frozenset(self._cancelled),
+            fired=self._fired,
+            next_seq=self._next_seq,
         )
 
     def restore(self, snapshot: SimSnapshot) -> None:
         """Rewind this simulator to a snapshot (clock may move backwards).
 
-        Handles obtained after the snapshot was taken must not be used
-        once it is restored.  An attached time attributor is *not*
-        rewound — restore inside attribution-free search loops.
+        Handles keep working across a restore: each cancels its own
+        event if that event is pending in the restored timeline.
+        Sequence numbers keep counting up, so an event scheduled after
+        the restore never shares a seq with one scheduled before it.
+        An attached time attributor is *not* rewound — restore inside
+        attribution-free search loops.
         """
-        if snapshot.engine != self._engine_name:
-            raise SimulationError(
-                f"snapshot was taken on the {snapshot.engine!r} engine; "
-                f"this simulator runs {self._engine_name!r}"
-            )
-        self._engine.restore(snapshot.state)
+        # In place, so a drain that a callback restored under keeps
+        # working on the live structures.
+        self._heap[:] = snapshot.heap
+        self._pending.clear()
+        self._pending.update(snapshot.pending)
+        self._cancelled.clear()
+        self._cancelled.update(snapshot.cancelled)
+        self._fired = snapshot.fired
+        self._next_seq = max(self._next_seq, snapshot.next_seq)
         self.clock.restore(snapshot.clock_now)
 
     def fork(self, *, obs: Optional[Observability] = None) -> "Simulator":
         """A new independent simulator continuing from this one's state.
 
         The fork gets its own clock (at the same reading, without the
-        parent's attributor) and its own engine sharing the pending
-        event set copy-on-write; callbacks are shared by reference, so
-        forked branches exploring different futures should reschedule
-        against their own model state.  ``obs`` defaults to sharing the
-        parent's handle — pass ``Observability.disabled()`` to keep
-        search branches out of the parent's metrics.
+        parent's attributor) and its own copy of the pending events;
+        callbacks are shared by reference, so forked branches exploring
+        different futures should reschedule against their own model
+        state.  Handles stay bound to the simulator that issued them.
+        ``obs`` defaults to sharing the parent's handle — pass
+        ``Observability.disabled()`` to keep search branches out of the
+        parent's metrics.
         """
-        branch = Simulator(
-            clock=SimClock(),
-            obs=obs if obs is not None else self.obs,
-            engine=self._engine_name,
-        )
+        branch = Simulator(obs=obs if obs is not None else self.obs)
         branch.restore(self.snapshot())
         return branch

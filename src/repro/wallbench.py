@@ -20,10 +20,11 @@ Two scenarios:
     disabled, serial loop).  Outcomes are asserted identical.
 
 ``engine_microbench``
-    Raw event throughput of the array event engine vs. the reference
-    object engine: schedule N events at random timestamps, drain them
-    all, per engine.  Both arms must fire every event; the gate checks
-    the dimensionless wall-time fraction.
+    Raw event throughput of the :class:`~repro.sim.Simulator` vs. a
+    bare ``heapq`` loop over the same timestamps: schedule N events,
+    drain them all.  Both arms must fire every event; the gate checks
+    the dimensionless wall-time fraction (the engine's overhead over
+    the cheapest correct event loop).
 
 Wall numbers vary machine to machine, so the perf gate checks the
 dimensionless *fractions* (warm/cold, layer/baseline) with generous
@@ -197,52 +198,68 @@ def bench_engine_microbench(
     events: int = MICROBENCH_EVENTS,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Events/second of the array engine vs. the object engine.
+    """Events/second of the Simulator vs. a bare heapq event loop.
 
-    One arm per engine: schedule ``events`` callbacks at seeded random
-    timestamps (the array arm through the vectorised
-    ``schedule_batch``, the object arm through per-event
-    ``schedule_at`` — each engine's idiomatic bulk path), then
-    ``run_all`` drains everything.  Best-of-``repeats`` per arm; both
-    arms must fire exactly ``events`` events.
+    Both arms schedule ``events`` callbacks at the same seeded random
+    timestamps and fire them all in ``(time, seq)`` order, advancing a
+    :class:`~repro.sim.SimClock` to each event: the engine arm through
+    ``schedule_at`` + ``run_all``, the reference arm as ``(time, seq,
+    action)`` tuples on a plain heap.  Best-of-``repeats`` per arm;
+    both arms must fire exactly ``events`` events.
     """
+    import heapq
+
     import numpy as np
 
-    from .sim import Simulator
+    from .sim import SimClock, Simulator
 
     rng = np.random.default_rng(20230423)
-    times = np.ascontiguousarray(rng.random(events) * 100.0)
+    times = (rng.random(events) * 100.0).tolist()
 
-    def one_arm(engine: str) -> float:
+    def engine_arm() -> int:
+        sim = Simulator()
+        schedule_at = sim.schedule_at
+        for timestamp in times:
+            schedule_at(timestamp, _noop)
+        sim.run_all(max_events=events)
+        return sim.events_fired
+
+    def heapq_arm() -> int:
+        clock = SimClock()
+        heap: list = []
+        push = heapq.heappush
+        for seq, timestamp in enumerate(times):
+            push(heap, (timestamp, seq, _noop))
+        pop = heapq.heappop
+        fired = 0
+        while heap:
+            timestamp, _, action = pop(heap)
+            clock.advance_to(timestamp)
+            action()
+            fired += 1
+        return fired
+
+    def best_of(arm, name: str) -> float:
         best = float("inf")
         for _ in range(repeats):
-            sim = Simulator(engine=engine)
             start = time.perf_counter()
-            if engine == "array":
-                sim.schedule_batch(times, _noop)
-            else:
-                schedule_at = sim.schedule_at
-                for timestamp in times.tolist():
-                    schedule_at(timestamp, _noop)
-            sim.run_all(max_events=events)
+            fired = arm()
             best = min(best, time.perf_counter() - start)
-            if sim.events_fired != events:
+            if fired != events:
                 raise ReproError(
-                    f"{engine} engine fired {sim.events_fired} of "
-                    f"{events} scheduled events"
+                    f"{name} fired {fired} of {events} scheduled events"
                 )
         return best
 
-    object_s = one_arm("object")
-    array_s = one_arm("array")
+    heapq_s = best_of(heapq_arm, "heapq loop")
+    engine_s = best_of(engine_arm, "Simulator")
     return {
         "events": events,
-        "object_wall_seconds": object_s,
-        "array_wall_seconds": array_s,
-        "object_events_per_second": events / object_s,
-        "array_events_per_second": events / array_s,
-        "speedup": object_s / array_s,
-        "fraction_of_object": array_s / object_s,
+        "heapq_wall_seconds": heapq_s,
+        "engine_wall_seconds": engine_s,
+        "heapq_events_per_second": events / heapq_s,
+        "engine_events_per_second": events / engine_s,
+        "fraction_of_heapq": engine_s / heapq_s,
     }
 
 

@@ -11,19 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro._deprecations import reset_deprecation_registry
 from repro.config import SystemConfig
 from repro.hw.topology import Machine, build_machine
 from repro.lang.dataset import Dataset
 from repro.lang.program import Program, Statement, constant, per_record
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_registry():
-    """Deprecation shims warn once per process; tests need once per test."""
-    reset_deprecation_registry()
-    yield
-    reset_deprecation_registry()
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -34,6 +26,28 @@ def config() -> SystemConfig:
 @pytest.fixture
 def machine(config) -> Machine:
     return build_machine(config)
+
+
+class _ArrayTimesSimulator(Simulator):
+    """Takes every timestamp, delay and deadline as a NumPy float64
+    scalar, the way a caller that draws its times from an array passes
+    them."""
+
+    def schedule_at(self, time, action, label=""):
+        return super().schedule_at(np.float64(time), action, label)
+
+    def schedule_after(self, delay, action, label=""):
+        return super().schedule_after(np.float64(delay), action, label)
+
+    def run_until(self, deadline):
+        super().run_until(np.float64(deadline))
+
+
+@pytest.fixture(params=["object", "array"])
+def sim(request) -> Simulator:
+    """A fresh simulator, run once with Python float timestamps
+    ("object") and once with NumPy float64 scalars ("array")."""
+    return Simulator() if request.param == "object" else _ArrayTimesSimulator()
 
 
 def _toy_payload(n: int, full: int) -> dict:

@@ -2,7 +2,6 @@
 
 import importlib
 import re
-import warnings
 from pathlib import Path
 
 import pytest
@@ -83,14 +82,10 @@ class TestPackageAllDeclarations:
     def test_package_declares_resolvable_all(self, module_name):
         module = importlib.import_module(module_name)
         assert hasattr(module, "__all__"), f"{module_name} has no __all__"
-        # repro.sim still exports deprecated names; resolving them warns,
-        # which tests/test_deprecations.py asserts on its own.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in module.__all__:
-                assert hasattr(module, name), (
-                    f"{module_name}.__all__ names {name!r} which does not resolve"
-                )
+        for name in module.__all__:
+            assert hasattr(module, name), (
+                f"{module_name}.__all__ names {name!r} which does not resolve"
+            )
 
 
 class TestTopLevelExports:

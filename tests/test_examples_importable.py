@@ -1,9 +1,11 @@
 """Every example must at least import and expose a main().
 
 Full example runs take minutes of wall clock (they use paper-scale
-inputs); importing them catches broken APIs without the cost.  The
-examples' behaviour itself is covered by the experiment tests, which
-exercise the same drivers.
+inputs); importing them catches broken imports without the cost, and
+one sub-second scenario (``adaptive_migration.run_scenario``) runs for
+real so a changed call signature fails here too.  The examples'
+behaviour itself is covered by the experiment tests, which exercise the
+same drivers.
 """
 
 import importlib.util
@@ -46,3 +48,12 @@ class TestExamples:
     def test_has_module_docstring_with_run_instructions(self, path):
         module = load_module(path)
         assert module.__doc__ and "Run::" in module.__doc__
+
+class TestAdaptiveMigrationRuns:
+    """One example actually runs, so a removed keyword cannot hide."""
+
+    def test_run_scenario_migrates_under_stress(self):
+        module = load_module(EXAMPLES_DIR / "adaptive_migration.py")
+        report = module.run_scenario(True)
+        assert report.result.migrations
+        assert report.total_seconds > 0

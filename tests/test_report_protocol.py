@@ -129,11 +129,7 @@ class TestFleetReportsSpeakTheProtocol:
 
 
 class TestRenamedAttributeShim:
-    def test_faults_injected_warns_and_aliases(self):
-        outcome = _outcome()
-        with pytest.warns(DeprecationWarning, match="fault_event_count"):
-            value = outcome.faults_injected
-        assert value == outcome.fault_event_count == 3
+    """``fault_event_count`` is the outcome's one name for the count."""
 
     def test_new_name_does_not_warn(self, recwarn):
         assert _outcome().fault_event_count == 3

@@ -1,4 +1,4 @@
-"""RunOptions and the deprecated-keyword shims on ActivePy.run."""
+"""RunOptions: the one way to shape an ActivePy.run."""
 
 import dataclasses
 
@@ -28,45 +28,3 @@ class TestRunOptions:
         )
         assert report.timeline is not None
         assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-
-class TestDeprecatedKeywords:
-    def test_trace_kwarg_warns_but_works(self):
-        workload = _workload()
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            report = ActivePy().run(
-                workload.program, workload.dataset, trace=True,
-            )
-        assert report.timeline is not None
-
-    def test_progress_triggers_kwarg_warns_but_works(self):
-        workload = _workload()
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            ActivePy().run(
-                workload.program, workload.dataset,
-                progress_triggers=[(0.5, 0.5)],
-            )
-
-    def test_deprecated_form_is_equivalent(self):
-        workload = _workload()
-        modern = ActivePy().run(
-            workload.program, workload.dataset,
-            options=RunOptions(trace=True,
-                               progress_triggers=((0.5, 0.25),)),
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = ActivePy().run(
-                workload.program, workload.dataset,
-                trace=True, progress_triggers=[(0.5, 0.25)],
-            )
-        assert legacy.total_seconds == modern.total_seconds
-        assert len(legacy.timeline.spans) == len(modern.timeline.spans)
-
-    def test_deprecated_kwargs_override_options(self):
-        workload = _workload()
-        with pytest.warns(DeprecationWarning):
-            report = ActivePy().run(
-                workload.program, workload.dataset,
-                options=RunOptions(trace=False), trace=True,
-            )
-        assert report.timeline is not None

@@ -1,19 +1,10 @@
 """Discrete-event engine: clock monotonicity and event ordering."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.engine import DEFAULT_ENGINE, EventQueue, Simulator
-
-ENGINES = ("object", "array")
-
-
-@pytest.fixture(params=ENGINES)
-def sim(request):
-    """A fresh simulator, run once per engine."""
-    return Simulator(engine=request.param)
+from repro.sim.engine import Simulator
 
 
 class TestSimClock:
@@ -56,75 +47,6 @@ class TestSimClock:
         assert clock.now == 0.0
 
 
-class TestEventQueue:
-    def test_orders_by_time(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(2.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.pop().action()
-        queue.pop().action()
-        assert fired == ["a", "b"]
-
-    def test_same_time_fifo(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(1.0, lambda: fired.append(1))
-        queue.push(1.0, lambda: fired.append(2))
-        queue.push(1.0, lambda: fired.append(3))
-        while (event := queue.pop()) is not None:
-            event.action()
-        assert fired == [1, 2, 3]
-
-    def test_cancelled_events_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        event.cancel()
-        assert queue.pop() is None
-        assert len(queue) == 0
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 2.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda: None)
-
-    def test_len_tracks_push_pop_cancel(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(5)]
-        assert len(queue) == 5
-        events[2].cancel()
-        assert len(queue) == 4
-        queue.pop()
-        assert len(queue) == 3
-        # Double-cancel must not decrement twice.
-        events[2].cancel()
-        assert len(queue) == 3
-        # Cancelling an already-popped event must not decrement.
-        events[0].cancel()
-        assert len(queue) == 3
-        while queue.pop() is not None:
-            pass
-        assert len(queue) == 0
-
-    def test_len_matches_live_scan_under_churn(self):
-        queue = EventQueue()
-        events = []
-        for i in range(40):
-            events.append(queue.push(float(i % 7), lambda: None))
-            if i % 3 == 0:
-                events[i // 2].cancel()
-            if i % 5 == 0:
-                queue.pop()
-        live_scan = sum(1 for e in queue._heap if not e.cancelled)
-        assert len(queue) == live_scan
-
-
 class TestSimulator:
     def test_schedule_after_uses_now(self, sim):
         sim.clock.advance(10.0)
@@ -135,6 +57,8 @@ class TestSimulator:
         assert sim.now == 20.0
 
     def test_schedule_in_past_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_at(-1.0, lambda: None)
         sim.clock.advance(10.0)
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
@@ -251,79 +175,30 @@ class TestEventHandle:
         assert fired == ["x"]
 
 
-class TestScheduleBatch:
-    def test_batch_fires_in_time_order(self, sim):
-        fired = []
-        sim.schedule_batch([3.0, 1.0, 2.0], lambda: fired.append(sim.now))
-        assert sim.pending_events == 3
-        sim.run_all()
-        assert fired == [1.0, 2.0, 3.0]
-
-    def test_batch_interleaves_with_scheduled_events(self, sim):
-        fired = []
-        sim.schedule_at(1.5, lambda: fired.append("single"))
-        count = sim.schedule_batch(
-            np.array([1.0, 2.0]), lambda: fired.append(sim.now)
-        )
-        assert count == 2
-        sim.run_all()
-        assert fired == [1.0, "single", 2.0]
-
-    def test_empty_batch_is_noop(self, sim):
-        assert sim.schedule_batch([], lambda: None) == 0
-        assert sim.pending_events == 0
-
-    def test_batch_in_past_rejected(self, sim):
-        sim.clock.advance(5.0)
-        with pytest.raises(SimulationError):
-            sim.schedule_batch([6.0, 4.0], lambda: None)
-
-    def test_batch_rejects_non_1d(self, sim):
-        with pytest.raises(SimulationError):
-            sim.schedule_batch(np.zeros((2, 2)), lambda: None)
-
-
-class TestEngineSelection:
-    def test_default_engine(self):
-        assert Simulator().engine_name == DEFAULT_ENGINE
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_explicit_engine(self, engine):
-        assert Simulator(engine=engine).engine_name == engine
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_env_var_selects_engine(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-        assert Simulator().engine_name == engine
-
-    def test_explicit_engine_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "object")
-        assert Simulator(engine="array").engine_name == "array"
-
-    def test_empty_env_var_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "")
-        assert Simulator().engine_name == DEFAULT_ENGINE
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(engine="turbo")
-
+class TestConstruction:
     def test_construction_is_keyword_only(self):
         with pytest.raises(TypeError):
             Simulator(SimClock())
+
+    def test_takes_only_clock_and_obs(self):
+        with pytest.raises(TypeError):
+            Simulator(engine="array")
 
 
 class TestEngineEdgeCases:
     """Edge cases the fault injector leans on."""
 
     def test_cancel_after_pop_is_harmless(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        popped = queue.pop()
-        assert popped is event
+        sim = Simulator()
+        fired = []
+        event = sim.schedule_at(1.0, lambda: fired.append("a"))
+        sim.run_until(1.0)
         event.cancel()  # already popped: must not corrupt the heap
-        assert queue.pop() is None
-        assert len(queue) == 0
+        assert sim.pending_events == 0
+        sim.schedule_at(2.0, lambda: fired.append("b"))
+        assert sim.pending_events == 1
+        sim.run_all()
+        assert fired == ["a", "b"]
 
     def test_cancel_fired_simulator_event_is_harmless(self, sim):
         fired = []
@@ -335,15 +210,14 @@ class TestEngineEdgeCases:
         assert fired == [1.0]
 
     def test_same_time_order_stable_under_interleaved_cancel(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        events = [queue.push(1.0, lambda i=i: fired.append(i)) for i in range(6)]
+        events = [sim.schedule_at(1.0, lambda i=i: fired.append(i)) for i in range(6)]
         events[1].cancel()
         events[4].cancel()
         # Re-scheduling at the same timestamp lands after survivors.
-        queue.push(1.0, lambda: fired.append(6))
-        while (event := queue.pop()) is not None:
-            event.action()
+        sim.schedule_at(1.0, lambda: fired.append(6))
+        sim.run_all()
         assert fired == [0, 2, 3, 5, 6]
 
     def test_schedule_then_cancel_then_reschedule_keeps_fifo(self, sim):

@@ -1,16 +1,6 @@
 """Snapshot, restore, and fork semantics of the simulator."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.sim import SimSnapshot, Simulator
-
-ENGINES = ("object", "array")
-
-
-@pytest.fixture(params=ENGINES)
-def sim(request):
-    return Simulator(engine=request.param)
+from repro.sim import SimSnapshot
 
 
 class TestSnapshotRestore:
@@ -77,14 +67,6 @@ class TestSnapshotRestore:
         sim.restore(snap)
         assert sim.events_fired == 1
 
-    def test_cross_engine_restore_rejected(self):
-        array_sim = Simulator(engine="array")
-        object_sim = Simulator(engine="object")
-        with pytest.raises(SimulationError):
-            object_sim.restore(array_sim.snapshot())
-        with pytest.raises(SimulationError):
-            array_sim.restore(object_sim.snapshot())
-
 
 class TestFork:
     def test_fork_starts_at_parent_state(self, sim):
@@ -94,7 +76,6 @@ class TestFork:
         branch = sim.fork()
         assert branch.now == sim.now == 1.0
         assert branch.pending_events == 1
-        assert branch.engine_name == sim.engine_name
 
     def test_fork_diverges_independently(self, sim):
         parent_fired = []
@@ -134,3 +115,63 @@ class TestFork:
         branch = sim.fork()
         branch.clock.advance(5.0)
         assert sim.now == 0.0
+
+
+class TestHandlesAcrossRestore:
+    """A handle cancels only its own event, in the current timeline."""
+
+    def test_pre_snapshot_handle_cancels_in_restored_timeline(self, sim):
+        fired = []
+        handle = sim.schedule_at(1.0, lambda: fired.append("f"))
+        sim.restore(sim.snapshot())
+        handle.cancel()
+        assert handle.cancelled
+        assert sim.pending_events == 0
+        sim.run_all()
+        assert fired == []
+
+    def test_cancel_before_restore_is_undone_by_it(self, sim):
+        fired = []
+        handle = sim.schedule_at(1.0, lambda: fired.append("f"))
+        snap = sim.snapshot()
+        handle.cancel()
+        assert handle.cancelled
+        sim.restore(snap)
+        assert not handle.cancelled
+        assert sim.pending_events == 1
+        sim.run_all()
+        assert fired == ["f"]
+
+    def test_post_snapshot_handle_cannot_touch_the_restored_timeline(self, sim):
+        fired = []
+        snap = sim.snapshot()
+        stale = sim.schedule_at(1.0, lambda: fired.append("stale"))
+        sim.restore(snap)
+        fresh = sim.schedule_at(1.0, lambda: fired.append("fresh"))
+        assert fresh.seq != stale.seq  # seqs are never reused
+        stale.cancel()
+        assert not stale.cancelled
+        assert not fresh.cancelled
+        assert sim.pending_events == 1
+        sim.run_all()
+        assert fired == ["fresh"]
+
+    def test_cancel_never_undercounts(self, sim):
+        handles = [sim.schedule_at(float(i), lambda: None) for i in range(3)]
+        snap = sim.snapshot()
+        for _ in range(2):
+            for handle in handles:
+                handle.cancel()
+            assert sim.pending_events == 0
+            sim.restore(snap)
+            assert sim.pending_events == 3
+
+    def test_handle_does_not_reach_into_a_fork(self, sim):
+        fired = []
+        handle = sim.schedule_at(1.0, lambda: fired.append("f"))
+        branch = sim.fork()
+        handle.cancel()
+        assert sim.pending_events == 0
+        assert branch.pending_events == 1
+        branch.run_all()
+        assert fired == ["f"]
