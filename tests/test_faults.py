@@ -8,9 +8,12 @@ from repro.errors import (
     FlashError,
     UncorrectableMediaError,
 )
+from repro.baselines import ground_truth_estimates
 from repro.faults import FaultInjector, FaultKind, FaultLog, FaultPlan, FaultSpec
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, run_plan
+from repro.runtime.codegen import ExecutionMode
+from repro.runtime.planner import CSD, HOST, Plan
 from repro.storage.nand import FlashArray, FlashGeometry
 
 from .conftest import make_toy_dataset, make_toy_program
@@ -20,6 +23,37 @@ def run_with_plan(config, plan, **kwargs):
     return ActivePy(config).run(
         make_toy_program(), make_toy_dataset(), fault_plan=plan, **kwargs
     )
+
+
+def dispatch_refused_run(config):
+    """A queue stall outlasting the command deadline as ``reduce`` is
+    dispatched: the device never accepts the call."""
+    program, dataset = make_toy_program(), make_toy_dataset()
+    plan = Plan(
+        assignments=[CSD, HOST, CSD], t_host=0.0, t_csd=0.0,
+        estimates=tuple(ground_truth_estimates(program, dataset.n_records, config)),
+        origin="external",
+    )
+    return run_plan(
+        build_machine(config), program, plan, dataset, ExecutionMode.ACTIVEPY,
+        migration_enabled=True,
+        fault_plan=FaultPlan((
+            FaultSpec(kind=FaultKind.NVME_QUEUE_STALL, at_time=0.5, duration_s=1.0),
+        )),
+    )
+
+
+def completion_lost_run(config):
+    """Every completion of ``scan`` is dropped: the line's work ran on
+    the device but is never acknowledged."""
+    return run_with_plan(config, FaultPlan((
+        FaultSpec(kind=FaultKind.NVME_COMPLETION_LOSS, at_time=0.4, count=10),
+    ))).result
+
+
+def assert_work_conserved(result):
+    for index, statement in enumerate(make_toy_program()):
+        assert result.chunks_executed[index] >= statement.chunks, statement.name
 
 
 class TestFaultSpecValidation:
@@ -258,6 +292,27 @@ class TestEndToEndRecovery:
         result = run_with_plan(config, None).result
         assert result.fault_events == []
         assert not result.degraded
+
+    def test_refused_dispatch_runs_the_line_on_the_host(self, config):
+        result = dispatch_refused_run(config)
+        assert result.degraded
+        actions = [event.action for event in result.fault_events]
+        assert actions.index("deadline-exceeded") < actions.index("host-fallback")
+        fallback = next(e for e in result.fault_events if e.action == "host-fallback")
+        assert "reduce could not be dispatched" in fallback.detail
+        assert [t.actual_location for t in result.line_timings] == [CSD, HOST, HOST]
+        assert_work_conserved(result)
+
+    def test_lost_completion_replays_the_line_on_the_host(self, config):
+        result = completion_lost_run(config)
+        assert result.degraded
+        actions = [event.action for event in result.fault_events]
+        assert actions.index("device-dead") < actions.index("line-replay-host")
+        # 16 device chunks whose acknowledgement never came, then all
+        # 16 again on the host.
+        assert result.chunks_executed[0] == 32
+        assert result.line_timings[0].actual_location == HOST
+        assert_work_conserved(result)
 
 
 class TestDeterminism:

@@ -15,11 +15,18 @@ heap fires, in the same order.  This module checks that three ways:
   simulated seconds and over replayed chaos campaigns, so any change
   to firing order that reaches a result shows up bit for bit.  Each
   pinned value was produced identically by both engines this one
-  replaced (an object heap and a NumPy-array store).
+  replaced (an object heap and a NumPy-array store);
+* a pinned digest over whole execution results (every line timing,
+  fault event, migration, chunk ledger and counter) of runs that drive
+  the executor's fault-free, migrating, readmitting and recovering
+  paths, plus one observed run's metrics and spans.
 """
 
 import hashlib
 import heapq
+import json
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +35,13 @@ from hypothesis import strategies as st
 from repro.chaos import CampaignConfig, run_campaign
 from repro.chaos.invariants import run_signature
 from repro.config import SystemConfig
-from repro.runtime.activepy import ActivePy
+from repro.obs import Observability
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.sim import Simulator
 from repro.workloads import get_workload, workload_names
+
+from .test_faults import completion_lost_run, dispatch_refused_run
+from .test_readmission import run_scenario as readmission_scenario
 
 
 class HeapOracle:
@@ -272,6 +283,13 @@ PINNED_SMALL_CHAOS_DIGEST = (
     "487c4e948541be6ba33ee142b5df6b4fb6f7c5d4ada064b728fcdae0ee07ca13"
 )
 
+#: sha256 over ``json.dumps(result.to_jsonable(), sort_keys=True)`` of
+#: every run in ``test_whole_result_digest_is_pinned``, then the observed
+#: run's metric snapshot and span list.
+PINNED_WHOLE_RESULT_DIGEST = (
+    "c8e303d31dce4e466c278762a77504a6113038330a2541cb43a4213d3cc9cc02"
+)
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -297,16 +315,84 @@ class TestWorkloadEquivalence:
         summaries = "\n".join(repr(outcome.summary()) for outcome in result.outcomes)
         assert _sha256(summaries) == PINNED_SMALL_CHAOS_DIGEST
 
-    def test_rotation_and_chaos_digest_is_pinned(self):
-        parts = []
-        for name in workload_names():
-            workload = get_workload(name, scale=PINNED_SCALE)
-            report = ActivePy(SystemConfig()).run(workload.program, workload.dataset)
-            parts.append(repr((name, run_signature(report), repr(report.total_seconds))))
+    def test_rotation_and_chaos_digest_is_pinned(self, rotation_and_loud_chaos):
+        rotation, campaign, _ = rotation_and_loud_chaos
+        parts = [
+            repr((name, run_signature(report), repr(report.total_seconds)))
+            for name, report in rotation.items()
+        ]
+        # summary() holds only judged fields: no metrics, no wall time.
+        parts.extend(repr(outcome.summary()) for outcome in campaign.outcomes)
+        assert _sha256("\n".join(parts)) == PINNED_DIGEST
+
+    def test_whole_result_digest_is_pinned(self, rotation_and_loud_chaos):
+        rotation, _, loud_chaos = rotation_and_loud_chaos
+        results = [report.result for report in rotation.values()]
+        trigger = RunOptions(progress_triggers=((0.5, 0.1),))
+        for migration_enabled in (True, False):
+            for name in workload_names():
+                workload = get_workload(name, scale=PINNED_SCALE)
+                results.append(
+                    ActivePy(SystemConfig(), migration_enabled=migration_enabled)
+                    .run(workload.program, workload.dataset, options=trigger).result
+                )
+        results.append(
+            readmission_scenario(SystemConfig(readmission_enabled=True), recovery_at=0.65)
+        )
+        with _recorded_reports() as silent_chaos:
+            run_campaign(CampaignConfig(
+                runs=12, scale=PINNED_SCALE, base_seed=20230423,
+                system_config=SystemConfig(integrity_enabled=True),
+                silent_corruption=True, collect_metrics=False,
+            ))
+        results.extend(report.result for report in loud_chaos + silent_chaos)
+        workload = get_workload("kmeans", scale=PINNED_SCALE)
+        results.append(
+            ActivePy(SystemConfig(overlap_io_compute=True))
+            .run(workload.program, workload.dataset, options=trigger).result
+        )
+        results.append(dispatch_refused_run(SystemConfig()))
+        results.append(completion_lost_run(SystemConfig()))
+        parts = [json.dumps(result.to_jsonable(), sort_keys=True) for result in results]
+
+        # One observed run: its metric snapshot and every span.
+        obs = Observability.with_tracing()
+        workload = get_workload("pagerank", scale=PINNED_SCALE)
+        ActivePy(SystemConfig(), profile_cache=False, plan_mode="search").run(
+            workload.program, workload.dataset,
+            options=RunOptions(obs=obs, progress_triggers=((0.5, 0.1),)),
+        )
+        parts.append(json.dumps(obs.snapshot(), sort_keys=True))
+        parts.append(repr(obs.tracer.spans))
+        assert _sha256("\n".join(parts)) == PINNED_WHOLE_RESULT_DIGEST
+
+
+@contextmanager
+def _recorded_reports():
+    """Collect the report of every ActivePy.run inside the block."""
+    reports = []
+    original = ActivePy.run
+
+    def run(self, *args, **kwargs):
+        report = original(self, *args, **kwargs)
+        reports.append(report)
+        return report
+
+    with mock.patch.object(ActivePy, "run", run):
+        yield reports
+
+
+@pytest.fixture(scope="module")
+def rotation_and_loud_chaos():
+    """The greedy rotation at 2**-6 and the 12-seed loud campaign (its
+    fault-free baselines included), run once for both digests."""
+    rotation = {}
+    for name in workload_names():
+        workload = get_workload(name, scale=PINNED_SCALE)
+        rotation[name] = ActivePy(SystemConfig()).run(workload.program, workload.dataset)
+    with _recorded_reports() as reports:
         campaign = run_campaign(
             CampaignConfig(runs=12, scale=PINNED_SCALE, base_seed=20230423,
                            collect_metrics=False)
         )
-        # summary() holds only judged fields: no metrics, no wall time.
-        parts.extend(repr(outcome.summary()) for outcome in campaign.outcomes)
-        assert _sha256("\n".join(parts)) == PINNED_DIGEST
+    return rotation, campaign, reports
