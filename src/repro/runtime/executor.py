@@ -8,6 +8,13 @@ while the runtime's decisions (monitoring, re-estimation, migration)
 consume only what a real host could observe: status updates carrying
 IPC, and the plan's own fitted estimates.
 
+:meth:`PlanExecutor.execute` is a fold of one line stepper,
+:meth:`PlanExecutor.step`, over the plan, started by ``begin`` and
+closed by ``finish`` (the final readback).  The per-run variables live
+in a :class:`RunState`.  Plan search (:mod:`repro.runtime.plansearch`)
+measures its speculative steps by calling the same ``step`` and
+``finish`` on a fresh state, so there is one execution path.
+
 Each line executes in ``chunks`` pieces (its dynamic instances).  After
 every CSD chunk the device posts a status update, the simulator fires
 any due background events (availability changes, GC), and the monitor
@@ -15,7 +22,10 @@ gets a chance to trigger re-estimation and migration.  Migration breaks
 at a chunk boundary — "the end of the currently executing line" in the
 paper's terms — saves locals, regenerates host code, and finishes the
 remaining work on the host with live device-resident data accessed over
-the remote BAR path.
+the remote BAR path.  Every way a device line can end on the host — a
+refused dispatch, exhausted chunk replays, a migration, a lost
+completion — goes through one helper, ``_fall_back``, which runs the
+remaining chunks in the single host-chunk loop.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from ..errors import CseCrashError, FaultError, MigrationError, ProgramError
 from ..faults import FaultEvent, FaultLog
 from ..hw.topology import Machine
 from ..integrity import CLEAN_DIGEST, IntegrityChecker
-from ..lang.program import Program, Statement
+from ..lang.program import Statement
 from .checkpoint import CheckpointManager
 from .codegen import CompiledProgram
 from .dispatch import CallQueueDispatcher, StatusUpdate
@@ -136,6 +146,56 @@ class ExecutionResult:
 ProgressTrigger = Tuple[float, float]  # (csd-progress fraction, new availability)
 
 
+#: Span resource of a line that started on the CSD and finished on the host.
+_SPLIT = f"{CSD}+host"
+
+
+@dataclass
+class RunState:
+    """The per-run variables :meth:`PlanExecutor.step` folds over.
+
+    Built by :meth:`PlanExecutor.begin`; one state carries a whole
+    :meth:`~PlanExecutor.execute`, while plan search builds a fresh one
+    per measured step, seeded with that step's ``value_location``.
+    """
+
+    compiled: CompiledProgram
+    n: float
+    multiplier: float
+    estimates: Dict[int, LineEstimate]
+    #: Unfired progress triggers, the next one last.
+    triggers: List[ProgressTrigger]
+    total_csd_instr: float
+    chunk_ledger: Dict[int, int]
+    started: float
+    d2h_before: float
+    remote_before: float
+    #: Where the program's live value sits.
+    value_location: str = HOST
+    #: Once true, every remaining line runs on the host.
+    migrated: bool = False
+    #: A fault forced work off its planned unit.
+    degraded: bool = False
+    last_migration_at: float = -float("inf")
+    csd_instr_done: float = 0.0
+    chunk_replays: int = 0
+    timings: List[LineTiming] = field(default_factory=list)
+    migrations: List[MigrationEvent] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _Line:
+    """One line's work, split into its equal chunks."""
+
+    index: int
+    statement: Statement
+    #: Per-chunk instructions (runtime multiplier applied), storage
+    #: bytes and input bytes.
+    instructions: float
+    storage_bytes: float
+    input_bytes: float
+
+
 class PlanExecutor:
     """Runs a compiled program under a plan, with optional migration."""
 
@@ -165,8 +225,6 @@ class PlanExecutor:
             fault_log=self.fault_log,
             obs=self.obs,
         )
-        self.chunk_replays = 0
-        self._chunk_ledger: Dict[int, int] = {}
 
     def _trace(self, start: float, resource: str, kind: str, label: str) -> None:
         if self.timeline is not None:
@@ -181,420 +239,340 @@ class PlanExecutor:
         n_records: int,
         progress_triggers: Sequence[ProgressTrigger] = (),
     ) -> ExecutionResult:
+        state = self.begin(compiled, n_records, progress_triggers)
+        for index, planned in enumerate(compiled.plan.assignments):
+            self.step(state, index, planned)
+        return self.finish(state)
+
+    def begin(
+        self,
+        compiled: CompiledProgram,
+        n_records: int,
+        progress_triggers: Sequence[ProgressTrigger] = (),
+        value_location: str = HOST,
+    ) -> RunState:
+        """A fresh run state, with the live value on ``value_location``."""
         if n_records <= 0:
             raise ProgramError(f"n_records must be positive, got {n_records}")
         machine = self.machine
         program = compiled.program
         plan = compiled.plan
-        estimates = self._estimates_by_index(plan.estimates)
+        n = float(n_records)
+        estimates = {e.index: e for e in plan.estimates}
         if self.migration_enabled and not estimates:
             raise MigrationError(
                 "migration needs the plan's line estimates for re-estimation"
             )
+        triggers = sorted(progress_triggers, reverse=True)
+        # Only the triggers read the total; plan search steps skip it.
+        total_csd_instr = sum(
+            statement.instructions(n)
+            for statement, where in zip(program, plan.assignments)
+            if where == CSD
+        ) if triggers else 0.0
+        return RunState(
+            compiled=compiled,
+            n=n,
+            multiplier=compiled.multiplier,
+            estimates=estimates,
+            triggers=triggers,
+            total_csd_instr=total_csd_instr or 1.0,
+            chunk_ledger={index: 0 for index in range(len(program))},
+            started=machine.now,
+            d2h_before=machine.d2h_link.bytes_transferred,
+            remote_before=machine.remote_access_link.bytes_transferred,
+            value_location=value_location,
+        )
 
-        n = float(n_records)
-        multiplier = compiled.multiplier
-        self._chunk_ledger = {index: 0 for index in range(len(program))}
-        started = machine.now
-        d2h_before = machine.d2h_link.bytes_transferred
-        remote_before = machine.remote_access_link.bytes_transferred
+    def step(self, state: RunState, index: int, location: str) -> None:
+        """Run line ``index``, planned for ``location``, and record its timing.
 
-        total_csd_instr = self._total_csd_instructions(program, plan, n)
-        triggers = sorted(progress_triggers)
-        trigger_cursor = 0
-        csd_instr_done = 0.0
-
-        timings: List[LineTiming] = []
-        migrations: List[MigrationEvent] = []
-        value_location = HOST
-        migrated = False  # once true, every remaining line runs on the host
-        degraded = False  # a fault forced work off its planned unit
-        last_migration_at = -float("inf")
-
-        for index, statement in enumerate(program):
-            planned = plan.assignments[index]
-            location = HOST if migrated else planned
+        After a migration the line runs on the host unless the device
+        has recovered enough to re-admit it.
+        """
+        machine = self.machine
+        program = state.compiled.program
+        statement = program[index]
+        planned = location
+        if state.migrated:
+            location = HOST
             cooled_down = (
-                machine.now - last_migration_at
+                machine.now - state.last_migration_at
                 >= machine.config.readmission_cooldown_s
             )
             if (
-                migrated and planned == CSD
+                planned == CSD
                 and cooled_down
                 and self._device_recovered()
-                and self._readmission_profitable(estimates.get(index))
+                and self._readmission_profitable(state.estimates.get(index))
             ):
                 # Re-admission (extension beyond the paper): the
                 # device's status page reports a healthy rate again and
                 # the line's Equation-1 economics still favour it, so
                 # it returns to its planned home.
                 location = CSD
-                migrated = False
-            line_start = machine.now
-            d_in = program.input_bytes(index, n)
-            storage_total = statement.storage_bytes(n)
-            instr_total = statement.instructions(n) * multiplier
-            chunks = statement.chunks
+                state.migrated = False
+        line_start = machine.now
+        d_in = program.input_bytes(index, state.n)
+        chunks = statement.chunks
+        line = _Line(
+            index=index,
+            statement=statement,
+            instructions=(
+                statement.instructions(state.n) * state.multiplier / chunks
+            ),
+            storage_bytes=statement.storage_bytes(state.n) / chunks,
+            input_bytes=d_in / chunks,
+        )
 
-            # Ship the input value if it lives on the other unit.  A
-            # post-migration host line whose input was produced on the
-            # CSD reads it remotely instead (live data stays put).
-            input_remote = False
-            if location != value_location and d_in > 0:
-                if migrated and value_location == CSD:
-                    input_remote = True
-                else:
-                    transfer_start = machine.now
-                    self._verified_move(
-                        machine.d2h_link, d_in, multiplier,
-                        key=f"input.line{index}",
-                    )
-                    self._trace(transfer_start, "d2h", "transfer",
-                                f"{statement.name}.input")
-
-            if location == CSD:
-                try:
-                    command_id = self.dispatcher.invoke(
-                        statement.name,
-                        compiled.device_binaries.get(statement.name),
-                    )
-                except FaultError as exc:
-                    # The device would not even accept the call (stalled
-                    # queue pair beyond the deadline): run the whole
-                    # line on the host instead of raising.
-                    self.fault_log.record(
-                        machine.now, "recovery", self.device.name,
-                        "host-fallback",
-                        f"{statement.name} could not be dispatched: {exc}",
-                    )
-                    self._run_line_on_host(
-                        index, statement, instr_total, storage_total, d_in,
-                        input_remote=value_location == CSD, multiplier=multiplier,
-                    )
-                    migrated = True
-                    degraded = True
-                    self.obs.count("executor.host_fallbacks")
-                    value_location = HOST
-                    self._trace(line_start, HOST, "compute", statement.name)
-                    timings.append(
-                        LineTiming(
-                            index=index,
-                            name=statement.name,
-                            planned_location=planned,
-                            actual_location=HOST,
-                            seconds=machine.now - line_start,
-                        )
-                    )
-                    continue
-                monitor = RuntimeMonitor(
-                    config=machine.config,
-                    expected_ipc=self.device.cse.expected_ipc(),
-                )
-                line_migrated = False
-                line_faulted = False
-                replays_left = machine.config.chunk_replay_limit
-                chunk = 0
-                # Commit the line's entry checkpoint so a crash during
-                # the very first chunk still restores to *this* line.
-                self.checkpoints.save(index, 0, statement.live_vars, machine.now)
-                while chunk < chunks:
-                    fault: Optional[FaultError] = None
-                    try:
-                        self._run_chunk_on_csd(
-                            index, statement, chunk,
-                            instr_total, storage_total, chunks, multiplier,
-                        )
-                    except FaultError as exc:
-                        fault = exc
-                    machine.simulator.fire_due_events()
-                    if fault is None and self.device.cse.crashed:
-                        # The crash event fired inside this chunk's time
-                        # span: its partial work is lost.
-                        fault = CseCrashError(
-                            f"CSE {self.device.name!r} crashed mid-chunk"
-                        )
-                    if fault is not None:
-                        if self._try_chunk_replay(statement, chunk, fault, replays_left):
-                            replays_left -= 1
-                            self.chunk_replays += 1
-                            self.obs.count("executor.chunk_replays")
-                            # The IPC trend across the fault is noise,
-                            # not congestion; start the monitor fresh.
-                            monitor.reset()
-                            continue
-                        # Retries exhausted (or the device is beyond
-                        # saving): resume host-side at a Python-line
-                        # boundary.  The resume point comes from the
-                        # BAR checkpoint record, not from host-side
-                        # bookkeeping — the record survives the crash
-                        # (and, double-buffered, a torn write).
-                        resume = self.checkpoints.resume_chunk(
-                            index, chunks, fallback=chunk
-                        )
-                        self.fault_log.record(
-                            machine.now, "recovery", self.device.name,
-                            "host-fallback",
-                            f"{statement.name} resumes on the host at chunk {resume}",
-                        )
-                        self.dispatcher.abandon(command_id)
-                        self._finish_line_on_host(
-                            index,
-                            statement,
-                            instr_total,
-                            storage_total,
-                            d_in,
-                            chunks,
-                            first_chunk=resume,
-                            input_on_device=d_in > 0,
-                            multiplier=multiplier,
-                        )
-                        migrated = True
-                        line_migrated = True
-                        line_faulted = True
-                        degraded = True
-                        self.obs.count("executor.host_fallbacks")
-                        location = HOST
-                        break
-                    csd_instr_done += instr_total / chunks
-                    self._chunk_ledger[index] += 1
-                    chunk += 1
-                    self.checkpoints.save(
-                        index, chunk, statement.live_vars, machine.now
-                    )
-                    trigger_cursor = self._apply_progress_triggers(
-                        triggers, trigger_cursor, csd_instr_done, total_csd_instr
-                    )
-                    update = self._post_status(statement, chunk, chunks)
-                    decision = monitor.observe(update)
-                    if self.obs.enabled:
-                        # Drift of observed vs planner-predicted IPC per
-                        # status update, so migration triggers can be
-                        # audited against the estimate after the fact.
-                        self.obs.metrics.histogram(
-                            "monitor.ipc_drift", buckets=_DRIFT_BUCKETS
-                        ).observe(decision.ipc_drift)
-                    if not (self.migration_enabled and decision.reestimate):
-                        continue
-                    event = self._consider_migration(
-                        estimates=estimates,
-                        plan=plan,
-                        index=index,
-                        statement=statement,
-                        chunk=chunk,
-                        chunks=chunks,
-                        inferred_availability=decision.inferred_availability,
-                        reason=decision.reason,
-                        forced=update.high_priority_pending,
-                    )
-                    if event is None:
-                        continue
-                    migrations.append(event)
-                    self.obs.count("executor.migrations")
-                    # The drift that tipped this migration, for audits.
-                    self.obs.gauge("monitor.migration_trigger_drift",
-                                   decision.ipc_drift)
-                    last_migration_at = machine.now
-                    if update.high_priority_pending:
-                        self.device.cse.acknowledge_high_priority()
-                    # Finish this line's remaining chunks on the host,
-                    # reading the unconsumed input remotely.  The break
-                    # chunk is re-read from the checkpoint record the
-                    # device left in shared memory (paper §III-D).
-                    self._finish_line_on_host(
-                        index,
-                        statement,
-                        instr_total,
-                        storage_total,
-                        d_in,
-                        chunks,
-                        first_chunk=(
-                            event.resume_chunk if event.resume_chunk >= 0 else chunk
-                        ),
-                        input_on_device=d_in > 0,
-                        multiplier=multiplier,
-                    )
-                    migrated = True
-                    line_migrated = True
-                    location = HOST
-                    break
-                if not line_faulted:
-                    self.dispatcher.complete(command_id)
-                    try:
-                        self.dispatcher.reap_completion(command_id)
-                    except FaultError as exc:
-                        # The work ran but its final acknowledgement
-                        # never arrived and retries exhausted: the host
-                        # cannot trust it, so it replays the whole line
-                        # itself (lines are idempotent).
-                        self.fault_log.record(
-                            machine.now, "recovery", self.device.name,
-                            "line-replay-host",
-                            f"{statement.name} unacknowledged ({exc}); "
-                            "replayed on the host",
-                        )
-                        self.dispatcher.abandon(command_id)
-                        self._finish_line_on_host(
-                            index,
-                            statement,
-                            instr_total,
-                            storage_total,
-                            d_in,
-                            chunks,
-                            first_chunk=0,
-                            input_on_device=d_in > 0,
-                            multiplier=multiplier,
-                        )
-                        migrated = True
-                        line_migrated = True
-                        degraded = True
-                        self.obs.count("executor.host_fallbacks")
-                        location = HOST
-                value_location = HOST if line_migrated else CSD
-                self._trace(
-                    line_start, CSD if not line_migrated else f"{CSD}+host",
-                    "compute", statement.name,
-                )
-                timings.append(
-                    LineTiming(
-                        index=index,
-                        name=statement.name,
-                        planned_location=planned,
-                        actual_location=location,
-                        seconds=machine.now - line_start,
-                        migrated_mid_line=line_migrated,
-                    )
-                )
+        # Ship the input value if it lives on the other unit.  A
+        # post-migration host line whose input was produced on the
+        # CSD reads it remotely instead (live data stays put).
+        input_remote = False
+        if location != state.value_location and d_in > 0:
+            if state.migrated and state.value_location == CSD:
+                input_remote = True
             else:
-                self._run_line_on_host(
-                    index, statement, instr_total, storage_total, d_in,
-                    input_remote=input_remote, multiplier=multiplier,
+                transfer_start = machine.now
+                self._verified_move(
+                    machine.d2h_link, d_in, state.multiplier,
+                    key=f"input.line{index}",
                 )
-                value_location = HOST
-                self._trace(line_start, HOST, "compute", statement.name)
-                timings.append(
-                    LineTiming(
-                        index=index,
-                        name=statement.name,
-                        planned_location=planned,
-                        actual_location=HOST,
-                        seconds=machine.now - line_start,
-                    )
-                )
+                self._trace(transfer_start, "d2h", "transfer",
+                            f"{statement.name}.input")
 
-        # The program's final value must reach the host.
-        last = program[len(program) - 1]
-        if value_location == CSD:
+        if location == CSD:
+            resource = self._run_line_on_csd(state, line)
+        else:
+            self._run_chunks_on_host(state, line, 0, input_remote)
+            resource = HOST
+        state.value_location = CSD if resource == CSD else HOST
+        self._trace(line_start, resource, "compute", statement.name)
+        state.timings.append(
+            LineTiming(
+                index=index,
+                name=statement.name,
+                planned_location=planned,
+                actual_location=state.value_location,
+                seconds=machine.now - line_start,
+                migrated_mid_line=resource == _SPLIT,
+            )
+        )
+
+    def finish(self, state: RunState) -> ExecutionResult:
+        """Bring the program's final value to the host and report the run."""
+        machine = self.machine
+        program = state.compiled.program
+        if state.value_location == CSD:
             # BAR readback of the result: the last place a garbled
             # transfer could still slip into the report.
             transfer_start = machine.now
             self._verified_move(
-                machine.d2h_link, last.output_bytes(n), multiplier,
+                machine.d2h_link,
+                program[len(program) - 1].output_bytes(state.n),
+                state.multiplier,
                 key="final.output",
             )
             self._trace(transfer_start, "d2h", "transfer", "final.output")
 
         finished = machine.now
         if self.obs.enabled:
-            self.obs.metrics.counter("executor.lines").inc(len(timings))
+            self.obs.metrics.counter("executor.lines").inc(len(state.timings))
         return ExecutionResult(
             program_name=program.name,
-            total_seconds=finished - started,
-            line_timings=timings,
-            migrations=migrations,
-            started_at=started,
+            total_seconds=finished - state.started,
+            line_timings=state.timings,
+            migrations=state.migrations,
+            started_at=state.started,
             finished_at=finished,
-            d2h_bytes=machine.d2h_link.bytes_transferred - d2h_before,
+            d2h_bytes=machine.d2h_link.bytes_transferred - state.d2h_before,
             remote_access_bytes=(
-                machine.remote_access_link.bytes_transferred - remote_before
+                machine.remote_access_link.bytes_transferred - state.remote_before
             ),
             status_updates=self.dispatcher.status_updates,
             fault_events=list(self.fault_log.events),
-            degraded=degraded,
-            chunk_replays=self.chunk_replays,
-            chunks_executed=dict(self._chunk_ledger),
+            degraded=state.degraded,
+            chunk_replays=state.chunk_replays,
+            chunks_executed=dict(state.chunk_ledger),
             checkpoint_stats=self.checkpoints.stats(),
             output_digest=self.integrity.digest(),
             integrity_stats=self.integrity.stats(),
         )
 
-    # --- speculative stepping (plan search) ----------------------------------
+    # --- one line on each unit ----------------------------------------------
 
-    def run_line_clean(
-        self,
-        compiled: CompiledProgram,
-        n_records: int,
-        index: int,
-        location: str,
-        value_location: str,
-    ) -> str:
-        """Execute one line of the *fault-free* path; return the new
-        location of the program's live value.
+    def _run_line_on_csd(self, state: RunState, line: _Line) -> str:
+        """Dispatch a line to the device and run its chunks there.
 
-        This is the stepper :mod:`repro.runtime.plansearch` drives
-        against a forked simulator state: the same charging primitives
-        as :meth:`execute` (input shipping over the D2H link, dispatch
-        doorbells, per-chunk streaming + compute, checkpoint saves,
-        status messages), minus the fault/migration machinery that a
-        speculative dry-run has no business exercising.  Fidelity to
-        the real fault-free run is pinned by
-        ``tests/test_plansearch.py``: summing these steps over a full
-        assignment reproduces :meth:`execute`'s makespan.
+        Returns the line's span resource: :data:`CSD` when it completed
+        on the device, :data:`_SPLIT` when a fault or a migration moved
+        the rest of it to the host, :data:`HOST` when the device refused
+        the call outright.
         """
         machine = self.machine
-        program = compiled.program
-        statement = program[index]
-        n = float(n_records)
-        multiplier = compiled.multiplier
-        self._chunk_ledger.setdefault(index, 0)
-
-        d_in = program.input_bytes(index, n)
-        storage_total = statement.storage_bytes(n)
-        instr_total = statement.instructions(n) * multiplier
+        statement = line.statement
+        index = line.index
         chunks = statement.chunks
-
-        if location != value_location and d_in > 0:
-            self._verified_move(
-                machine.d2h_link, d_in, multiplier, key=f"input.line{index}",
+        try:
+            command_id = self.dispatcher.invoke(
+                statement.name,
+                state.compiled.device_binaries.get(statement.name),
             )
-        if location != CSD:
-            self._run_line_on_host(
-                index, statement, instr_total, storage_total, d_in,
-                input_remote=False, multiplier=multiplier,
+        except FaultError as exc:
+            # The device would not even accept the call (stalled queue
+            # pair beyond the deadline): run the whole line on the host.
+            self._fall_back(
+                state, line, 0, input_remote=state.value_location == CSD,
+                action="host-fallback",
+                detail=f"{statement.name} could not be dispatched: {exc}",
             )
             return HOST
-
-        command_id = self.dispatcher.invoke(
-            statement.name, compiled.device_binaries.get(statement.name),
+        # The monitor's decision only matters to migration and to the
+        # drift histogram.
+        monitor = (
+            RuntimeMonitor(
+                config=machine.config,
+                expected_ipc=self.device.cse.expected_ipc(),
+            )
+            if self.migration_enabled or self.obs.enabled else None
         )
+        resource = CSD
+        replays_left = machine.config.chunk_replay_limit
+        chunk = 0
+        # Commit the line's entry checkpoint so a crash during the very
+        # first chunk still restores to *this* line.
         self.checkpoints.save(index, 0, statement.live_vars, machine.now)
-        for chunk in range(chunks):
-            self._run_chunk_on_csd(
-                index, statement, chunk,
-                instr_total, storage_total, chunks, multiplier,
-            )
+        while chunk < chunks:
+            fault: Optional[FaultError] = None
+            try:
+                self._run_chunk_on_csd(state, line, chunk)
+            except FaultError as exc:
+                fault = exc
             machine.simulator.fire_due_events()
-            self._chunk_ledger[index] += 1
-            self.checkpoints.save(
-                index, chunk + 1, statement.live_vars, machine.now
+            if fault is None and self.device.cse.crashed:
+                # The crash event fired inside this chunk's time span:
+                # its partial work is lost.
+                fault = CseCrashError(f"CSE {self.device.name!r} crashed mid-chunk")
+            if fault is not None:
+                if self._try_chunk_replay(statement, chunk, fault, replays_left):
+                    replays_left -= 1
+                    state.chunk_replays += 1
+                    self.obs.count("executor.chunk_replays")
+                    # The IPC trend across the fault is noise, not
+                    # congestion; start the monitor fresh.
+                    if monitor is not None:
+                        monitor.reset()
+                    continue
+                # Retries exhausted (or the device is beyond saving):
+                # resume host-side at a Python-line boundary.  The
+                # resume point comes from the BAR checkpoint record, not
+                # from host-side bookkeeping — the record survives the
+                # crash (and, double-buffered, a torn write).
+                resume = self.checkpoints.resume_chunk(index, chunks, fallback=chunk)
+                self._fall_back(
+                    state, line, resume, input_remote=True,
+                    action="host-fallback",
+                    detail=f"{statement.name} resumes on the host at chunk {resume}",
+                    command_id=command_id,
+                )
+                return _SPLIT
+            state.csd_instr_done += line.instructions
+            state.chunk_ledger[index] += 1
+            chunk += 1
+            self.checkpoints.save(index, chunk, statement.live_vars, machine.now)
+            triggers = state.triggers
+            while (
+                triggers
+                and state.csd_instr_done / state.total_csd_instr >= triggers[-1][0]
+            ):
+                self.device.cse.set_availability(triggers.pop()[1])
+            update = self._post_status(statement, chunk, chunks)
+            if monitor is None:
+                continue
+            decision = monitor.observe(update)
+            if self.obs.enabled:
+                # Drift of observed vs planner-predicted IPC per status
+                # update, so migration triggers can be audited against
+                # the estimate after the fact.
+                self.obs.metrics.histogram(
+                    "monitor.ipc_drift", buckets=_DRIFT_BUCKETS
+                ).observe(decision.ipc_drift)
+            if not (self.migration_enabled and decision.reestimate):
+                continue
+            event = self._consider_migration(
+                state=state,
+                index=index,
+                statement=statement,
+                chunk=chunk,
+                inferred_availability=decision.inferred_availability,
+                reason=decision.reason,
+                forced=update.high_priority_pending,
             )
-            self._post_status(statement, chunk + 1, chunks)
+            if event is None:
+                continue
+            state.migrations.append(event)
+            self.obs.count("executor.migrations")
+            # The drift that tipped this migration, for audits.
+            self.obs.gauge("monitor.migration_trigger_drift", decision.ipc_drift)
+            state.last_migration_at = machine.now
+            if update.high_priority_pending:
+                self.device.cse.acknowledge_high_priority()
+            # Finish this line's remaining chunks on the host, reading
+            # the unconsumed input remotely.  The break chunk is re-read
+            # from the checkpoint record the device left in shared
+            # memory (paper §III-D).
+            self._fall_back(
+                state, line,
+                event.resume_chunk if event.resume_chunk >= 0 else chunk,
+                input_remote=True,
+            )
+            resource = _SPLIT
+            break
         self.dispatcher.complete(command_id)
-        self.dispatcher.reap_completion(command_id)
-        return CSD
-
-    def finish_clean(
-        self, compiled: CompiledProgram, n_records: int, value_location: str
-    ) -> None:
-        """The fault-free epilogue: read the final value back if needed."""
-        program = compiled.program
-        if value_location == CSD and len(program) > 0:
-            last = program[len(program) - 1]
-            self._verified_move(
-                self.machine.d2h_link,
-                last.output_bytes(float(n_records)),
-                compiled.multiplier,
-                key="final.output",
+        try:
+            self.dispatcher.reap_completion(command_id)
+        except FaultError as exc:
+            # The work ran but its final acknowledgement never arrived
+            # and retries exhausted: the host cannot trust it, so it
+            # replays the whole line itself (lines are idempotent).
+            self._fall_back(
+                state, line, 0, input_remote=True,
+                action="line-replay-host",
+                detail=(
+                    f"{statement.name} unacknowledged ({exc}); "
+                    "replayed on the host"
+                ),
+                command_id=command_id,
             )
+            return _SPLIT
+        return resource
+
+    def _fall_back(
+        self,
+        state: RunState,
+        line: _Line,
+        first_chunk: int,
+        input_remote: bool,
+        action: Optional[str] = None,
+        detail: str = "",
+        command_id: Optional[int] = None,
+    ) -> None:
+        """Finish a device line on the host from ``first_chunk`` on.
+
+        A migration passes no ``action``; a fault recovery logs it,
+        abandons the device command and marks the run degraded.
+        """
+        if action is not None:
+            self.fault_log.record(
+                self.machine.now, "recovery", self.device.name, action, detail
+            )
+        if command_id is not None:
+            self.dispatcher.abandon(command_id)
+        self._run_chunks_on_host(state, line, first_chunk, input_remote)
+        state.migrated = True
+        if action is not None:
+            state.degraded = True
+            self.obs.count("executor.host_fallbacks")
 
     # --- chunk mechanics ----------------------------------------------------
 
@@ -738,18 +716,11 @@ class PlanExecutor:
                 self.machine.now - chunk_started
             )
 
-    def _run_chunk_on_csd(
-        self,
-        line_index: int,
-        statement: Statement,
-        chunk: int,
-        instr_total: float,
-        storage_total: float,
-        chunks: int,
-        multiplier: float,
-    ) -> None:
+
+
+    def _run_chunk_on_csd(self, state: RunState, line: _Line, chunk: int) -> None:
         tainted = False
-        if storage_total > 0:
+        if line.storage_bytes > 0:
             # The chunk's streamed NAND access may hit an armed media
             # fault: ECC re-reads cost time here, an uncorrectable
             # error aborts the chunk before any work is charged.
@@ -758,7 +729,7 @@ class PlanExecutor:
                 self.fault_log.record(
                     self.machine.now, "nand-read-correctable", self.device.name,
                     "ecc-corrected",
-                    f"{statement.name}: {extra:.6f}s of ECC re-reads",
+                    f"{line.statement.name}: {extra:.6f}s of ECC re-reads",
                 )
             # A silently corrupted stream costs nothing and raises
             # nothing here: the flipped bits ride into the chunk and
@@ -766,60 +737,29 @@ class PlanExecutor:
             tainted = self.device.flash.consume_silent_corruption()
         self._chunk(
             self.device.cse,
-            [(self.device.internal_link, storage_total / chunks)],
-            instr_total / chunks,
-            multiplier,
-            key=f"line{line_index}.chunk{chunk}",
+            [(self.device.internal_link, line.storage_bytes)],
+            line.instructions,
+            state.multiplier,
+            key=f"line{line.index}.chunk{chunk}",
             tainted=tainted,
             raise_on_detect=True,
         )
 
-    def _run_line_on_host(
-        self,
-        line_index: int,
-        statement: Statement,
-        instr_total: float,
-        storage_total: float,
-        d_in: float,
-        input_remote: bool,
-        multiplier: float,
+    def _run_chunks_on_host(
+        self, state: RunState, line: _Line, first_chunk: int, input_remote: bool
     ) -> None:
+        """Run chunks ``first_chunk..`` of a line on the host, reading its
+        input over the remote BAR path when ``input_remote``."""
         machine = self.machine
-        chunks = statement.chunks
-        for chunk in range(chunks):
-            moves = [(machine.host_storage_link, storage_total / chunks)]
-            if input_remote:
-                moves.append((machine.remote_access_link, d_in / chunks))
+        moves = [(machine.host_storage_link, line.storage_bytes)]
+        if input_remote:
+            moves.append((machine.remote_access_link, line.input_bytes))
+        for chunk in range(first_chunk, line.statement.chunks):
             self._chunk(
-                machine.host, moves, instr_total / chunks, multiplier,
-                key=f"line{line_index}.chunk{chunk}",
+                machine.host, moves, line.instructions, state.multiplier,
+                key=f"line{line.index}.chunk{chunk}",
             )
-            self._chunk_ledger[line_index] += 1
-            machine.simulator.fire_due_events()
-
-    def _finish_line_on_host(
-        self,
-        line_index: int,
-        statement: Statement,
-        instr_total: float,
-        storage_total: float,
-        d_in: float,
-        chunks: int,
-        first_chunk: int,
-        input_on_device: bool,
-        multiplier: float,
-    ) -> None:
-        """Run chunks ``first_chunk..chunks`` on the host post-migration."""
-        machine = self.machine
-        for chunk in range(first_chunk, chunks):
-            moves = [(machine.host_storage_link, storage_total / chunks)]
-            if input_on_device:
-                moves.append((machine.remote_access_link, d_in / chunks))
-            self._chunk(
-                machine.host, moves, instr_total / chunks, multiplier,
-                key=f"line{line_index}.chunk{chunk}",
-            )
-            self._chunk_ledger[line_index] += 1
+            state.chunk_ledger[line.index] += 1
             machine.simulator.fire_due_events()
 
     def _try_chunk_replay(
@@ -929,12 +869,10 @@ class PlanExecutor:
 
     def _consider_migration(
         self,
-        estimates: Dict[int, LineEstimate],
-        plan,
+        state: RunState,
         index: int,
         statement: Statement,
         chunk: int,
-        chunks: int,
         inferred_availability: float,
         reason: str,
         forced: bool,
@@ -942,14 +880,17 @@ class PlanExecutor:
         """Re-estimate and migrate if the host now wins (paper §III-D)."""
         machine = self.machine
         config = machine.config
+        estimates = state.estimates
+        assignments = state.compiled.plan.assignments
+        chunks = statement.chunks
         est = estimates.get(index)
         if est is None:
             return None
         remaining_frac = (chunks - chunk) / chunks
         later_csd = [
             estimates[i]
-            for i in range(index + 1, len(plan.assignments))
-            if plan.assignments[i] == CSD and i in estimates
+            for i in range(index + 1, len(assignments))
+            if assignments[i] == CSD and i in estimates
         ]
         c_factor = config.device_speed_ratio
 
@@ -1002,29 +943,3 @@ class PlanExecutor:
             f"migrate.{statement.name}",
         )
         return event
-
-    # --- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _estimates_by_index(estimates: Sequence[LineEstimate]) -> Dict[int, LineEstimate]:
-        return {e.index: e for e in estimates}
-
-    @staticmethod
-    def _total_csd_instructions(program: Program, plan, n: float) -> float:
-        return sum(
-            statement.instructions(n)
-            for statement, where in zip(program, plan.assignments)
-            if where == CSD
-        ) or 1.0
-
-    def _apply_progress_triggers(
-        self,
-        triggers: Sequence[ProgressTrigger],
-        cursor: int,
-        done_instr: float,
-        total_instr: float,
-    ) -> int:
-        while cursor < len(triggers) and done_instr / total_instr >= triggers[cursor][0]:
-            self.device.cse.set_availability(triggers[cursor][1])
-            cursor += 1
-        return cursor

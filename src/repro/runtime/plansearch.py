@@ -8,11 +8,11 @@ oracle offloads it; no re-fitting at sample scale can see that bend.
 
 The search measures instead.  A step — line ``i`` at ``location`` with
 the live value on ``value_location`` — is dry-run on a restored
-snapshot of a speculative machine through the executor's fault-free
-stepper, and costs the simulated seconds that elapse.  A makespan is
-the left fold of its steps in line order, and a step sees the past only
-through where the live value sits, so the state space is a two-state
-chain and a Viterbi-style pass is exact::
+snapshot of a speculative machine through ``PlanExecutor.step``, the
+stepper ``execute`` folds over, and costs the simulated seconds that
+elapse.  A makespan is the left fold of its steps in line order, and a
+step sees the past only through where the live value sits, so the state
+space is a two-state chain and a Viterbi-style pass is exact::
 
     best[-1] = {HOST: 0.0}
     best[i][loc] = min over prev of best[i-1][prev] + step(i, loc, prev)
@@ -135,8 +135,8 @@ class _SpeculativeMachine:
 
     Every line's device binary is installed and a base snapshot taken
     once (no events pending, so restoring it is O(1)); each step
-    restores it, runs one line through the executor's fault-free
-    stepper and reads the clock.
+    restores it, runs one line through ``PlanExecutor.step`` and reads
+    the clock.  No fault, trigger, obs or migration branch ever runs.
     """
 
     def __init__(self, program: Program, dataset: Dataset, config: SystemConfig) -> None:
@@ -159,13 +159,12 @@ class _SpeculativeMachine:
         simulator = self.machine.simulator
         simulator.restore(self.base)
         executor = PlanExecutor(self.machine, migration_enabled=False)
+        state = executor.begin(self.compiled, self.n_records, value_location=value_location)
         started = simulator.now
         if index == _FINAL:
-            executor.finish_clean(self.compiled, self.n_records, value_location)
+            executor.finish(state)
         else:
-            executor.run_line_clean(
-                self.compiled, self.n_records, index, location, value_location,
-            )
+            executor.step(state, index, location)
         return simulator.now - started
 
 

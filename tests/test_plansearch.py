@@ -93,19 +93,36 @@ def _brute_force(steps, k, locations):
     )
 
 
-class TestFidelity:
-    """The step table reproduces the executor, step for step."""
+#: Configs whose charging paths differ: overlapped chunks, the
+#: integrity layer's verify charge, no line-boundary checkpoints.
+FIDELITY_CONFIGS = {
+    "default": DEFAULT_CONFIG,
+    "overlap": dataclasses.replace(DEFAULT_CONFIG, overlap_io_compute=True),
+    "integrity": dataclasses.replace(DEFAULT_CONFIG, integrity_enabled=True),
+    "no-checkpoints": dataclasses.replace(DEFAULT_CONFIG, checkpoint_enabled=False),
+}
 
-    def test_leaf_scores_match_real_execution(self, tpch_q6):
-        workload, estimates = tpch_q6
+
+class TestFidelity:
+    """The step table reproduces the executor, step for step.
+
+    Steps run through the same ``PlanExecutor.step`` that ``execute``
+    folds over, so this holds by construction; the test guards it.
+    """
+
+    @pytest.mark.parametrize("config_name", list(FIDELITY_CONFIGS))
+    @pytest.mark.parametrize("workload_name", ["tpch_q6", "pagerank"])
+    def test_leaf_scores_match_real_execution(
+        self, request, workload_name, config_name
+    ):
+        workload, estimates = request.getfixturevalue(workload_name)
+        config = FIDELITY_CONFIGS[config_name]
         k = len(workload.program)
-        steps = _step_table(workload)
+        steps = _step_table(workload, config)
         for assignments in itertools.product((HOST, CSD), repeat=k):
             elapsed = _walk(steps, assignments)
 
-            machine = build_machine(
-                DEFAULT_CONFIG, obs=Observability.disabled()
-            )
+            machine = build_machine(config, obs=Observability.disabled())
             machine.csd.store_dataset(
                 workload.dataset.name, workload.dataset.raw_bytes
             )
@@ -113,7 +130,7 @@ class TestFidelity:
                 assignments=list(assignments), t_host=0.0, t_csd=0.0,
                 estimates=tuple(estimates), origin="external",
             )
-            compiled = CodeGenerator(DEFAULT_CONFIG).generate(
+            compiled = CodeGenerator(config).generate(
                 machine, workload.program, plan, mode=ExecutionMode.ACTIVEPY
             )
             started = machine.now
