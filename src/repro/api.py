@@ -65,7 +65,6 @@ from .faults import (
 from .fleet import (
     Fleet,
     FleetCampaignConfig,
-    FleetCampaignResult,
     FleetConfig,
     FleetReport,
     JobArrival,
@@ -75,7 +74,6 @@ from .fleet import (
     TrafficGenerator,
     default_tenants,
     percentile,
-    run_fleet_campaign,
     to_fleet_chrome_trace,
     write_fleet_chrome_trace,
 )
@@ -109,7 +107,7 @@ from .obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .parallel import merge_metric_snapshots, run_campaign_parallel
+from .parallel import merge_metric_snapshots
 from .perfgate import GatedMetric, GateReport, PerfGateError
 from .perfgate import check as perf_check
 from .perfgate import snapshot as perf_snapshot
@@ -163,7 +161,6 @@ __all__ = [
     "FaultSpec",
     "Fleet",
     "FleetCampaignConfig",
-    "FleetCampaignResult",
     "FleetConfig",
     "FleetError",
     "FleetReport",
@@ -234,9 +231,7 @@ __all__ = [
     "program_from_function",
     "run_c_baseline",
     "run_campaign",
-    "run_campaign_parallel",
     "run_cython_baseline",
-    "run_fleet_campaign",
     "run_plan",
     "run_python_baseline",
     "search_plan",

@@ -1,7 +1,7 @@
 """Chaos campaigns: randomized fault composition with shrinking.
 
-PR 1 made individual faults injectable and deterministic; this package
-turns them into an adversary.  A campaign generates seeded random
+Individual faults are injectable and deterministic; this package turns
+them into an adversary.  A campaign generates seeded random
 :class:`~repro.faults.FaultPlan`s, runs every registered workload under
 them, and checks a set of cross-run **invariants** — the contract the
 fault-tolerant runtime must honour no matter what is thrown at it:
@@ -20,6 +20,10 @@ On a violation the failing plan is **shrunk** delta-debugging-style to
 a minimal reproducing plan and reported with its seed, so one CLI
 command (``repro chaos --workload W --seed S``) replays the distilled
 failure.
+
+:func:`run_campaign` is the one driver for this campaign and for the
+rack-level one (:class:`~repro.fleet.chaos.FleetCampaignConfig`), in
+process or across worker processes (``workers=N``).
 """
 
 from .campaign import (

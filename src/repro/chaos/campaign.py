@@ -1,21 +1,36 @@
-"""The chaos campaign runner.
+"""The chaos campaign driver, and the single-machine campaign.
 
-A campaign is a loop of seeded experiments: run ``r`` picks workload
-``workloads[r % len(workloads)]`` and seed ``base_seed + r``, generates
-a random :class:`FaultPlan` over the workload's fault-free horizon,
-runs the workload on a **fresh machine** under that plan, and checks
-the :mod:`~repro.chaos.invariants`.  On a violation the plan is shrunk
-(:mod:`~repro.chaos.shrink`) and the failure is reported with the exact
-CLI command that replays it.
+A campaign is a loop of seeded experiments.  In the single-machine
+campaign run ``r`` picks workload ``workloads[r % len(workloads)]`` and
+seed ``base_seed + r``, generates a random :class:`FaultPlan` over the
+workload's fault-free horizon, runs the workload on a **fresh machine**
+under that plan, and checks the :mod:`~repro.chaos.invariants`.  The
+rack-level campaign (:mod:`repro.fleet.chaos`) does the same with
+seeded fleets under fleet-level plans.
 
-Everything is derived from ``(workload, seed, fault_count, scale,
-config)``, so a reported failure replays bit-for-bit on any machine.
+Both run through one driver, :func:`run_campaign`.  A config
+(:class:`CampaignConfig` or
+:class:`~repro.fleet.chaos.FleetCampaignConfig`) lists the run keys in
+run order and writes the campaign's headline; the harness it builds
+(:class:`ChaosHarness` or :class:`~repro.fleet.chaos.FleetHarness`)
+runs one key, supplies the shrink predicate for a failed outcome and
+prints its replay command.  The driver owns the rest: the run loop (in
+process, or across a process pool), ``on_outcome`` streaming, the ddmin
+shrink (:mod:`~repro.chaos.shrink`) of every violating run in run
+order, and one :class:`CampaignResult`.
+
+Everything is derived from the config and the run key, so a reported
+failure replays bit-for-bit on any machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import starmap
+from typing import (
+    TYPE_CHECKING, Any, Callable, ClassVar, Dict, Iterator, List, Optional,
+    Sequence, Tuple, Union,
+)
 
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import ChaosError
@@ -26,6 +41,12 @@ from ..runtime.activepy import ActivePy, ActivePyReport, RunOptions
 from ..workloads import get_workload
 from .invariants import InvariantViolation, check_invariants
 from .shrink import ShrinkResult, render_plan, shrink_plan
+
+if TYPE_CHECKING:
+    from ..fleet.chaos import FleetCampaignConfig, FleetChaosOutcome
+
+    AnyCampaignConfig = Union["CampaignConfig", FleetCampaignConfig]
+    AnyOutcome = Union["ChaosRunOutcome", FleetChaosOutcome]
 
 #: Default campaign scale: big enough that plans/migrations are real,
 #: small enough that a 200-run campaign finishes in tens of seconds.
@@ -76,19 +97,24 @@ class ChaosRunOutcome:
             payload["metrics"] = self.metrics
         return payload
 
+    def failure_key(self) -> Dict[str, Any]:
+        """The fields that name this run in a failure report."""
+        return {"workload": self.workload, "seed": self.seed}
+
+    def failure_title(self) -> str:
+        return f"FAILURE: {self.workload} seed={self.seed}"
+
 
 @dataclass(frozen=True)
 class ShrunkFailure:
     """A violating run distilled to its minimal reproducing plan."""
 
-    outcome: ChaosRunOutcome
+    outcome: AnyOutcome
     shrink: ShrinkResult
     replay_command: str
 
     def render(self) -> str:
-        lines = [
-            f"FAILURE: {self.outcome.workload} seed={self.outcome.seed}",
-        ]
+        lines = [self.outcome.failure_title()]
         for violation in self.outcome.violations:
             lines.append(f"  violated  {violation.render()}")
         lines.append(
@@ -135,13 +161,52 @@ class CampaignConfig:
         if not self.workloads:
             raise ChaosError("workloads must not be empty")
 
+    # --- what the campaign driver asks of a config -------------------------
+
+    experiment: ClassVar[str] = "chaos-campaign"
+    held: ClassVar[str] = "all invariants held"
+
+    def harness(self) -> ChaosHarness:
+        return ChaosHarness(
+            system_config=self.system_config,
+            scale=self.scale,
+            fault_count=self.fault_count,
+            collect_metrics=self.collect_metrics,
+            silent_corruption=self.silent_corruption,
+        )
+
+    def run_keys(self) -> List[Tuple[str, int]]:
+        """``(workload, seed)`` of every run, in run order."""
+        return [
+            (self.workloads[run % len(self.workloads)], self.base_seed + run)
+            for run in range(self.runs)
+        ]
+
+    def headline(self, outcomes: Sequence[ChaosRunOutcome]) -> List[str]:
+        runs = len(outcomes)
+        return [
+            f"chaos campaign: {runs} run(s) across "
+            f"{len(self.workloads)} workload(s), "
+            f"seeds {self.base_seed}..{self.base_seed + max(runs - 1, 0)}",
+            f"  fault events    : {sum(o.fault_event_count for o in outcomes)}",
+            f"  degraded runs   : {sum(1 for o in outcomes if o.degraded)}/{runs}",
+        ]
+
+    def summary_fields(self, outcomes: Sequence[ChaosRunOutcome]) -> Dict[str, Any]:
+        return {
+            "fault_event_count": sum(o.fault_event_count for o in outcomes),
+            "degraded_runs": sum(1 for o in outcomes if o.degraded),
+            "workloads": list(self.workloads),
+            "base_seed": self.base_seed,
+        }
+
 
 @dataclass
 class CampaignResult:
     """Every outcome plus the shrunk failures, ready to render."""
 
-    config: CampaignConfig
-    outcomes: List[ChaosRunOutcome] = field(default_factory=list)
+    config: AnyCampaignConfig
+    outcomes: List[AnyOutcome] = field(default_factory=list)
     failures: List[ShrunkFailure] = field(default_factory=list)
 
     @property
@@ -157,22 +222,13 @@ class CampaignResult:
         return not self.failures and all(o.ok for o in self.outcomes)
 
     def render(self) -> str:
-        degraded = sum(1 for o in self.outcomes if o.degraded)
-        lines = [
-            f"chaos campaign: {self.runs} run(s) across "
-            f"{len(self.config.workloads)} workload(s), "
-            f"seeds {self.config.base_seed}.."
-            f"{self.config.base_seed + max(self.runs - 1, 0)}",
-            f"  fault events    : "
-            f"{sum(o.fault_event_count for o in self.outcomes)}",
-            f"  degraded runs   : {degraded}/{self.runs}",
-            f"  violations      : {self.violations}",
-        ]
+        lines = self.config.headline(self.outcomes)
+        lines.append(f"  violations      : {self.violations}")
         for failure in self.failures:
             lines.append("")
             lines.append(failure.render())
         if self.ok:
-            lines.append("  all invariants held")
+            lines.append(f"  {self.config.held}")
         return "\n".join(lines)
 
     # --- the common report protocol (see analysis/export.py) ---------------
@@ -184,22 +240,16 @@ class CampaignResult:
             "ok": self.ok,
             "violations": self.violations,
             "failures": len(self.failures),
-            "fault_event_count": sum(
-                o.fault_event_count for o in self.outcomes
-            ),
-            "degraded_runs": sum(1 for o in self.outcomes if o.degraded),
-            "workloads": list(self.config.workloads),
-            "base_seed": self.config.base_seed,
+            **self.config.summary_fields(self.outcomes),
         }
 
     def to_jsonable(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"experiment": "chaos-campaign"}
+        payload: Dict[str, Any] = {"experiment": self.config.experiment}
         payload.update(self.summary())
         payload["outcomes"] = [o.to_jsonable() for o in self.outcomes]
         payload["failures"] = [
             {
-                "workload": f.outcome.workload,
-                "seed": f.outcome.seed,
+                **f.outcome.failure_key(),
                 "minimal_plan": list(render_plan(f.shrink.minimal)),
                 "shrink_probes": f.shrink.probes,
                 "replay": f.replay_command,
@@ -308,58 +358,117 @@ class ChaosHarness:
         return self.run_plan(workload_name, self.plan_for(workload_name, seed),
                              seed=seed)
 
-    def reproducer(self, workload_name: str) -> Callable[[FaultPlan], bool]:
+    # --- what the campaign driver asks of a harness ------------------------
+
+    def reproducer(self, outcome: ChaosRunOutcome) -> Callable[[FaultPlan], bool]:
         """Predicate for the shrinker: does this plan still violate?"""
         def reproduces(candidate: FaultPlan) -> bool:
-            return not self.run_plan(workload_name, candidate).ok
+            return not self.run_plan(outcome.workload, candidate).ok
         return reproduces
 
+    def replay_command(self, outcome: ChaosRunOutcome) -> str:
+        """The CLI command that replays ``outcome``'s seeded run."""
+        parts = [
+            "python -m repro chaos",
+            f"--workload {outcome.workload}",
+            f"--seed {outcome.seed}",
+            f"--fault-count {self.fault_count}",
+        ]
+        if self.scale != DEFAULT_SCALE:
+            parts.append(f"--scale {self.scale}")
+        if not self.system_config.checkpoint_validate:
+            parts.append("--no-validate")
+        if self.silent_corruption:
+            parts.append("--sdc")
+        if (self.system_config.integrity_enabled
+                and not self.system_config.integrity_verify):
+            parts.append("--no-verify")
+        return " ".join(parts)
 
-def replay_command(outcome: ChaosRunOutcome, config: CampaignConfig) -> str:
-    parts = [
-        "python -m repro chaos",
-        f"--workload {outcome.workload}",
-        f"--seed {outcome.seed}",
-        f"--fault-count {config.fault_count}",
-    ]
-    if config.scale != DEFAULT_SCALE:
-        parts.append(f"--scale {config.scale}")
-    if not config.system_config.checkpoint_validate:
-        parts.append("--no-validate")
-    if config.silent_corruption:
-        parts.append("--sdc")
-    if (config.system_config.integrity_enabled
-            and not config.system_config.integrity_verify):
-        parts.append("--no-verify")
-    return " ".join(parts)
+    def warm(self, keys: Sequence[Tuple[str, int]]) -> None:
+        """Compute the baselines the runs' plans are drawn over."""
+        for workload_name in dict.fromkeys(name for name, _ in keys):
+            self.baseline(workload_name)
+
+
+#: Harness the pool workers run keys on.  Under ``fork`` the parent sets
+#: it, pre-warmed, before the pool starts and children inherit it; under
+#: ``spawn`` the initializer rebuilds it from the config in each worker.
+_WORKER_HARNESS: Any = None
+
+
+def _init_worker(config: AnyCampaignConfig) -> None:
+    global _WORKER_HARNESS
+    if _WORKER_HARNESS is None:
+        _WORKER_HARNESS = config.harness()
+
+
+def _run_key(key: Tuple[Any, ...]) -> AnyOutcome:
+    return _WORKER_HARNESS.run_seed(*key)
+
+
+def _pool_map(config: AnyCampaignConfig, harness: Any,
+              keys: List[Tuple[Any, ...]], workers: int) -> Iterator[AnyOutcome]:
+    """Run every key across ``workers`` processes; yield in run order."""
+    # Imported here: the in-process campaign loop should not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _WORKER_HARNESS
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        context = multiprocessing.get_context()
+    if context.get_start_method() == "fork":
+        harness.warm(keys)
+    _WORKER_HARNESS = harness
+    try:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(keys)),
+            mp_context=context,
+            initializer=_init_worker,
+            initargs=(config,),
+        ) as pool:
+            yield from pool.map(_run_key, keys)
+    finally:
+        _WORKER_HARNESS = None
 
 
 def run_campaign(
-    config: CampaignConfig,
-    on_outcome: Optional[Callable[[ChaosRunOutcome], None]] = None,
+    config: AnyCampaignConfig,
+    on_outcome: Optional[Callable[[AnyOutcome], None]] = None,
+    workers: int = 1,
 ) -> CampaignResult:
-    """Run a full campaign; shrink and report every violating run."""
-    harness = ChaosHarness(
-        system_config=config.system_config,
-        scale=config.scale,
-        fault_count=config.fault_count,
-        collect_metrics=config.collect_metrics,
-        silent_corruption=config.silent_corruption,
-    )
+    """Run a full campaign; shrink and report every violating run.
+
+    ``config`` is a :class:`CampaignConfig` or a
+    :class:`~repro.fleet.chaos.FleetCampaignConfig`.  With ``workers > 1``
+    the runs execute across that many processes; the result is the same
+    as the in-process one, outcome for outcome.  ``on_outcome`` fires in
+    this process, in run order, as each outcome arrives.
+    """
+    if workers < 1:
+        raise ChaosError(f"workers must be at least 1, got {workers}")
+    harness = config.harness()
+    keys = config.run_keys()
+    if workers == 1 or len(keys) == 1:
+        outcomes: Iterator[AnyOutcome] = starmap(harness.run_seed, keys)
+    else:
+        outcomes = _pool_map(config, harness, keys, workers)
     result = CampaignResult(config=config)
-    for run in range(config.runs):
-        workload_name = config.workloads[run % len(config.workloads)]
-        seed = config.base_seed + run
-        outcome = harness.run_seed(workload_name, seed)
+    for outcome in outcomes:
         result.outcomes.append(outcome)
         if on_outcome is not None:
             on_outcome(outcome)
+    # Shrinking re-runs one plan after another, so it stays in this
+    # process and in run order whatever ``workers`` is.
+    for outcome in result.outcomes:
         if outcome.ok:
             continue
         if config.shrink_failures and len(outcome.plan) > 0:
             shrunk = shrink_plan(
                 outcome.plan,
-                harness.reproducer(workload_name),
+                harness.reproducer(outcome),
                 max_probes=config.max_shrink_probes,
             )
         else:
@@ -369,6 +478,6 @@ def run_campaign(
         result.failures.append(ShrunkFailure(
             outcome=outcome,
             shrink=shrunk,
-            replay_command=replay_command(outcome, config),
+            replay_command=harness.replay_command(outcome),
         ))
     return result

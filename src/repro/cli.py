@@ -298,50 +298,6 @@ def _cmd_prediction(args) -> int:
     return _print_and_maybe_export(result, text, args.json)
 
 
-def _cmd_chaos_fleet(args) -> int:
-    from .fleet import FleetCampaignConfig, default_tenants, run_fleet_campaign
-
-    if args.workload is not None:
-        print("repro chaos: error: --fleet and --workload are mutually "
-              "exclusive (replay a fleet seed with --fleet --runs 1 --seed S)",
-              file=sys.stderr)
-        return 2
-    if args.sdc or args.no_validate or args.no_verify:
-        print("repro chaos: error: --sdc/--no-validate/--no-verify are "
-              "single-machine campaign knobs; the fleet campaign's planted "
-              "bug is --no-isolation", file=sys.stderr)
-        return 2
-    if args.devices < 1 or args.tenants < 1 or args.jobs < 1:
-        print("repro chaos: error: --devices, --tenants and --jobs must all "
-              "be at least 1", file=sys.stderr)
-        return 2
-    config = FleetCampaignConfig(
-        runs=args.runs,
-        device_count=args.devices,
-        tenants=default_tenants(args.tenants),
-        job_count=args.jobs,
-        base_seed=args.seed,
-        fault_count=args.fault_count,
-        scale=args.scale,
-        no_isolation=args.no_isolation,
-    )
-
-    def progress(outcome):
-        mark = "ok" if outcome.ok else "VIOLATION"
-        print(f"  run {outcome.seed - config.base_seed:>4} seed={outcome.seed:<6} "
-              f"completed={outcome.completed:<3} degraded={outcome.degraded:<3} "
-              f"shed={outcome.shed:<3} {mark}")
-
-    result = run_fleet_campaign(
-        config, on_outcome=progress if args.verbose else None,
-    )
-    print(result.render())
-    if args.json:
-        export.dump(result, args.json)
-        print(f"wrote {args.json}")
-    return 0 if result.ok else 1
-
-
 def _cmd_fleet_run(args) -> int:
     from .faults.spec import FaultKind, FaultPlan, FaultSpec
     from .fleet import Fleet, FleetConfig, default_tenants
@@ -402,95 +358,110 @@ def _cmd_chaos(args) -> int:
     import dataclasses
 
     from .chaos import CampaignConfig, ChaosHarness, run_campaign
-    from .chaos.campaign import replay_command
     from .chaos.shrink import render_plan
     from .config import DEFAULT_CONFIG
 
-    if args.fleet:
-        if args.runs < 1 or args.fault_count < 1:
-            print("repro chaos: error: --runs and --fault-count must be at "
-                  "least 1", file=sys.stderr)
+    for flag, value in (("--runs", args.runs), ("--workers", args.workers),
+                        ("--fault-count", args.fault_count)):
+        if value < 1:
+            print(f"repro chaos: error: {flag} must be at least 1, got {value}",
+                  file=sys.stderr)
             return 2
-        return _cmd_chaos_fleet(args)
-    if args.runs < 1:
-        print(f"repro chaos: error: --runs must be at least 1, got {args.runs}",
-              file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print(f"repro chaos: error: --workers must be at least 1, "
-              f"got {args.workers}", file=sys.stderr)
-        return 2
-    if args.fault_count < 1:
-        print(f"repro chaos: error: --fault-count must be at least 1, "
-              f"got {args.fault_count}", file=sys.stderr)
-        return 2
 
-    system_config = DEFAULT_CONFIG
-    if args.no_validate:
-        # The deliberately planted bug: trust checkpoint records without
-        # CRC validation.  Campaigns with torn-write faults must catch it.
-        system_config = dataclasses.replace(system_config, checkpoint_validate=False)
-    if args.sdc or args.no_verify:
-        # Silent-corruption mode arms the integrity layer; --no-verify is
-        # its planted bug — digests computed and paid for, never compared.
-        system_config = dataclasses.replace(
-            system_config,
-            integrity_enabled=True,
-            integrity_verify=not args.no_verify,
+    if args.fleet:
+        from .fleet import FleetCampaignConfig, default_tenants
+
+        if args.workload is not None:
+            print("repro chaos: error: --fleet and --workload are mutually "
+                  "exclusive (replay a fleet seed with --fleet --runs 1 --seed S)",
+                  file=sys.stderr)
+            return 2
+        if args.sdc or args.no_validate or args.no_verify:
+            print("repro chaos: error: --sdc/--no-validate/--no-verify are "
+                  "single-machine campaign knobs; the fleet campaign's planted "
+                  "bug is --no-isolation", file=sys.stderr)
+            return 2
+        if args.devices < 1 or args.tenants < 1 or args.jobs < 1:
+            print("repro chaos: error: --devices, --tenants and --jobs must all "
+                  "be at least 1", file=sys.stderr)
+            return 2
+        config = FleetCampaignConfig(
+            runs=args.runs,
+            device_count=args.devices,
+            tenants=default_tenants(args.tenants),
+            job_count=args.jobs,
+            base_seed=args.seed,
+            fault_count=args.fault_count,
+            scale=args.scale,
+            no_isolation=args.no_isolation,
         )
 
-    if args.workload is not None:
-        # Replay mode: one fully seeded experiment, verdict on stdout.
-        harness = ChaosHarness(
-            system_config=system_config, scale=args.scale,
-            fault_count=args.fault_count, silent_corruption=args.sdc,
+        def describe(outcome):
+            return (f"seed={outcome.seed:<6} completed={outcome.completed:<3} "
+                    f"degraded={outcome.degraded:<3} shed={outcome.shed:<3}")
+    else:
+        system_config = DEFAULT_CONFIG
+        if args.no_validate:
+            # The deliberately planted bug: trust checkpoint records without
+            # CRC validation.  Campaigns with torn-write faults must catch it.
+            system_config = dataclasses.replace(system_config, checkpoint_validate=False)
+        if args.sdc or args.no_verify:
+            # Silent-corruption mode arms the integrity layer; --no-verify is
+            # its planted bug — digests computed and paid for, never compared.
+            system_config = dataclasses.replace(
+                system_config,
+                integrity_enabled=True,
+                integrity_verify=not args.no_verify,
+            )
+
+        if args.workload is not None:
+            # Replay mode: one fully seeded experiment, verdict on stdout.
+            harness = ChaosHarness(
+                system_config=system_config, scale=args.scale,
+                fault_count=args.fault_count, silent_corruption=args.sdc,
+            )
+            outcome = harness.run_seed(args.workload, args.seed)
+            print(f"replaying {args.workload} seed={args.seed} "
+                  f"({len(outcome.plan)} fault(s), scale {args.scale})")
+            for text in render_plan(outcome.plan):
+                print(f"  - {text}")
+            print(f"degraded={outcome.degraded}, "
+                  f"fault events={outcome.fault_event_count}")
+            if outcome.ok:
+                print("all invariants held")
+                return 0
+            for violation in outcome.violations:
+                print(f"VIOLATION {violation.render()}")
+            return 1
+
+        workloads = tuple(name.strip() for name in args.workloads.split(",") if name.strip())
+        from .workloads import workload_names
+
+        unknown = [name for name in workloads if name not in workload_names()]
+        if unknown:
+            print(f"repro chaos: error: unknown workload(s) {unknown}; "
+                  f"known: {sorted(workload_names())}", file=sys.stderr)
+            return 2
+        config = CampaignConfig(
+            runs=args.runs,
+            workloads=workloads,
+            base_seed=args.seed,
+            fault_count=args.fault_count,
+            scale=args.scale,
+            system_config=system_config,
+            silent_corruption=args.sdc,
         )
-        outcome = harness.run_seed(args.workload, args.seed)
-        print(f"replaying {args.workload} seed={args.seed} "
-              f"({len(outcome.plan)} fault(s), scale {args.scale})")
-        for text in render_plan(outcome.plan):
-            print(f"  - {text}")
-        print(f"degraded={outcome.degraded}, "
-              f"fault events={outcome.fault_event_count}")
-        if outcome.ok:
-            print("all invariants held")
-            return 0
-        for violation in outcome.violations:
-            print(f"VIOLATION {violation.render()}")
-        return 1
 
-    workloads = tuple(name.strip() for name in args.workloads.split(",") if name.strip())
-    from .workloads import workload_names
-
-    unknown = [name for name in workloads if name not in workload_names()]
-    if unknown:
-        print(f"repro chaos: error: unknown workload(s) {unknown}; "
-              f"known: {sorted(workload_names())}", file=sys.stderr)
-        return 2
-    config = CampaignConfig(
-        runs=args.runs,
-        workloads=workloads,
-        base_seed=args.seed,
-        fault_count=args.fault_count,
-        scale=args.scale,
-        system_config=system_config,
-        silent_corruption=args.sdc,
-    )
+        def describe(outcome):
+            return (f"{outcome.workload:<14} seed={outcome.seed:<6} "
+                    f"degraded={str(outcome.degraded):<5}")
 
     def progress(outcome):
         mark = "ok" if outcome.ok else "VIOLATION"
-        print(f"  run {outcome.seed - config.base_seed:>4} "
-              f"{outcome.workload:<14} seed={outcome.seed:<6} "
-              f"degraded={str(outcome.degraded):<5} {mark}")
+        print(f"  run {outcome.seed - config.base_seed:>4} {describe(outcome)} {mark}")
 
-    on_outcome = progress if args.verbose else None
-    if args.workers > 1:
-        from .parallel import run_campaign_parallel
-
-        result = run_campaign_parallel(config, workers=args.workers,
-                                       on_outcome=on_outcome)
-    else:
-        result = run_campaign(config, on_outcome=on_outcome)
+    result = run_campaign(config, on_outcome=progress if args.verbose else None,
+                          workers=args.workers)
     print(result.render())
     if args.json:
         export.dump(result, args.json)

@@ -9,8 +9,8 @@ them over on device loss (resuming from line-boundary checkpoints),
 degrades gracefully under overload, and accounts per-tenant SLOs
 (queue-wait / end-to-end p50 and p99).
 
-Chaos campaigns over the fleet (:func:`run_fleet_campaign`, or
-``python -m repro chaos --fleet``) enforce the two rack-level
+Chaos campaigns over the fleet (``run_campaign(FleetCampaignConfig(...))``
+from :mod:`repro.chaos`, or ``python -m repro chaos --fleet``) enforce the two rack-level
 guarantees — every admitted job terminates exactly once, in a typed
 state; tenant A's faults never perturb tenant B's run signatures —
 and ddmin-shrink any violating fleet plan to a minimal repro.
@@ -28,15 +28,11 @@ from .admission import (
 )
 from .chaos import (
     FleetCampaignConfig,
-    FleetCampaignResult,
     FleetChaosOutcome,
     FleetHarness,
-    FleetShrunkFailure,
     check_fleet_invariants,
-    fleet_replay_command,
     raise_for_violations,
     random_fleet_plan,
-    run_fleet_campaign,
 )
 from .fleet import (
     DEFAULT_ALERT_CONSECUTIVE,
@@ -67,12 +63,10 @@ __all__ = [
     "DEFAULT_SLO_MULTIPLE",
     "Fleet",
     "FleetCampaignConfig",
-    "FleetCampaignResult",
     "FleetChaosOutcome",
     "FleetConfig",
     "FleetHarness",
     "FleetReport",
-    "FleetShrunkFailure",
     "JobArrival",
     "JobOutcome",
     "JobProfile",
@@ -90,11 +84,9 @@ __all__ = [
     "check_fleet_invariants",
     "default_tenants",
     "device_names",
-    "fleet_replay_command",
     "percentile",
     "raise_for_violations",
     "random_fleet_plan",
-    "run_fleet_campaign",
     "to_fleet_chrome_trace",
     "write_fleet_chrome_trace",
 ]

@@ -15,21 +15,20 @@ rack-level guarantees:
   ``TENANT_FAULT_INJECTION`` targeted must receive exactly the
   fault-free signature for each job that ran.
 
-Violating plans are minimised with the same ddmin shrinker the
-single-machine campaign uses (:func:`repro.chaos.shrink.shrink_plan`
-is generic over plans + a reproduction predicate), and reported with
-the exact CLI command that replays them.  Profiles are cached across
-the whole campaign, so shrink probes re-run only the cheap outer DES.
+The campaign runs through the same driver as the single-machine one
+(:func:`repro.chaos.campaign.run_campaign`): violating plans are
+minimised with the same ddmin shrinker and reported with the exact CLI
+command that replays them.  Profiles are cached across the whole
+campaign, so shrink probes re-run only the cheap outer DES.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..chaos.invariants import InvariantViolation
-from ..chaos.shrink import ShrinkResult, render_plan, shrink_plan
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import FleetError, TenantIsolationError
 from ..faults.spec import FaultKind, FaultPlan, FaultSpec
@@ -45,15 +44,11 @@ from .traffic import TenantSpec, default_tenants
 
 __all__ = [
     "FleetCampaignConfig",
-    "FleetCampaignResult",
     "FleetChaosOutcome",
     "FleetHarness",
-    "FleetShrunkFailure",
     "check_fleet_invariants",
-    "fleet_replay_command",
     "raise_for_violations",
     "random_fleet_plan",
-    "run_fleet_campaign",
 ]
 
 #: The terminal statuses the termination invariant admits.
@@ -241,27 +236,12 @@ class FleetChaosOutcome:
         payload.update(self.summary())
         return payload
 
+    def failure_key(self) -> Dict[str, Any]:
+        """The fields that name this run in a failure report."""
+        return {"seed": self.seed}
 
-@dataclass(frozen=True)
-class FleetShrunkFailure:
-    """A violating fleet run distilled to its minimal fleet plan."""
-
-    outcome: FleetChaosOutcome
-    shrink: ShrinkResult
-    replay_command: str
-
-    def render(self) -> str:
-        lines = [f"FLEET FAILURE: seed={self.outcome.seed}"]
-        for violation in self.outcome.violations:
-            lines.append(f"  violated  {violation.render()}")
-        lines.append(
-            f"  shrunk    {len(self.outcome.plan)} fault(s) -> "
-            f"{len(self.shrink.minimal)} ({self.shrink.probes} probe(s))"
-        )
-        for text in render_plan(self.shrink.minimal):
-            lines.append(f"    - {text}")
-        lines.append(f"  replay    {self.replay_command}")
-        return "\n".join(lines)
+    def failure_title(self) -> str:
+        return f"FLEET FAILURE: seed={self.seed}"
 
 
 @dataclass(frozen=True)
@@ -292,79 +272,40 @@ class FleetCampaignConfig:
                 f"fault_count must be at least 1, got {self.fault_count}"
             )
 
+    # --- what the campaign driver asks of a config -------------------------
 
-@dataclass
-class FleetCampaignResult:
-    """Every fleet outcome plus the shrunk failures, ready to render."""
+    experiment: ClassVar[str] = "fleet-chaos-campaign"
+    held: ClassVar[str] = "all fleet invariants held"
 
-    config: FleetCampaignConfig
-    outcomes: List[FleetChaosOutcome] = field(default_factory=list)
-    failures: List[FleetShrunkFailure] = field(default_factory=list)
+    def harness(self) -> FleetHarness:
+        return FleetHarness(self)
 
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
+    def run_keys(self) -> List[Tuple[int]]:
+        """``(seed,)`` of every run, in run order."""
+        return [(self.base_seed + run,) for run in range(self.runs)]
 
-    @property
-    def violations(self) -> int:
-        return sum(len(outcome.violations) for outcome in self.outcomes)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and all(o.ok for o in self.outcomes)
-
-    def render(self) -> str:
-        lines = [
-            f"fleet chaos campaign: {self.runs} run(s), "
-            f"{self.config.device_count} device(s), "
-            f"{len(self.config.tenants)} tenant(s), "
-            f"seeds {self.config.base_seed}.."
-            f"{self.config.base_seed + max(self.runs - 1, 0)}",
-            f"  jobs/run        : {self.config.job_count}",
-            f"  completed       : "
-            f"{sum(o.completed for o in self.outcomes)}",
-            f"  degraded        : {sum(o.degraded for o in self.outcomes)}",
-            f"  shed            : {sum(o.shed for o in self.outcomes)}",
-            f"  violations      : {self.violations}",
+    def headline(self, outcomes: Sequence[FleetChaosOutcome]) -> List[str]:
+        runs = len(outcomes)
+        return [
+            f"fleet chaos campaign: {runs} run(s), "
+            f"{self.device_count} device(s), {len(self.tenants)} tenant(s), "
+            f"seeds {self.base_seed}..{self.base_seed + max(runs - 1, 0)}",
+            f"  jobs/run        : {self.job_count}",
+            f"  completed       : {sum(o.completed for o in outcomes)}",
+            f"  degraded        : {sum(o.degraded for o in outcomes)}",
+            f"  shed            : {sum(o.shed for o in outcomes)}",
         ]
-        for failure in self.failures:
-            lines.append("")
-            lines.append(failure.render())
-        if self.ok:
-            lines.append("  all fleet invariants held")
-        return "\n".join(lines)
 
-    # --- the common report protocol (see analysis/export.py) ---------------
-
-    def summary(self) -> Dict[str, Any]:
+    def summary_fields(self, outcomes: Sequence[FleetChaosOutcome]) -> Dict[str, Any]:
         return {
-            "runs": self.runs,
-            "ok": self.ok,
-            "violations": self.violations,
-            "failures": len(self.failures),
-            "device_count": self.config.device_count,
-            "tenants": [t.name for t in self.config.tenants],
-            "job_count": self.config.job_count,
-            "base_seed": self.config.base_seed,
-            "completed": sum(o.completed for o in self.outcomes),
-            "degraded": sum(o.degraded for o in self.outcomes),
-            "shed": sum(o.shed for o in self.outcomes),
+            "device_count": self.device_count,
+            "tenants": [t.name for t in self.tenants],
+            "job_count": self.job_count,
+            "base_seed": self.base_seed,
+            "completed": sum(o.completed for o in outcomes),
+            "degraded": sum(o.degraded for o in outcomes),
+            "shed": sum(o.shed for o in outcomes),
         }
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"experiment": "fleet-chaos-campaign"}
-        payload.update(self.summary())
-        payload["outcomes"] = [o.to_jsonable() for o in self.outcomes]
-        payload["failures"] = [
-            {
-                "seed": f.outcome.seed,
-                "minimal_plan": list(render_plan(f.shrink.minimal)),
-                "shrink_probes": f.shrink.probes,
-                "replay": f.replay_command,
-            }
-            for f in self.failures
-        ]
-        return payload
 
 
 class FleetHarness:
@@ -467,64 +408,36 @@ class FleetHarness:
         """One fully seeded fleet experiment (the replay entry point)."""
         return self.run_plan(self.plan_for(seed), seed=seed)
 
-    def reproducer(self, seed: int) -> Callable[[FaultPlan], bool]:
+    # --- what the campaign driver asks of a harness ------------------------
+
+    def reproducer(self, outcome: FleetChaosOutcome) -> Callable[[FaultPlan], bool]:
         """Predicate for the shrinker: does this fleet plan still violate?
 
         Shrink probes keep the run's own traffic seed fixed so only the
         plan varies — the predicate is a pure function of the plan.
         """
         def reproduces(candidate: FaultPlan) -> bool:
-            return not self.run_plan(candidate, seed=seed).ok
+            return not self.run_plan(candidate, seed=outcome.seed).ok
         return reproduces
 
+    def replay_command(self, outcome: FleetChaosOutcome) -> str:
+        """The CLI command that replays ``outcome``'s seeded fleet run."""
+        config = self.config
+        parts = [
+            "python -m repro chaos --fleet",
+            "--runs 1",
+            f"--seed {outcome.seed}",
+            f"--devices {config.device_count}",
+            f"--tenants {len(config.tenants)}",
+            f"--jobs {config.job_count}",
+            f"--fault-count {config.fault_count}",
+        ]
+        if config.scale != DEFAULT_FLEET_SCALE:
+            parts.append(f"--scale {config.scale}")
+        if config.no_isolation:
+            parts.append("--no-isolation")
+        return " ".join(parts)
 
-def fleet_replay_command(
-    outcome: FleetChaosOutcome, config: FleetCampaignConfig
-) -> str:
-    parts = [
-        "python -m repro chaos --fleet",
-        "--runs 1",
-        f"--seed {outcome.seed}",
-        f"--devices {config.device_count}",
-        f"--tenants {len(config.tenants)}",
-        f"--jobs {config.job_count}",
-        f"--fault-count {config.fault_count}",
-    ]
-    if config.scale != DEFAULT_FLEET_SCALE:
-        parts.append(f"--scale {config.scale}")
-    if config.no_isolation:
-        parts.append("--no-isolation")
-    return " ".join(parts)
-
-
-def run_fleet_campaign(
-    config: FleetCampaignConfig,
-    on_outcome: Optional[Callable[[FleetChaosOutcome], None]] = None,
-) -> FleetCampaignResult:
-    """Run a full fleet campaign; shrink and report every violating run."""
-    harness = FleetHarness(config)
-    result = FleetCampaignResult(config=config)
-    for run in range(config.runs):
-        seed = config.base_seed + run
-        outcome = harness.run_seed(seed)
-        result.outcomes.append(outcome)
-        if on_outcome is not None:
-            on_outcome(outcome)
-        if outcome.ok:
-            continue
-        if config.shrink_failures and len(outcome.plan) > 0:
-            shrunk = shrink_plan(
-                outcome.plan,
-                harness.reproducer(seed),
-                max_probes=config.max_shrink_probes,
-            )
-        else:
-            shrunk = ShrinkResult(
-                minimal=outcome.plan, probes=0, budget_exhausted=False,
-            )
-        result.failures.append(FleetShrunkFailure(
-            outcome=outcome,
-            shrink=shrunk,
-            replay_command=fleet_replay_command(outcome, config),
-        ))
-    return result
+    def warm(self, keys: Sequence[Tuple[int]]) -> None:
+        """Resolve the tenants and the horizon every plan is drawn over."""
+        self.horizon_s()

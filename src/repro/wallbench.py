@@ -16,8 +16,8 @@ Two scenarios:
 
 ``parallel_campaign``
     A chaos campaign with the performance layer on (profile cache +
-    ``run_campaign_parallel``) vs. the pre-layer baseline (cache
-    disabled, serial loop).  Outcomes are asserted identical.
+    ``run_campaign(config, workers=N)``) vs. the pre-layer baseline
+    (cache disabled, in-process loop).  Outcomes are asserted identical.
 
 ``engine_microbench``
     Raw event throughput of the :class:`~repro.sim.Simulator` vs. a
@@ -47,7 +47,6 @@ from .chaos.campaign import CampaignConfig, run_campaign
 from .config import DEFAULT_CONFIG
 from .errors import ReproError
 from .hw.topology import build_machine
-from .parallel import run_campaign_parallel
 from .runtime.activepy import ActivePy
 from .runtime.profcache import ProfileCache
 from .workloads import get_workload
@@ -150,9 +149,9 @@ def bench_parallel_campaign(
     """Performance layer on (cache + workers) vs. the serial baseline.
 
     The baseline arm is the pre-layer behaviour: profile cache disabled
-    and the serial campaign loop.  The layer arm runs the same campaign
-    through :func:`~repro.parallel.run_campaign_parallel` with a fresh
-    cache directory.  Both arms skip per-run metric snapshots so the
+    and the in-process campaign loop.  The layer arm runs the same
+    campaign through :func:`~repro.chaos.campaign.run_campaign` with
+    ``workers`` processes and a fresh cache directory.  Both arms skip per-run metric snapshots so the
     comparison is runner vs. runner, not snapshot cost.
     """
     config = CampaignConfig(runs=runs, scale=scale, collect_metrics=False)
@@ -167,7 +166,7 @@ def bench_parallel_campaign(
         os.environ["REPRO_CACHE_DIR"] = tmp
         try:
             start = time.perf_counter()
-            parallel = run_campaign_parallel(config, workers=workers)
+            parallel = run_campaign(config, workers=workers)
             parallel_s = time.perf_counter() - start
         finally:
             if previous is None:

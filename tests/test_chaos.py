@@ -18,7 +18,6 @@ from repro.chaos import (
     run_campaign,
     shrink_plan,
 )
-from repro.chaos.campaign import replay_command
 from repro.config import DEFAULT_CONFIG
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 
@@ -215,10 +214,7 @@ class TestCampaign:
         )
         outcome = harness.run_seed(PLANTED_WORKLOAD, PLANTED_SEED)
         assert not outcome.ok
-        command = replay_command(
-            outcome,
-            CampaignConfig(scale=PLANTED_SCALE, system_config=BUGGED_CONFIG),
-        )
+        command = harness.replay_command(outcome)
         assert command == (
             f"python -m repro chaos --workload {PLANTED_WORKLOAD} "
             f"--seed {PLANTED_SEED} --fault-count 3 --no-validate"

@@ -2,16 +2,15 @@
 
 import pytest
 
+from repro.chaos import run_campaign
 from repro.errors import FleetError, TenantIsolationError
 from repro.faults.spec import FLEET_KINDS, FaultKind, FaultPlan, FaultSpec
 from repro.fleet import (
     FleetCampaignConfig,
     FleetHarness,
     check_fleet_invariants,
-    fleet_replay_command,
     raise_for_violations,
     random_fleet_plan,
-    run_fleet_campaign,
 )
 from repro.fleet.fleet import FleetReport, JobOutcome
 
@@ -77,7 +76,7 @@ class TestInvariantsHold:
 
 class TestPlantedIsolationBug:
     def test_campaign_catches_and_shrinks_to_one_minimal(self, buggy_harness):
-        result = run_fleet_campaign(FleetCampaignConfig(
+        result = run_campaign(FleetCampaignConfig(
             runs=3, job_count=24, base_seed=1, no_isolation=True,
         ))
         assert not result.ok
@@ -93,7 +92,7 @@ class TestPlantedIsolationBug:
             assert "--no-isolation" in failure.replay_command
 
     def test_correct_scheduler_passes_the_same_seeds(self):
-        result = run_fleet_campaign(FleetCampaignConfig(
+        result = run_campaign(FleetCampaignConfig(
             runs=3, job_count=24, base_seed=1, no_isolation=False,
         ))
         assert result.ok, result.render()
@@ -185,7 +184,7 @@ class TestInvariantChecker:
 class TestReplayCommand:
     def test_command_shape(self, harness):
         outcome = harness.run_seed(2)
-        command = fleet_replay_command(outcome, harness.config)
+        command = harness.replay_command(outcome)
         assert command.startswith("python -m repro chaos --fleet --runs 1")
         assert "--seed 2" in command
         assert "--devices 4" in command

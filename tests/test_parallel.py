@@ -1,14 +1,14 @@
-"""The parallel campaign runner matches the serial one bit for bit."""
+"""Campaigns across worker processes match the in-process ones bit for bit."""
+
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
 
 from repro.chaos.campaign import CampaignConfig, run_campaign
 from repro.errors import ChaosError
-from repro.parallel import (
-    default_workers,
-    merge_metric_snapshots,
-    run_campaign_parallel,
-)
+from repro.fleet import FleetCampaignConfig
+from repro.parallel import default_workers, merge_metric_snapshots
 
 #: Small scale so the workers-vs-serial comparison runs in seconds.
 SCALE = 2 ** -8
@@ -19,8 +19,8 @@ class TestParallelMatchesSerial:
         config = CampaignConfig(
             runs=8, base_seed=0, scale=SCALE, collect_metrics=True,
         )
-        serial = run_campaign_parallel(config, workers=1)
-        parallel = run_campaign_parallel(config, workers=4)
+        serial = run_campaign(config, workers=1)
+        parallel = run_campaign(config, workers=4)
         assert [o.summary() for o in serial.outcomes] == \
                [o.summary() for o in parallel.outcomes]
         assert [o.plan for o in serial.outcomes] == \
@@ -34,13 +34,13 @@ class TestParallelMatchesSerial:
         config = CampaignConfig(runs=5, base_seed=11, scale=SCALE,
                                 collect_metrics=False)
         assert (run_campaign(config).summary()
-                == run_campaign_parallel(config, workers=3).summary())
+                == run_campaign(config, workers=3).summary())
 
     def test_on_outcome_streams_in_run_order(self):
         config = CampaignConfig(runs=6, scale=SCALE, collect_metrics=False)
         seen = []
-        run_campaign_parallel(config, workers=4,
-                              on_outcome=lambda o: seen.append(o.seed))
+        run_campaign(config, workers=4,
+                     on_outcome=lambda o: seen.append(o.seed))
         assert seen == [config.base_seed + r for r in range(6)]
 
     def test_shrunk_failures_match_serial(self):
@@ -57,7 +57,7 @@ class TestParallelMatchesSerial:
             system_config=buggy, collect_metrics=False,
         )
         serial = run_campaign(config)
-        parallel = run_campaign_parallel(config, workers=4)
+        parallel = run_campaign(config, workers=4)
         assert serial.violations == parallel.violations
         assert len(serial.failures) == len(parallel.failures)
         for ours, theirs in zip(parallel.failures, serial.failures):
@@ -69,7 +69,26 @@ class TestParallelMatchesSerial:
     def test_workers_must_be_positive(self):
         config = CampaignConfig(runs=2, scale=SCALE)
         with pytest.raises(ChaosError, match="workers"):
-            run_campaign_parallel(config, workers=0)
+            run_campaign(config, workers=0)
+
+    def test_fleet_shrunk_failures_match_serial(self):
+        # no_isolation is the fleet's planted bug; seeds 1..3 violate it.
+        config = FleetCampaignConfig(runs=3, base_seed=1, no_isolation=True)
+        serial = run_campaign(config, workers=1)
+        with mock.patch("concurrent.futures.ProcessPoolExecutor",
+                        side_effect=ProcessPoolExecutor) as pool:
+            parallel = run_campaign(config, workers=4)
+        assert pool.call_count == 1
+        assert [o.summary() for o in serial.outcomes] == \
+               [o.summary() for o in parallel.outcomes]
+        assert serial.summary() == parallel.summary()
+        assert not parallel.ok and parallel.failures
+        assert len(serial.failures) == len(parallel.failures)
+        for ours, theirs in zip(parallel.failures, serial.failures):
+            assert ours.outcome.summary() == theirs.outcome.summary()
+            assert ours.shrink.minimal == theirs.shrink.minimal
+            assert ours.shrink.probes == theirs.shrink.probes
+            assert ours.replay_command == theirs.replay_command
 
     def test_default_workers_at_least_one(self):
         assert default_workers() >= 1
@@ -119,7 +138,7 @@ class TestMergeMetricSnapshots:
 
     def test_merged_over_real_campaign(self):
         config = CampaignConfig(runs=4, scale=SCALE, collect_metrics=True)
-        result = run_campaign_parallel(config, workers=2)
+        result = run_campaign(config, workers=2)
         merged = merge_metric_snapshots(
             [o.metrics for o in result.outcomes if o.metrics]
         )

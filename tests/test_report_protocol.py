@@ -12,7 +12,6 @@ from repro.faults import FaultPlan
 from repro.fleet import (
     Fleet,
     FleetCampaignConfig,
-    FleetCampaignResult,
     FleetChaosOutcome,
     FleetConfig,
     SloSnapshot,
@@ -119,7 +118,7 @@ class TestFleetReportsSpeakTheProtocol:
         )
         assert isinstance(outcome, ReportLike)
         assert to_jsonable(outcome)["experiment"] == "fleet-chaos-run"
-        result = FleetCampaignResult(
+        result = CampaignResult(
             config=FleetCampaignConfig(runs=1), outcomes=[outcome],
         )
         assert isinstance(result, ReportLike)
