@@ -66,10 +66,44 @@ def quantise_features(features: np.ndarray, n_bins: int = 64) -> tuple:
         raise WorkloadError(f"n_bins must lie in [2, 256], got {n_bins}")
     quantiles = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     edges = np.quantile(features, quantiles, axis=0)  # (n_bins-1, d)
+    return _bin_codes(features, _edge_table(edges), edges.shape[0]), edges
+
+
+def _edge_table(bin_edges: np.ndarray) -> np.ndarray:
+    """Each feature's sorted edges as a row, +inf-padded to a power of two.
+
+    The padded width is the smallest power of two above the edge
+    count, so a row always ends in +inf and a lower bound over it
+    never runs off the end.
+    """
+    n_edges, d = bin_edges.shape
+    table = np.full((d, 1 << n_edges.bit_length()), np.inf)
+    table[:, :n_edges] = bin_edges.T
+    return table
+
+
+def _bin_codes(features: np.ndarray, table: np.ndarray, n_edges: int) -> np.ndarray:
+    """Per feature, ``np.searchsorted(edges, x)`` as uint8 codes.
+
+    A branchless lower bound: each halving step adds ``step`` where the
+    probed edge is below the key, so every key costs the same number of
+    compares and no branch mispredicts, unlike a binary search per key.
+    Summing the steps counts the edges strictly below the key — the
+    ``side="left"`` insertion point of sorted, NaN-free edges.  No edge
+    is below a NaN key, so NaN is mapped to ``n_edges`` afterwards,
+    where ``searchsorted`` sorts it.
+    """
     codes = np.empty(features.shape, dtype=np.uint8)
-    for j in range(features.shape[1]):
-        codes[:, j] = np.searchsorted(edges[:, j], features[:, j]).astype(np.uint8)
-    return codes, edges
+    for j, edges in enumerate(table):
+        keys = np.ascontiguousarray(features[:, j])
+        lo = np.zeros(keys.shape[0], dtype=np.intp)
+        step = table.shape[1] // 2
+        while step:
+            lo += (edges.take(lo + (step - 1)) < keys) * step
+            step //= 2
+        lo[np.isnan(keys)] = n_edges
+        codes[:, j] = lo
+    return codes
 
 
 def _best_split(
@@ -214,9 +248,12 @@ class GBDTModel:
     base_score: float
     n_bins: int
     tables: List[DecisionTable] = field(init=False, repr=False, compare=False)
+    #: ``bin_edges`` per feature, laid out for :func:`_bin_codes`.
+    edge_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.tables = [DecisionTable.compile(tree) for tree in self.trees]
+        self.edge_table = _edge_table(self.bin_edges)
 
     @property
     def n_trees(self) -> int:
@@ -224,12 +261,12 @@ class GBDTModel:
 
     def quantise(self, features: np.ndarray) -> np.ndarray:
         """Bin raw features with the training-time edges."""
-        codes = np.empty(features.shape, dtype=np.uint8)
-        for j in range(features.shape[1]):
-            codes[:, j] = np.searchsorted(
-                self.bin_edges[:, j], features[:, j]
-            ).astype(np.uint8)
-        return codes
+        if features.ndim != 2 or features.shape[1] != self.bin_edges.shape[1]:
+            raise WorkloadError(
+                f"features must be (rows, {self.bin_edges.shape[1]}), "
+                f"got shape {features.shape}"
+            )
+        return _bin_codes(features, self.edge_table, self.bin_edges.shape[0])
 
     def predict_codes(self, codes: np.ndarray) -> np.ndarray:
         """Predict from already-binned rows (the CSD-friendly hot path)."""

@@ -76,10 +76,13 @@ def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             f"centroids d={centroids.shape[1]}"
         )
     # ||p - c||^2 = ||p||^2 - 2 p.c + ||c||^2; the ||p||^2 term is
-    # constant per point and does not affect the argmin.
-    cross = points @ centroids.T
-    c_norms = np.einsum("kd,kd->k", centroids, centroids)
-    return np.argmin(c_norms[None, :] - 2.0 * cross, axis=1)
+    # constant per point and does not affect the argmin.  Formed in the
+    # matmul output: IEEE + commutes and -2x is exactly -(2x), so the
+    # bits equal ||c||^2 - 2 p.c without two fresh (n, k) temporaries.
+    scores = points @ centroids.T
+    scores *= -2.0
+    scores += np.einsum("kd,kd->k", centroids, centroids)
+    return np.argmin(scores, axis=1)
 
 
 def kmeans_update(
@@ -90,17 +93,22 @@ def kmeans_update(
     Empty clusters keep a zero centroid and report size 0 — the caller
     decides whether to reseed.
     """
-    d = points.shape[1]
+    if points.ndim != 2:
+        raise WorkloadError(f"points must be 2-D, got shape {points.shape}")
+    n, d = points.shape
+    if labels.shape != (n,):
+        raise WorkloadError(f"{labels.shape} labels for {n} points")
+    if n and (labels.min() < 0 or labels.max() >= k):
+        raise WorkloadError(f"labels must lie in [0, {k})")
     if points.dtype == np.float64:
-        # Weighted bincount accumulates per bin in element order —
-        # the same addition sequence as an unbuffered scatter-add, so
-        # results are bit-identical to np.add.at while running one
-        # C loop per dimension instead of one dispatch per element.
-        sums = np.empty((k, d), dtype=np.float64)
-        for dim in range(d):
-            sums[:, dim] = np.bincount(
-                labels, weights=points[:, dim], minlength=k
-            )
+        # One weighted bincount over (cluster, dimension) bins.  Each
+        # bin adds its rows in row order — the same addition sequence
+        # as an unbuffered scatter-add, so the sums are bit-identical
+        # to np.add.at, in one C loop over all n * d values.
+        bins = labels[:, None] * d + np.arange(d)
+        sums = np.bincount(
+            bins.ravel(), weights=points.ravel(), minlength=k * d
+        ).reshape(k, d)
     else:
         # bincount always accumulates in float64; preserve the exact
         # same-dtype accumulation for non-f64 inputs.

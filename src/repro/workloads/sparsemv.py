@@ -17,7 +17,7 @@ import numpy as np
 
 from ..graph.csr import CSRMatrix
 from ..graph.generators import power_law_prefix, power_law_true_csr_bytes
-from ..graph.pagerank_core import spmv
+from ..graph.pagerank_core import _coo
 from ..lang.dataset import Dataset
 from ..lang.program import Program, Statement, constant, per_record
 from ..units import GB
@@ -74,12 +74,12 @@ def _k_build_csr(p: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _k_sweeps(p: Dict[str, Any]) -> Dict[str, Any]:
-    matrix = CSRMatrix(
+    matrix = _coo(CSRMatrix(
         indptr=p["indptr"], indices=p["indices"], values=p["values"]
-    )
+    ))
     x = np.ones(matrix.n_rows)
     for _ in range(SWEEPS):
-        y = spmv(matrix, x)
+        y = matrix.matvec(x)
         norm = float(np.linalg.norm(y))
         x = y / norm if norm > 0 else np.ones(matrix.n_rows)
     return {"x": x}

@@ -123,6 +123,15 @@ class TestSpmv:
         with pytest.raises(WorkloadError):
             spmv(matrix, np.ones(2))
 
+    def test_negative_column_rejected(self):
+        matrix = CSRMatrix(
+            indptr=np.array([0, 1]),
+            indices=np.array([-1], dtype=np.int32),
+            values=np.ones(1),
+        )
+        with pytest.raises(WorkloadError, match="negative column"):
+            spmv(matrix, np.ones(1))
+
 
 class TestPageRank:
     def make_graph(self):
@@ -159,3 +168,21 @@ class TestPageRank:
             pagerank(self.make_graph(), damping=1.5)
         with pytest.raises(WorkloadError):
             pagerank(self.make_graph(), iterations=0)
+
+    def test_empty_graph_rejected(self):
+        empty = CSRMatrix(
+            indptr=np.zeros(1, dtype=np.int64),
+            indices=np.zeros(0, dtype=np.int32),
+            values=np.zeros(0),
+        )
+        with pytest.raises(WorkloadError, match="at least one vertex"):
+            pagerank(empty)
+
+    def test_out_of_range_column_rejected(self):
+        matrix = CSRMatrix(
+            indptr=np.array([0, 1, 1]),
+            indices=np.array([2], dtype=np.int32),
+            values=np.ones(1),
+        )
+        with pytest.raises(WorkloadError, match="out of range"):
+            pagerank(matrix)

@@ -97,6 +97,13 @@ class TestInference:
         codes = model.quantise(features)
         assert np.array_equal(model.predict(features), model.predict_codes(codes))
 
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 7), (6,), (2, 3, 6)])
+    def test_quantise_rejects_wrong_shape(self, shape):
+        features, targets = make_data()
+        model = GBDTRegressor(n_trees=2).fit(features, targets)
+        with pytest.raises(WorkloadError, match="features must be"):
+            model.quantise(np.zeros(shape))
+
     def test_generalises_to_fresh_rows(self):
         features, targets = make_data()
         model = GBDTRegressor(n_trees=30, max_depth=4).fit(features, targets)

@@ -58,6 +58,17 @@ class TestUpdate:
         centroids, counts = kmeans_update(points, np.array([0]), k=3)
         assert counts.tolist() == [1, 0, 0]
 
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0], [0], [0, 1, 1]])
+    def test_bad_labels_rejected(self, labels):
+        # A label >= k, a negative label, and too few or too many labels.
+        points = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(WorkloadError):
+            kmeans_update(points, np.array(labels), k=2)
+
+    def test_points_must_be_2d(self):
+        with pytest.raises(WorkloadError):
+            kmeans_update(np.zeros(3), np.zeros(3, dtype=np.intp), k=1)
+
 
 class TestFit:
     def test_recovers_separated_blobs(self):
