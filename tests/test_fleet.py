@@ -168,6 +168,54 @@ class TestDeviceLossFailover:
         assert ("rejoined" in {what for _, _, what in report.device_events})
 
 
+class TestMakespanEndsAtTheLastJob:
+    @staticmethod
+    def _last_terminal_event(report):
+        first_arrival = report.outcomes[0].arrival_time
+        return max(o.finish_time for o in report.outcomes) - first_arrival
+
+    @staticmethod
+    def _loss(at_time, target="csd1", duration_s=0.0):
+        return FaultPlan(specs=(FaultSpec(
+            kind=FaultKind.DEVICE_LOST_MID_JOB,
+            at_time=at_time, target=target, duration_s=duration_s,
+        ),))
+
+    def test_a_loss_after_the_last_job_does_not_stretch_it(self, store):
+        clean = Fleet(_config(), profiles=store).run()
+        late = Fleet(_config(plan=self._loss(1000.0)), profiles=store).run()
+        assert late.device_events == ((1000.0, "csd1", "lost"),)
+        assert late.makespan_s == clean.makespan_s
+        assert late.throughput_jobs_per_s == clean.throughput_jobs_per_s
+
+    def test_a_rejoin_after_the_last_job_does_not_stretch_it(self, store):
+        clean = Fleet(_config(), profiles=store).run()
+        victim = next(o for o in clean.outcomes if o.device == "csd1")
+        midpoint = (victim.first_dispatch_time + victim.finish_time) / 2.0
+        report = Fleet(
+            _config(plan=self._loss(midpoint, duration_s=500.0)), profiles=store,
+        ).run()
+        assert report.device_events[-1] == (midpoint + 500.0, "csd1", "rejoined")
+        assert report.makespan_s == self._last_terminal_event(report)
+        assert report.makespan_s < 100.0
+
+    def test_a_stale_completion_does_not_move_the_clock(self, store):
+        # Lose the only device halfway through the last job: the job's
+        # retry finds no device, and its pre-loss completion would have
+        # fired after the retry.  The retry is the last event that acts.
+        clean = Fleet(_config(device_count=1), profiles=store).run()
+        victim = clean.outcomes[-1]
+        midpoint = (victim.first_dispatch_time + victim.finish_time) / 2.0
+        report = Fleet(
+            _config(device_count=1, plan=self._loss(midpoint, target="csd")),
+            profiles=store,
+        ).run()
+        shed = next(o for o in report.outcomes if o.job_id == victim.job_id)
+        assert shed.reason == SHED_NO_DEVICES
+        assert midpoint < shed.finish_time < victim.finish_time
+        assert report.makespan_s == self._last_terminal_event(report)
+
+
 class TestGracefulDegradation:
     def test_overload_sheds_lowest_priority_first(self, store):
         config = _config(
