@@ -11,6 +11,7 @@ only meaningful at ``scale=1.0``.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -58,22 +59,45 @@ def register(name: str):
     return wrap
 
 
+#: The workload modules, in the order :func:`workload_names` lists them.
+_MODULES = (
+    "blackscholes",
+    "kmeans",
+    "lightgbm",
+    "matrixmul",
+    "mixedgemm",
+    "pagerank",
+    "sparsemv",
+    "tpch_queries",
+)
+
+_loaded = False
+
+
 def _ensure_loaded() -> None:
-    """Import every workload module so builders self-register."""
-    from . import (  # noqa: F401
-        blackscholes,
-        kmeans,
-        lightgbm,
-        matrixmul,
-        mixedgemm,
-        pagerank,
-        sparsemv,
-        tpch_queries,
+    """Import every workload module so builders self-register.
+
+    The first call also puts the registry in ``_MODULES`` order, each
+    module's workloads in the order it registers them, whichever module
+    the process happened to import first.
+    """
+    global _loaded
+    if _loaded:
+        return
+    for module in _MODULES:
+        importlib.import_module(f"{__package__}.{module}")
+    rank = {f"{__package__}.{module}": i for i, module in enumerate(_MODULES)}
+    ordered = sorted(
+        _BUILDERS.items(),
+        key=lambda item: rank.get(item[1].__module__, len(rank)),
     )
+    _BUILDERS.clear()
+    _BUILDERS.update(ordered)
+    _loaded = True
 
 
 def workload_names() -> List[str]:
-    """All registered workload names, in registration order."""
+    """All registered workload names, in ``_MODULES`` order."""
     _ensure_loaded()
     return list(_BUILDERS)
 

@@ -1,5 +1,11 @@
 """Workload definitions: registry, sizes, kernels, cost-model honesty."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +42,27 @@ class TestRegistry:
     def test_all_ten_workloads_registered(self):
         names = workload_names()
         assert set(TEST_SCALES) == set(names)
+
+    def test_order_does_not_depend_on_import_order(self):
+        # The pinned run digests iterate this list, so a process that
+        # imports one workload module before anything else must still
+        # list the names in module order.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        script = (
+            "import json, repro.workloads.lightgbm\n"
+            "from repro.workloads import workload_names\n"
+            "print(json.dumps(workload_names()))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert json.loads(out) == workload_names()
+        assert workload_names()[:3] == ["blackscholes", "kmeans", "lightgbm"]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(WorkloadError):
