@@ -12,11 +12,10 @@ Run everything with::
 Expensive experiment results are cached per session so a figure that
 several benchmarks share is computed once.
 
-Results are emitted twice: the canonical copy under ``bench_results/``
-carries a ``schema_version`` 2 envelope with run metadata (config
-hash, seed/workload details the module supplies), and a root-level
-``BENCH_<name>.json`` keeps the pre-schema layout readable for older
-scripts.  The perf gate (:mod:`repro.perfgate`) reads either.
+Results go to ``bench_results/BENCH_<name>.json`` in a
+``schema_version`` 2 envelope with run metadata (config hash, the
+seed/workload details the module supplies).  The perf gate
+(:mod:`repro.perfgate`) reads them there.
 """
 
 from __future__ import annotations
@@ -32,17 +31,10 @@ from repro.config import DEFAULT_CONFIG
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: Canonical results directory (schema v2, with metadata envelope).
+#: Results directory (schema v2, with metadata envelope).
 _RESULTS_DIR = _REPO_ROOT / "bench_results"
 
-#: Root-level ``BENCH_<name>.json`` files predate the schema and stay
-#: byte-compatible for scripts that read them in place.
-_BENCH_DIR = _REPO_ROOT
-
 _SCHEMA_VERSION = 2
-
-#: Envelope keys stripped before merging so a v1 file upgrades cleanly.
-_ENVELOPE_KEYS = ("schema_version", "meta")
 
 
 def config_hash() -> str:
@@ -64,45 +56,24 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
 
-def _merge_existing(path: Path, payload: dict) -> dict:
-    merged: dict = {}
-    if path.exists():
-        try:
-            merged = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            merged = {}
-    for key in _ENVELOPE_KEYS:
-        merged.pop(key, None)
-    merged.update(payload)
-    return merged
-
-
 def write_bench_json(name: str, payload: dict, meta: Optional[dict] = None) -> Path:
-    """Write one benchmark module's results.
+    """Write one benchmark module's results; returns the file's path.
 
-    Modules accumulate into the same files across their tests (read,
+    Modules accumulate into the same file across their tests (read,
     merge, rewrite), so a partial run still leaves valid JSON behind.
     ``meta`` carries run metadata (seed, workloads, scale...) into the
     schema-v2 envelope; identity metadata (config hash, version) is
-    stamped automatically.  Returns the canonical (``bench_results/``)
-    path.
+    stamped automatically.
     """
-    root_path = _BENCH_DIR / f"BENCH_{name}.json"
-    merged = _merge_existing(root_path, payload)
-    root_path.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-    _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    canonical = _RESULTS_DIR / f"BENCH_{name}.json"
-    previous_meta: dict = {}
-    if canonical.exists():
+    path = _RESULTS_DIR / f"BENCH_{name}.json"
+    previous: dict = {}
+    if path.exists():
         try:
-            previous_meta = json.loads(
-                canonical.read_text(encoding="utf-8")
-            ).get("meta", {})
+            previous = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
-            previous_meta = {}
+            previous = {}
+    previous.pop("schema_version", None)
+    previous_meta = previous.pop("meta", {})
     envelope = {
         "schema_version": _SCHEMA_VERSION,
         "meta": {
@@ -112,9 +83,11 @@ def write_bench_json(name: str, payload: dict, meta: Optional[dict] = None) -> P
             "repro_version": __version__,
             **(meta or {}),
         },
-        **merged,
+        **previous,
+        **payload,
     }
-    canonical.write_text(
+    _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    path.write_text(
         json.dumps(envelope, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return canonical
+    return path

@@ -544,9 +544,7 @@ def _cmd_bench(args) -> int:
           f"{micro['engine_events_per_second'] / 1e6:.2f} M/s Simulator vs "
           f"{micro['heapq_events_per_second'] / 1e6:.2f} M/s bare heapq "
           f"({micro['fraction_of_heapq']:.2f}x the heapq time)")
-    root_path, canonical = write_wall_bench(payload, workers=args.workers)
-    print(f"wrote {root_path}")
-    print(f"wrote {canonical}")
+    print(f"wrote {write_wall_bench(payload, workers=args.workers)}")
     return 0
 
 
@@ -922,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_check.add_argument(
         "--root", default=".",
-        help="repo root holding BENCH_*.json / bench_results/ (default: .)",
+        help="repo root holding bench_results/BENCH_*.json (default: .)",
     )
     perf_check.add_argument(
         "--baselines", default=None, metavar="DIR",

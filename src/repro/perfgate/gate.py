@@ -55,8 +55,8 @@ __all__ = [
 #: Default directory (repo-relative) holding committed baselines.
 BASELINE_DIR_NAME = "perf_baselines"
 
-#: Where fresh results are searched, in priority order.
-_RESULT_DIRS = ("bench_results", ".")
+#: Directory (repo-relative) holding fresh ``BENCH_<bench>.json`` results.
+_RESULTS_DIR_NAME = "bench_results"
 
 _SCHEMA_VERSION = 1
 
@@ -182,15 +182,14 @@ def lookup(payload: Dict, path: str) -> Optional[float]:
 
 
 def load_results(bench: str, root: Path) -> Optional[Dict]:
-    """Read ``BENCH_<bench>.json``, preferring ``bench_results/``."""
-    for directory in _RESULT_DIRS:
-        path = root / directory / f"BENCH_{bench}.json"
-        if path.exists():
-            try:
-                return json.loads(path.read_text(encoding="utf-8"))
-            except ValueError as exc:
-                raise PerfGateError(f"unreadable benchmark results {path}: {exc}")
-    return None
+    """Read ``bench_results/BENCH_<bench>.json`` under ``root``."""
+    path = root / _RESULTS_DIR_NAME / f"BENCH_{bench}.json"
+    if not path.exists():
+        return None
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise PerfGateError(f"unreadable benchmark results {path}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,7 @@ def snapshot(root: Path, baselines_dir: Optional[Path] = None) -> List[Path]:
         payload = load_results(bench, root)
         if payload is None:
             raise PerfGateError(
-                f"no BENCH_{bench}.json found under {root}; "
+                f"no BENCH_{bench}.json found under {root / _RESULTS_DIR_NAME}; "
                 f"run the benchmark suite before snapshotting"
             )
         entry: Dict[str, Dict] = {}

@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from .chaos.campaign import CampaignConfig, run_campaign
 from .config import DEFAULT_CONFIG
@@ -293,34 +293,28 @@ def write_wall_bench(
     root: Optional[Path] = None,
     workers: int = CAMPAIGN_WORKERS,
     merge: bool = False,
-) -> Tuple[Path, Path]:
-    """Write the dual BENCH_wall.json files (root + ``bench_results/``).
+) -> Path:
+    """Write ``bench_results/BENCH_wall.json``; returns its path.
 
-    Mirrors the benchmark harness convention: the root copy keeps the
-    bare payload, the canonical ``bench_results/`` copy wraps it in the
-    schema-v2 envelope with run metadata.  ``merge`` folds ``payload``
-    into whatever the root copy already holds, so bench tests that each
-    produce one section accumulate into a single valid file.
+    The payload goes in the schema-v2 envelope with run metadata, like
+    every other benchmark result.  ``merge`` folds ``payload`` into the
+    sections the file already holds, so bench tests that each produce
+    one section accumulate into a single valid file.
     """
     from . import __version__
 
     root = Path(root) if root is not None else Path.cwd()
-    root_path = root / "BENCH_wall.json"
-    if merge and root_path.exists():
+    path = root / "bench_results" / "BENCH_wall.json"
+    if merge and path.exists():
         try:
-            existing = json.loads(root_path.read_text(encoding="utf-8"))
+            existing = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             existing = {}
         for key in ("schema_version", "meta"):
             existing.pop(key, None)
         existing.update(payload)
         payload = existing
-    root_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    results_dir = root / "bench_results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    canonical = results_dir / "BENCH_wall.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     envelope = {
         "schema_version": _SCHEMA_VERSION,
         "meta": {
@@ -336,7 +330,7 @@ def write_wall_bench(
         },
         **payload,
     }
-    canonical.write_text(
+    path.write_text(
         json.dumps(envelope, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return root_path, canonical
+    return path

@@ -13,6 +13,7 @@ from repro.perfgate import (
     lookup,
     snapshot,
 )
+from repro.wallbench import write_wall_bench
 
 
 class TestLookup:
@@ -175,6 +176,24 @@ class TestMissingPieces:
         (tmp_path / "bench_results" / "BENCH_obs.json").write_text("{nope")
         with pytest.raises(PerfGateError, match="unreadable"):
             load_results("obs", tmp_path)
+
+    def test_a_root_level_copy_is_not_read(self, tmp_path):
+        (tmp_path / "BENCH_obs.json").write_text("{}")
+        assert load_results("obs", tmp_path) is None
+
+
+class TestWallBenchFile:
+    def test_one_file_that_accumulates_sections(self, tmp_path):
+        path = write_wall_bench({"warm_run": {"speedup": 4.0}}, root=tmp_path)
+        write_wall_bench({"engine_microbench": {"events": 10}},
+                         root=tmp_path, merge=True)
+        assert path == tmp_path / "bench_results" / "BENCH_wall.json"
+        assert list(tmp_path.rglob("*.json")) == [path]
+        written = json.loads(path.read_text())
+        assert written["schema_version"] == 2
+        assert written["meta"]["bench"] == "wall"
+        assert written["warm_run"] == {"speedup": 4.0}
+        assert written["engine_microbench"] == {"events": 10}
 
 
 class TestCommittedBaselines:
