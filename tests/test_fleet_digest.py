@@ -35,6 +35,22 @@ PINNED_FLEET_DIGEST = (
 )
 
 
+#: The ``serve`` run's recorder shapes for the second pin.  Its 1 000-job
+#: ``fleet.e2e.*`` series stop at ~345 of 4 096 points, so a 32-point ring
+#: wraps each of them; a 1 000 s horizon outlasts the ~93 s makespan, so
+#: every window is the whole ring.
+RECORDERS = (
+    ("ring-wrap", {"capacity": 32}),
+    ("whole-ring-window", {"sample_horizon_s": 1000.0}),
+)
+
+#: sha256, as for ``PINNED_FLEET_DIGEST``, over the ``serve`` run
+#: recorded under each of ``RECORDERS``, in order.
+PINNED_RING_DIGEST = (
+    "e8d1f16031f49c224b981398bf2eed3a154995ec972782f1a9cf8f2c435d3195"
+)
+
+
 def _loss(target, at_time, duration_s=0.0):
     return FaultSpec(kind=FaultKind.DEVICE_LOST_MID_JOB, target=target,
                      at_time=at_time, duration_s=duration_s)
@@ -79,14 +95,15 @@ CONFIGS = (
 )
 
 
-def _run(config):
+def _run(config, **recorder):
     store = ProfileStore(system_config=config.system_config, scale=config.scale)
-    return Fleet(config, profiles=store, obs=Observability.with_timeseries()).run()
+    obs = Observability.with_timeseries(**recorder)
+    return Fleet(config, profiles=store, obs=obs).run()
 
 
-def _digest(reports):
+def _digest(reports, named=CONFIGS):
     hasher = hashlib.sha256()
-    for (name, _), report in zip(CONFIGS, reports):
+    for (name, _), report in zip(named, reports):
         hasher.update(name.encode())
         hasher.update(json.dumps(report.to_jsonable(), sort_keys=True).encode())
         hasher.update(
@@ -102,6 +119,16 @@ def runs(tmp_path_factory):
         patch.setenv("REPRO_PROFCACHE", "1")
         patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("profcache")))
         return [[_run(config) for _, config in CONFIGS] for _ in ("cold", "warm")]
+
+
+@pytest.fixture(scope="module")
+def ring_runs(tmp_path_factory):
+    """The ``serve`` run's report under each of ``RECORDERS``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_PROFCACHE", "1")
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("profcache")))
+        serve = CONFIGS[0][1]
+        return [_run(serve, **recorder) for _, recorder in RECORDERS]
 
 
 class TestFleetDigest:
@@ -123,3 +150,17 @@ class TestFleetDigest:
             o for o in cold[-1].outcomes if "+residue:" in str(o.signature)
         ]
         assert residue
+
+
+class TestRingDigest:
+    def test_wrapped_and_whole_ring_windows_are_pinned(self, ring_runs):
+        assert _digest(ring_runs, named=RECORDERS) == PINNED_RING_DIGEST
+
+    def test_every_latency_ring_wraps_inside_the_horizon(self, ring_runs):
+        wrapped, whole = (report.timeline["series"] for report in ring_runs)
+        e2e = [name for name in whole if name.startswith("fleet.e2e.")]
+        assert len(e2e) == 3
+        for name in e2e:
+            assert len(wrapped[name]["points"]) == 32
+            assert len(whole[name]["points"]) > 32
+        assert ring_runs[1].makespan_s < 1000.0
