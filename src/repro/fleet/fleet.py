@@ -57,7 +57,7 @@ from .admission import (
     QueuedJob,
 )
 from .profiles import JobProfile, ProfileStore
-from .slo import SloSnapshot
+from .slo import SloSnapshot, percentile
 from .traffic import JobArrival, TenantSpec, TrafficGenerator, default_tenants
 
 __all__ = [
@@ -693,17 +693,20 @@ class _FleetRun:
             self.obs.observe("fleet.queue_wait_s", outcome.queue_wait_s)
         if rec is not None:
             tenant = outcome.tenant
+            e2e = f"fleet.e2e.{tenant}"
             rec.count("fleet.rate.finished", now)
-            rec.observe(f"fleet.e2e.{tenant}", now, outcome.end_to_end_s)
+            rec.observe(e2e, now, outcome.end_to_end_s)
+            # One window per finished job; it holds the sample just
+            # observed at ``now``, so it is never empty.
+            window = rec.window_values(e2e, now)
             rec.gauge(
                 f"fleet.slo_window.{tenant}.e2e_p50_s", now,
-                rec.window_percentile(f"fleet.e2e.{tenant}", 50.0, now),
+                percentile(window, 50.0),
             )
             rec.gauge(
                 f"fleet.slo_window.{tenant}.e2e_p99_s", now,
-                rec.window_percentile(f"fleet.e2e.{tenant}", 99.0, now),
+                percentile(window, 99.0),
             )
-            window = rec.window_values(f"fleet.e2e.{tenant}", now)
             over = sum(1 for v in window if v > self.targets[tenant])
             rec.gauge(
                 f"fleet.burn.{tenant}", now,
