@@ -163,7 +163,7 @@ class AdmissionController:
 
     @property
     def total_queued(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
+        return sum(map(len, self._queues.values()))
 
     def next_job(self) -> Optional[QueuedJob]:
         """Pop the next job to dispatch: highest priority, then FIFO."""
