@@ -15,13 +15,14 @@ Run::
 """
 
 from repro import ActivePy, RunOptions, build_machine, get_workload, run_c_baseline
+from repro.obs import render_gantt
 from repro.storage import BackgroundLoad
 from repro.units import format_seconds
 
 
-def run_with_cotenant() -> None:
+def run_with_cotenant(scale: float = 1.0) -> None:
     print("=== a co-tenant bursts onto the CSE mid-run ===")
-    workload = get_workload("kmeans")
+    workload = get_workload("kmeans", scale=scale)
     baseline = run_c_baseline(workload.program, workload.dataset)
     print(f"no-ISP baseline: {format_seconds(baseline.total_seconds)}")
 
@@ -43,7 +44,7 @@ def run_with_cotenant() -> None:
           f"{len(report.result.migrations)} migration(s), "
           f"{load.bursts_started} burst(s))")
     print()
-    print(report.timeline.render(width=60))
+    print(render_gantt(report.spans, width=60))
 
 
 def run_placement_isolation() -> None:

@@ -1,15 +1,26 @@
 """Experiment drivers and reporting for the paper's tables and figures.
 
-``experiments`` is re-exported lazily: it imports the full runtime, and
-the runtime itself uses :mod:`repro.analysis.timeline`, so an eager
-import here would be circular.
+The package sits above the runtime: it imports ActivePy and the
+baselines, and nothing in the runtime imports it.
 """
 
 from .compare import Change, diff_results, max_relative_change
+from .experiments import (
+    Fig2Result,
+    Fig4Result,
+    Fig5Result,
+    LadderResult,
+    PredictionResult,
+    run_fig2,
+    run_fig4,
+    run_fig5,
+    run_overhead_ladder,
+    run_prediction_accuracy,
+    run_table1,
+)
 from .metrics import geometric_mean, relative_error, speedup
 from .report import ascii_bar_chart, format_table
 from .sweep import SweepResult, sweep_config
-from .timeline import ExecutionTimeline, TimelineSpan
 from .utilization import UtilizationReport, utilization_report
 
 __all__ = [
@@ -23,8 +34,6 @@ __all__ = [
     "Change",
     "diff_results",
     "max_relative_change",
-    "ExecutionTimeline",
-    "TimelineSpan",
     "UtilizationReport",
     "utilization_report",
     "Fig2Result",
@@ -39,17 +48,3 @@ __all__ = [
     "run_prediction_accuracy",
     "run_table1",
 ]
-
-_EXPERIMENT_EXPORTS = {
-    "Fig2Result", "Fig4Result", "Fig5Result", "LadderResult",
-    "PredictionResult", "run_fig2", "run_fig4", "run_fig5",
-    "run_overhead_ladder", "run_prediction_accuracy", "run_table1",
-}
-
-
-def __getattr__(name: str):
-    if name in _EXPERIMENT_EXPORTS:
-        from . import experiments
-
-        return getattr(experiments, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

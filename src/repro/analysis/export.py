@@ -24,7 +24,6 @@ from .experiments import (
     LadderResult,
     PredictionResult,
 )
-from .timeline import ExecutionTimeline
 
 __all__ = ["ReportLike", "dump", "dumps", "to_jsonable"]
 
@@ -49,8 +48,6 @@ class ReportLike(Protocol):
 
 def to_jsonable(result: Any) -> Any:
     """Convert an experiment result into JSON-compatible structures."""
-    # Protocol speakers first: ExecutionTimeline has summary() but not
-    # to_jsonable(), so it falls through to its dedicated branch.
     if isinstance(result, ReportLike) and not isinstance(result, type):
         return result.to_jsonable()
     if isinstance(result, Fig2Result):
@@ -103,13 +100,6 @@ def to_jsonable(result: Any) -> Any:
             "geomean_error_excluding_outliers":
                 result.geomean_error_excluding_outliers(),
             "max_csr_overestimate": result.max_csr_overestimate(),
-        }
-    if isinstance(result, ExecutionTimeline):
-        return {
-            "experiment": "timeline",
-            "spans": [dataclasses.asdict(span) for span in result.spans],
-            "makespan": result.makespan,
-            "busy": result.summary(),
         }
     if isinstance(result, dict):
         return {str(key): to_jsonable(value) for key, value in result.items()}

@@ -1,7 +1,7 @@
 """Machine utilization summaries.
 
 After a run, :func:`utilization_report` condenses a machine's counters
-and an optional timeline into per-resource busy fractions and link
+and, optionally, the run's spans into per-resource busy fractions and link
 traffic — the "where did the time go" view that complements the
 end-to-end speedup numbers.
 """
@@ -9,12 +9,12 @@ end-to-end speedup numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ReproError
 from ..hw.topology import Machine
+from ..obs import Span
 from ..units import format_bytes, format_seconds
-from .timeline import ExecutionTimeline
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,14 @@ class UtilizationReport:
 def utilization_report(
     machine: Machine,
     total_seconds: Optional[float] = None,
-    timeline: Optional[ExecutionTimeline] = None,
+    spans: Optional[Sequence[Span]] = None,
 ) -> UtilizationReport:
     """Summarise how busy every unit and link was.
 
     ``total_seconds`` defaults to the machine's current clock (i.e.
     everything since construction); pass a run's duration to scope it.
+    ``spans`` adds a row of summed span time for every span resource
+    the machine's counters do not already cover.
     """
     window = total_seconds if total_seconds is not None else machine.now
     if window <= 0:
@@ -100,15 +102,20 @@ def utilization_report(
             ),
         ))
 
-    if timeline is not None:
-        for resource, busy in timeline.summary().items():
-            if not any(row.name == resource for row in rows):
-                rows.append(ResourceUsage(
-                    name=resource,
-                    kind="span",
-                    busy_seconds=busy,
-                    utilization=min(1.0, busy / window),
-                    detail="(timeline spans)",
-                ))
+    busy_by_resource: Dict[str, float] = {}
+    for span in spans or ():
+        busy_by_resource[span.resource] = (
+            busy_by_resource.get(span.resource, 0) + span.duration
+        )
+    known = {row.name for row in rows}
+    for resource, busy in busy_by_resource.items():
+        if resource not in known:
+            rows.append(ResourceUsage(
+                name=resource,
+                kind="span",
+                busy_seconds=busy,
+                utilization=min(1.0, busy / window),
+                detail="(timeline spans)",
+            ))
 
     return UtilizationReport(total_seconds=window, rows=rows)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from . import __version__
 from .analysis.export import ReportLike, dump, dumps, to_jsonable
-from .analysis.timeline import ExecutionTimeline, TimelineSpan
 from .baselines import (
     StaticIspBaseline,
     run_c_baseline,
@@ -101,6 +100,7 @@ from .obs import (
     build_attribution_report,
     build_critical_path,
     evaluate_alerts,
+    render_gantt,
     sparkline,
     to_chrome_trace,
     trace_span,
@@ -149,7 +149,6 @@ __all__ = [
     "EventHandle",
     "ExecutionMode",
     "ExecutionResult",
-    "ExecutionTimeline",
     "FAULT_KIND_INFO",
     "FLEET_KINDS",
     "FaultError",
@@ -204,7 +203,6 @@ __all__ = [
     "TenantSpec",
     "TimeAttributor",
     "TimeSeries",
-    "TimelineSpan",
     "Tracer",
     "TrafficGenerator",
     "UncorrectableMediaError",
@@ -229,6 +227,7 @@ __all__ = [
     "perf_check",
     "perf_snapshot",
     "program_from_function",
+    "render_gantt",
     "run_c_baseline",
     "run_campaign",
     "run_cython_baseline",

@@ -49,7 +49,7 @@ from .analysis.experiments import (
 )
 from .analysis.report import ascii_bar_chart, format_table
 from .baselines import run_c_baseline
-from .obs import Observability
+from .obs import Observability, render_gantt
 from .runtime.activepy import ActivePy, RunOptions
 from .units import format_bytes, format_seconds
 from .workloads import get_workload, workload_names
@@ -120,11 +120,11 @@ def _cmd_run(args) -> int:
               f"chunk replays={report.result.chunk_replays}")
         for event in report.result.fault_events:
             print(f"  {event.render()}")
-    if args.trace and report.timeline is not None:
+    if args.trace and report.spans is not None:
         from .analysis.utilization import utilization_report
 
         print()
-        print(report.timeline.render())
+        print(render_gantt(report.spans))
         print()
         print(utilization_report(
             machine, total_seconds=report.total_seconds,
@@ -641,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--scale", type=float, default=1.0,
                             help="input scale in (0, 1] (default: paper scale)")
     run_parser.add_argument("--trace", action="store_true",
-                            help="render the execution timeline")
+                            help="render the run's spans as a Gantt chart")
     run_parser.add_argument(
         "--stress", type=float, default=None, metavar="AVAIL",
         help="throttle the CSE to AVAIL once the offloaded work reaches "

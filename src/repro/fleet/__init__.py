@@ -16,6 +16,7 @@ state; tenant A's faults never perturb tenant B's run signatures —
 and ddmin-shrink any violating fleet plan to a minimal repro.
 """
 
+from ..obs.export import to_fleet_chrome_trace, write_fleet_chrome_trace
 from .admission import (
     AdmissionController,
     QueuedJob,
@@ -46,7 +47,6 @@ from .fleet import (
 )
 from .profiles import JobProfile, ProfileStore
 from .slo import SloSnapshot, percentile
-from .trace import to_fleet_chrome_trace, write_fleet_chrome_trace
 from .traffic import (
     DEFAULT_FLEET_WORKLOADS,
     JobArrival,

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import AdmissionError, FleetError
 from ..faults.spec import FLEET_KINDS, FaultKind, FaultPlan
-from ..obs import AlertEvent, AlertRule, Observability, evaluate_alerts
+from ..obs import AlertEvent, AlertRule, Observability, Span, evaluate_alerts
 from ..sim import EventHandle, Simulator
 from .admission import (
     SHED_NO_DEVICES,
@@ -281,10 +281,11 @@ class FleetReport:
     #: Per-tenant end-to-end SLO targets the alerts were judged against.
     slo_targets: Dict[str, float] = field(default_factory=dict, repr=False)
     #: Chrome-trace raw material, collected only when a recorder or
-    #: tracer was attached: completed/interrupted dispatches as spans
-    #: and failover/retry/shed/device-loss moments as instants.
-    trace_spans: Tuple[Dict[str, Any], ...] = field(default=(), repr=False)
-    trace_instants: Tuple[Dict[str, Any], ...] = field(default=(), repr=False)
+    #: tracer was attached: completed/interrupted dispatches as spans on
+    #: their device and failover/retry/shed/device-loss moments as
+    #: zero-length ``fleet-event`` spans (rendered as instants).
+    trace_spans: Tuple[Span, ...] = field(default=(), repr=False)
+    trace_instants: Tuple[Span, ...] = field(default=(), repr=False)
 
     @property
     def completed(self) -> int:
@@ -420,8 +421,8 @@ class _FleetRun:
             tenant.name: f"fleet.e2e.{tenant.name}" for tenant in tenants
         } if self.rec is not None else {}
         self.collect_trace = self.rec is not None or fleet.obs.tracing
-        self.trace_spans: List[Dict[str, Any]] = []
-        self.trace_instants: List[Dict[str, Any]] = []
+        self.trace_spans: List[Span] = []
+        self.trace_instants: List[Span] = []
         self.outcomes: Dict[int, JobOutcome] = {}
         self.device_events: List[Tuple[float, str, str]] = []
         self.first_dispatch: Dict[int, float] = {}
@@ -499,19 +500,15 @@ class _FleetRun:
         if self.rec is not None:
             self.rec.gauge(device.util_series, now, 0.0)
         if self.collect_trace:
-            self.trace_spans.append({
-                "device": device.name,
-                "name": f"{arrival.workload}#{arrival.job_id}",
-                "cat": "job",
-                "start": device.dispatched_at,
-                "end": now,
-                "args": {
-                    "tenant": arrival.tenant,
-                    "status": status,
-                    "retries": job.retries,
-                    "resumed_from_s": job.resume_offset_s,
-                },
-            })
+            # Built positionally, args already in sorted key order.
+            self.trace_spans.append(Span(
+                f"{arrival.workload}#{arrival.job_id}", "job", device.name,
+                device.dispatched_at, now,
+                (("resumed_from_s", job.resume_offset_s),
+                 ("retries", job.retries),
+                 ("status", status),
+                 ("tenant", arrival.tenant)),
+            ))
         device.job = device.completion = None
         self._settle()
 
@@ -618,20 +615,11 @@ class _FleetRun:
         device.job = device.completion = None
         now = self.sim.now
         if self.collect_trace:
-            self.trace_spans.append({
-                "device": device.name,
-                "name": (
-                    f"{job.arrival.workload}#{job.arrival.job_id} "
-                    f"(interrupted)"
-                ),
-                "cat": "job-interrupted",
-                "start": device.dispatched_at,
-                "end": now,
-                "args": {
-                    "tenant": job.arrival.tenant,
-                    "retry": job.retries + 1,
-                },
-            })
+            self.trace_spans.append(Span(
+                f"{job.arrival.workload}#{job.arrival.job_id} (interrupted)",
+                "job-interrupted", device.name, device.dispatched_at, now,
+                (("retry", job.retries + 1), ("tenant", job.arrival.tenant)),
+            ))
         self._instant(f"failover job {job.arrival.job_id}", device.name)
         job.retries += 1
         cfg = self.config
@@ -736,8 +724,9 @@ class _FleetRun:
 
     def _instant(self, name: str, resource: str) -> None:
         if self.collect_trace:
+            now = self.sim.now
             self.trace_instants.append(
-                {"t": self.sim.now, "name": name, "resource": resource}
+                Span(name, "fleet-event", resource, now, now)
             )
 
 

@@ -44,7 +44,12 @@ from .attribution import (
     build_attribution_report,
 )
 from .critical_path import CriticalPathReport, CriticalPathStep, build_critical_path
-from .export import to_chrome_trace, validate_chrome_trace, write_chrome_trace
+from .export import (
+    render_gantt,
+    to_chrome_trace,
+    validate_chrome_trace,
+    write_chrome_trace,
+)
 from .metrics import (
     DEFAULT_TIME_BUCKETS_S,
     Counter,
@@ -84,6 +89,7 @@ __all__ = [
     "build_attribution_report",
     "build_critical_path",
     "evaluate_alerts",
+    "render_gantt",
     "sparkline",
     "to_chrome_trace",
     "trace_span",

@@ -1,12 +1,11 @@
 """The structured span tracer.
 
 A :class:`Tracer` accumulates immutable :class:`Span` records — named,
-categorised intervals of simulated time on a named resource.  It is the
-single source of truth behind both the legacy plain-text
-:class:`~repro.analysis.timeline.ExecutionTimeline` (via
-:meth:`Tracer.to_timeline`) and the Chrome ``trace_event`` export
-(:mod:`repro.obs.export`), so a traced run renders as a Gantt chart and
-opens in Perfetto from the same data.
+categorised intervals of simulated time on a named resource.  ``Span``
+is the one span type: :mod:`repro.obs.export` renders the same records
+as a plain-text Gantt chart and as a Chrome ``trace_event`` file that
+opens in Perfetto, and the fleet records its per-device job spans and
+scheduling instants as ``Span`` records too.
 
 Spans carry **simulated** timestamps; recording one never advances the
 simulated clock.
@@ -14,13 +13,11 @@ simulated clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
-
-if TYPE_CHECKING:  # pragma: no cover — avoid an import cycle at runtime
-    from ..analysis.timeline import ExecutionTimeline
 
 __all__ = ["Span", "Tracer"]
 
@@ -30,8 +27,8 @@ class Span:
     """One named interval of simulated time on one resource.
 
     ``cat`` is the span's category ("compute", "transfer", "compile",
-    "sampling", "storage", "migration", ...) — it maps to the timeline's
-    ``kind`` and to the Chrome trace event category.
+    "sampling", "storage", "migration", ...) — it picks the Gantt mark
+    and is the Chrome trace event category.
     """
 
     name: str
@@ -62,6 +59,10 @@ class Tracer:
         args: Optional[Dict[str, object]] = None,
     ) -> Span:
         """Append one finished span (simulated timestamps, seconds)."""
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ObservabilityError(
+                f"span {name!r} has a non-finite bound: [{start}, {end}]"
+            )
         if end < start:
             raise ObservabilityError(
                 f"span {name!r} ends before it starts: {start} > {end}"
@@ -89,12 +90,3 @@ class Tracer:
     def spans_since(self, mark: int) -> List[Span]:
         """Spans recorded after a prior :attr:`count` mark."""
         return list(self._spans[mark:])
-
-    def to_timeline(self, since: int = 0) -> "ExecutionTimeline":
-        """Materialise the legacy plain-text timeline from the span log."""
-        from ..analysis.timeline import ExecutionTimeline
-
-        timeline = ExecutionTimeline()
-        for span in self._spans[since:]:
-            timeline.record(span.start, span.end, span.resource, span.cat, span.name)
-        return timeline

@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.timeline import ExecutionTimeline
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import PlanningError
 from ..faults import FaultInjector, FaultPlan
 from ..hw.topology import Machine, build_machine
 from ..lang.dataset import Dataset
 from ..lang.program import Program
-from ..obs import Observability
+from ..obs import Observability, Span
 from .codegen import CodeGenerator, CompiledProgram, ExecutionMode
 from .estimator import LineEstimate, build_estimates
 from .executor import ExecutionResult, PlanExecutor, ProgressTrigger
@@ -48,8 +47,8 @@ class RunOptions:
     Attributes
     ----------
     trace:
-        Attach an :class:`ExecutionTimeline` of every span to the
-        report (backed by the observability tracer).
+        Attach every :class:`~repro.obs.Span` the run recorded to the
+        report as ``report.spans`` (backed by the observability tracer).
     progress_triggers:
         Experiment machinery: ``(progress_fraction, availability)``
         pairs that throttle the CSE when the offloaded work crosses a
@@ -94,8 +93,8 @@ class ActivePyReport:
     result: ExecutionResult
     #: End-to-end simulated seconds: sampling + compile + execution.
     total_seconds: float
-    #: Span trace of the run (None unless requested).
-    timeline: Optional[ExecutionTimeline] = None
+    #: The run's spans, in recording order (None unless traced).
+    spans: Optional[Tuple[Span, ...]] = None
     #: The observability handle the run recorded into (None when
     #: observability was disabled for the run).
     obs: Optional[Observability] = None
@@ -220,8 +219,8 @@ class ActivePy:
         and override the corresponding ``options`` fields.
 
         Injected faults and the runtime's recovery actions land on
-        ``result.fault_events``; with tracing the report carries an
-        :class:`ExecutionTimeline` of every span, and with an enabled
+        ``result.fault_events``; with tracing ``report.spans`` holds
+        every span the run recorded, and with an enabled
         ``obs`` handle ``report.obs`` exposes the collected metrics.
         """
         opts = options if options is not None else RunOptions()
@@ -238,8 +237,8 @@ class ActivePy:
             machine.obs.adopt(opts.obs)
         handle = machine.obs
         if opts.trace:
-            # Tracing implies an enabled handle: the timeline is now
-            # materialised from the tracer's span log.
+            # Tracing implies an enabled handle: the report's spans are
+            # read back from the tracer's span log.
             handle.enabled = True
             handle.ensure_tracer()
         trace_mark = handle.tracer.count if handle.tracer is not None else 0
@@ -320,8 +319,8 @@ class ActivePy:
         if handle.enabled:
             self._record_explanation(handle, explanation)
 
-        timeline = (
-            handle.tracer.to_timeline(since=trace_mark)
+        spans = (
+            tuple(handle.tracer.spans_since(trace_mark))
             if opts.trace and handle.tracer is not None else None
         )
         return ActivePyReport(
@@ -332,7 +331,7 @@ class ActivePy:
             compiled=compiled,
             result=result,
             total_seconds=machine.now - start,
-            timeline=timeline,
+            spans=spans,
             obs=handle if handle.enabled else None,
             explanation=explanation,
             sampling_cached=cache_status == "hit",

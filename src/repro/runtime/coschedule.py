@@ -61,14 +61,14 @@ class CoScheduleResult:
 
 def csd_busy_windows(report: ActivePyReport) -> List[BusyWindow]:
     """The CSD busy intervals of a traced run."""
-    if report.timeline is None:
+    if report.spans is None:
         raise ReproError("csd_busy_windows needs a run with trace=True")
     windows = [
         BusyWindow(span.start, span.end)
-        for span in report.timeline.spans
-        if span.kind == "compute" and span.resource.startswith("csd")
+        for span in report.spans
+        if span.cat == "compute" and span.resource.startswith("csd")
     ]
-    return sorted(windows, key=lambda w: w.start)
+    return sorted(windows, key=lambda w: (w.start, w.end))
 
 
 def _run_solo(

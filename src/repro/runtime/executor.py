@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.timeline import ExecutionTimeline
 from ..errors import CseCrashError, FaultError, MigrationError, ProgramError
 from ..faults import FaultEvent, FaultLog
 from ..hw.topology import Machine
@@ -203,7 +202,6 @@ class PlanExecutor:
         self,
         machine: Machine,
         migration_enabled: bool = True,
-        timeline: Optional[ExecutionTimeline] = None,
         device=None,
         fault_log: Optional[FaultLog] = None,
     ) -> None:
@@ -217,7 +215,6 @@ class PlanExecutor:
         self.checkpoints = CheckpointManager(
             device=self.device, config=machine.config, fault_log=self.fault_log
         )
-        self.timeline = timeline
         self.obs = machine.obs
         self.integrity = IntegrityChecker(
             config=machine.config,
@@ -227,8 +224,6 @@ class PlanExecutor:
         )
 
     def _trace(self, start: float, resource: str, kind: str, label: str) -> None:
-        if self.timeline is not None:
-            self.timeline.record(start, self.machine.now, resource, kind, label)
         self.obs.record_span(label, kind, resource, start, self.machine.now)
 
     # --- public entry ----------------------------------------------------

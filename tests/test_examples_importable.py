@@ -2,8 +2,9 @@
 
 Full example runs take minutes of wall clock (they use paper-scale
 inputs); importing them catches broken imports without the cost, and
-one sub-second scenario (``adaptive_migration.run_scenario``) runs for
-real so a changed call signature fails here too.  The examples'
+two sub-second scenarios (``adaptive_migration.run_scenario`` and
+``multi_tenant.run_with_cotenant`` at a small scale) run for real so a
+changed call signature fails here too.  The examples'
 behaviour itself is covered by the experiment tests, which exercise the
 same drivers.
 """
@@ -57,3 +58,14 @@ class TestAdaptiveMigrationRuns:
         report = module.run_scenario(True)
         assert report.result.migrations
         assert report.total_seconds > 0
+
+
+class TestMultiTenantRuns:
+    """The co-tenant scenario runs and draws its Gantt chart."""
+
+    def test_run_with_cotenant_renders_the_run(self, capsys):
+        module = load_module(EXAMPLES_DIR / "multi_tenant.py")
+        module.run_with_cotenant(scale=2 ** -6)
+        out = capsys.readouterr().out
+        assert "ActivePy under tenant bursts" in out
+        assert "s=sampling" in out  # the Gantt legend

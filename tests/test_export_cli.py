@@ -5,19 +5,20 @@ import json
 import pytest
 
 from repro.analysis import export
-from repro.analysis.timeline import ExecutionTimeline
+from repro.obs import Span
 from repro.cli import build_parser, main
 from repro.errors import ReproError
 
 
 class TestExport:
     def test_timeline_round_trips(self):
-        timeline = ExecutionTimeline()
-        timeline.record(0.0, 1.0, "host", "compute", "scan")
-        data = json.loads(export.dumps(timeline))
-        assert data["experiment"] == "timeline"
-        assert data["spans"][0]["label"] == "scan"
-        assert data["makespan"] == 1.0
+        # A traced run's spans export through the dataclass fallback.
+        spans = (Span("scan", "compute", "host", 0.0, 1.0, (("chunk", 3),)),)
+        data = json.loads(export.dumps(spans))
+        assert data == [{
+            "name": "scan", "cat": "compute", "resource": "host",
+            "start": 0.0, "end": 1.0, "args": [["chunk", 3]],
+        }]
 
     def test_dataclass_fallback(self):
         from repro.analysis.experiments import Table1Row
@@ -37,11 +38,10 @@ class TestExport:
             export.to_jsonable(object())
 
     def test_dump_to_path(self, tmp_path):
-        timeline = ExecutionTimeline()
-        timeline.record(0.0, 1.0, "host", "compute", "scan")
-        path = tmp_path / "timeline.json"
-        export.dump(timeline, str(path))
-        assert json.loads(path.read_text())["experiment"] == "timeline"
+        spans = [Span("scan", "compute", "host", 0.0, 1.0)]
+        path = tmp_path / "spans.json"
+        export.dump(spans, str(path))
+        assert json.loads(path.read_text())[0]["name"] == "scan"
 
 
 class TestCliParser:

@@ -86,8 +86,8 @@ class TestStackedExtensions:
             make_toy_program(), make_toy_dataset(), machine=machine,
             options=RunOptions(trace=True, progress_triggers=((0.5, 0.3),)),
         )
-        assert report.timeline is not None
-        assert report.timeline.makespan > 0
+        assert report.spans
+        assert max(s.end for s in report.spans) > min(s.start for s in report.spans)
 
     def test_selfcheck_unaffected_by_extension_defaults(self):
         # All extensions default off; the pinned numbers must hold.

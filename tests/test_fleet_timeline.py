@@ -201,8 +201,8 @@ class TestSloWindowsMatchReplay:
         # spans are appended as each job completes.
         by_id = {o.job_id: o for o in report.outcomes}
         finished = [
-            by_id[int(span["name"].rsplit("#", 1)[1])]
-            for span in report.trace_spans if span["cat"] == "job"
+            by_id[int(span.name.rsplit("#", 1)[1])]
+            for span in report.trace_spans if span.cat == "job"
         ]
         assert len(finished) == report.completed + report.degraded
         for tenant in report.tenant_names:

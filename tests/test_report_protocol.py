@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.analysis.export import ReportLike, dumps, to_jsonable
-from repro.analysis.timeline import ExecutionTimeline
 from repro.chaos import ChaosRunOutcome
 from repro.chaos.campaign import CampaignConfig, CampaignResult
 from repro.faults import FaultPlan
@@ -48,14 +47,6 @@ class TestProtocolSpeakers:
         assert isinstance(report.result, ReportLike)
         assert isinstance(_outcome(), ReportLike)
         assert isinstance(CampaignResult(config=CampaignConfig()), ReportLike)
-
-    def test_timeline_keeps_its_dedicated_branch(self):
-        # ExecutionTimeline has summary() but no to_jsonable(); it must
-        # keep hitting its own export branch, not the protocol.
-        assert not isinstance(ExecutionTimeline(), ReportLike)
-        timeline = ExecutionTimeline()
-        timeline.record(0.0, 1.0, "host", "compute", "scan")
-        assert to_jsonable(timeline)["experiment"] == "timeline"
 
     def test_dispatch_uses_protocol_and_serialises(self):
         report = _report()

@@ -26,5 +26,5 @@ class TestRunOptions:
             workload.program, workload.dataset,
             options=RunOptions(trace=True),
         )
-        assert report.timeline is not None
+        assert report.spans is not None
         assert not [w for w in recwarn if w.category is DeprecationWarning]

@@ -1,106 +1,120 @@
-"""Execution timeline recording and rendering."""
+"""The execution timeline: a traced run's spans as Gantt and utilization text."""
+
+import hashlib
 
 import pytest
 
-from repro.analysis.timeline import ExecutionTimeline, merge
-from repro.errors import ReproError
+from repro.analysis.utilization import utilization_report
+from repro.config import SystemConfig
+from repro.hw.topology import build_machine
+from repro.obs import Span, render_gantt
 from repro.runtime.activepy import ActivePy, RunOptions
+from repro.workloads import get_workload, workload_names
 
 from .conftest import make_toy_dataset, make_toy_program
 
+#: sha256 over ``render_gantt(report.spans)`` and the
+#: ``utilization_report(machine, total_seconds=..., spans=...)`` text of
+#: every rotation workload at 2**-6 with a ``(0.5, 0.1)`` progress
+#: trigger, each text followed by a NUL byte.  Computed before the Gantt
+#: and the utilization report were drawn from ``Span`` records, so it
+#: holds the bytes the text had then.
+PINNED_TIMELINE_TEXT_DIGEST = (
+    "2d6d7d36b06ec475297d9b2c72a21f6a3c72890a9ac1a09418edd602b86cc31d"
+)
+
+
+def _span(start, end, resource="host", cat="compute", name="x"):
+    return Span(name, cat, resource, start, end)
+
 
 class TestRecording:
-    def test_spans_sorted_by_time(self):
-        timeline = ExecutionTimeline()
-        timeline.record(2.0, 3.0, "host", "compute", "b")
-        timeline.record(0.0, 1.0, "host", "compute", "a")
-        assert [s.label for s in timeline.spans] == ["a", "b"]
-
-    def test_busy_seconds_per_resource(self):
-        timeline = ExecutionTimeline()
-        timeline.record(0.0, 1.5, "host", "compute", "a")
-        timeline.record(1.5, 2.0, "csd", "compute", "b")
-        assert timeline.busy_seconds("host") == pytest.approx(1.5)
-        assert timeline.busy_seconds("csd") == pytest.approx(0.5)
+    def test_busy_seconds_per_resource(self, machine):
+        machine.host.execute(1e9)
+        spans = [
+            _span(0.0, 1.0, "phase"),
+            _span(1.5, 2.0, "other"),
+            _span(2.0, 2.5, "phase"),
+        ]
+        report = utilization_report(machine, total_seconds=4.0, spans=spans)
+        assert report.usage_of("phase").busy_seconds == pytest.approx(1.5)
+        assert report.usage_of("other").busy_seconds == pytest.approx(0.5)
+        assert [row.name for row in report.rows][-2:] == ["phase", "other"]
+        # A span resource the machine already reports gets no second row.
+        spans.append(_span(0.0, 1.0, "host"))
+        report = utilization_report(machine, total_seconds=4.0, spans=spans)
+        assert [row.name for row in report.rows].count("host") == 1
 
     def test_makespan(self):
-        timeline = ExecutionTimeline()
-        timeline.record(1.0, 2.0, "host", "compute", "a")
-        timeline.record(3.0, 5.0, "csd", "compute", "b")
-        assert timeline.makespan == pytest.approx(4.0)
-
-    def test_backwards_span_rejected(self):
-        with pytest.raises(ReproError):
-            ExecutionTimeline().record(2.0, 1.0, "host", "compute", "x")
-
-    def test_span_of(self):
-        timeline = ExecutionTimeline()
-        timeline.record(0.0, 1.0, "host", "compute", "scan")
-        assert timeline.span_of("scan").end == 1.0
-        with pytest.raises(ReproError):
-            timeline.span_of("nope")
-
-    def test_merge(self):
-        a = ExecutionTimeline()
-        a.record(0.0, 1.0, "host", "compute", "a")
-        b = ExecutionTimeline()
-        b.record(1.0, 2.0, "csd", "compute", "b")
-        merged = merge([a, b])
-        assert len(merged.spans) == 2
+        # The Gantt's time axis ends at the makespan.
+        text = render_gantt([_span(1.0, 2.0), _span(3.0, 5.0, "csd")])
+        axis = text.splitlines()[-2]
+        assert axis.endswith("4.00 s")
 
 
 class TestRendering:
     def test_empty(self):
-        assert ExecutionTimeline().render() == "(empty timeline)"
+        assert render_gantt([]) == "(empty timeline)"
 
     def test_lanes_per_resource(self):
-        timeline = ExecutionTimeline()
-        timeline.record(0.0, 1.0, "host", "compute", "a")
-        timeline.record(1.0, 2.0, "csd", "transfer", "b")
-        text = timeline.render(width=20)
-        assert "host" in text and "csd" in text
-        assert "#" in text and ">" in text
+        spans = [_span(0.0, 1.0), _span(1.0, 2.0, "csd", "transfer")]
+        lanes = render_gantt(spans, width=20).splitlines()[:2]
+        assert lanes[0].startswith("host |") and "#" in lanes[0]
+        assert lanes[1].startswith("csd  |") and ">" in lanes[1]
+        assert all(len(lane) == len("host |") + 20 + 1 for lane in lanes)
 
 
 class TestIntegrationWithRuntime:
     def test_traced_run_covers_every_line(self, config):
-        program = make_toy_program()
-        dataset = make_toy_dataset()
         report = ActivePy(config).run(
-            program, dataset, options=RunOptions(trace=True)
+            make_toy_program(), make_toy_dataset(),
+            options=RunOptions(trace=True),
         )
-        timeline = report.timeline
-        assert timeline is not None
-        labels = {span.label for span in timeline.spans}
-        assert {"sampling-phase", "codegen", "scan", "crunch", "reduce"} <= labels
+        assert report.spans is not None
+        names = {span.name for span in report.spans}
+        assert {"sampling-phase", "codegen", "scan", "crunch", "reduce"} <= names
 
     def test_trace_time_conservation(self, config):
         # Spans on the critical path must tile the run: sampling +
         # compile + per-line spans account for the whole duration.
-        program = make_toy_program()
-        dataset = make_toy_dataset()
         report = ActivePy(config).run(
-            program, dataset, options=RunOptions(trace=True)
+            make_toy_program(), make_toy_dataset(),
+            options=RunOptions(trace=True),
         )
         covered = sum(
-            span.duration for span in report.timeline.spans
-            if span.kind in ("sampling", "compile", "compute")
+            span.duration for span in report.spans
+            if span.cat in ("sampling", "compile", "compute")
         )
         assert covered == pytest.approx(report.total_seconds, rel=0.02)
 
     def test_untraced_run_has_no_timeline(self, config):
-        program = make_toy_program()
-        dataset = make_toy_dataset()
-        report = ActivePy(config).run(program, dataset)
-        assert report.timeline is None
+        report = ActivePy(config).run(make_toy_program(), make_toy_dataset())
+        assert report.spans is None
 
     def test_migration_span_recorded(self, config):
-        program = make_toy_program()
-        dataset = make_toy_dataset()
         report = ActivePy(config).run(
-            program, dataset,
+            make_toy_program(), make_toy_dataset(),
             options=RunOptions(trace=True, progress_triggers=((0.3, 0.05),)),
         )
         if report.result.migrated:
-            kinds = {span.kind for span in report.timeline.spans}
-            assert "migration" in kinds
+            assert "migration" in {span.cat for span in report.spans}
+
+
+class TestPinnedText:
+    def test_gantt_and_utilization_text_is_pinned(self):
+        digest = hashlib.sha256()
+        for name in workload_names():
+            workload = get_workload(name, scale=2 ** -6)
+            config = SystemConfig()
+            machine = build_machine(config)
+            report = ActivePy(config).run(
+                workload.program, workload.dataset, machine=machine,
+                options=RunOptions(trace=True, progress_triggers=((0.5, 0.1),)),
+            )
+            usage = utilization_report(
+                machine, total_seconds=report.total_seconds, spans=report.spans,
+            )
+            for text in (render_gantt(report.spans), usage.render()):
+                digest.update(text.encode())
+                digest.update(b"\0")
+        assert digest.hexdigest() == PINNED_TIMELINE_TEXT_DIGEST

@@ -61,7 +61,7 @@ class TestUtilizationReport:
         )
         usage = utilization_report(
             machine, total_seconds=report.total_seconds,
-            timeline=report.timeline,
+            spans=report.spans,
         )
         assert usage.total_seconds == report.total_seconds
 
