@@ -19,7 +19,7 @@ import dataclasses
 
 from repro.config import DEFAULT_CONFIG
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.workloads import get_workload
 
 from .conftest import run_once, write_bench_json
@@ -30,7 +30,8 @@ _SCALE = 2 ** -4
 def _run(config=DEFAULT_CONFIG, fault_plan=None):
     workload = get_workload("tpch_q6", scale=_SCALE)
     return ActivePy(config).run(
-        workload.program, workload.dataset, fault_plan=fault_plan
+        workload.program, workload.dataset,
+        options=RunOptions(fault_plan=fault_plan),
     )
 
 

@@ -12,7 +12,7 @@ Two claims, both deterministic:
 """
 
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.workloads import get_workload
 
 from .conftest import run_once, write_bench_json
@@ -23,7 +23,8 @@ _SCALE = 2 ** -4
 def _run(fault_plan=None):
     workload = get_workload("tpch_q6", scale=_SCALE)
     report = ActivePy().run(
-        workload.program, workload.dataset, fault_plan=fault_plan
+        workload.program, workload.dataset,
+        options=RunOptions(fault_plan=fault_plan),
     )
     return report
 

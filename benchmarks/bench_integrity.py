@@ -22,7 +22,7 @@ import dataclasses
 from repro.config import DEFAULT_CONFIG
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.integrity import CLEAN_DIGEST
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.workloads import get_workload
 
 from .conftest import run_once, write_bench_json
@@ -35,7 +35,8 @@ _ENABLED = dataclasses.replace(DEFAULT_CONFIG, integrity_enabled=True)
 def _run(config=DEFAULT_CONFIG, fault_plan=None):
     workload = get_workload("tpch_q6", scale=_SCALE)
     return ActivePy(config).run(
-        workload.program, workload.dataset, fault_plan=fault_plan
+        workload.program, workload.dataset,
+        options=RunOptions(fault_plan=fault_plan),
     )
 
 

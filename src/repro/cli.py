@@ -4,24 +4,23 @@
 
     python -m repro list                       # the workload suite
     python -m repro run tpch_q6 [--trace]      # one workload end to end
-    python -m repro metrics run tpch_q6        # ... with the metric report
-    python -m repro trace run tpch_q6          # ... exporting a Chrome trace
+    python -m repro run tpch_q6 --metrics      # ... with the metric report
+    python -m repro run tpch_q6 --trace-out t.json  # ... exporting a Chrome trace
+    python -m repro run tpch_q6 --explain      # ... plan vs. reality + critical path
+    python -m repro run pagerank --plan-mode search  # ... with the exact plan search
+    python -m repro run blackscholes --stress 0.1 --fault-count 3  # ... migrated, faulted
     python -m repro table1                     # regenerate Table I
     python -m repro fig2 | fig4 | fig5         # regenerate a figure
     python -m repro ladder | prediction        # the §V results
     python -m repro chaos [--runs N]           # randomized fault campaign
     python -m repro chaos --workers 4          # ... across worker processes
     python -m repro chaos --sdc                # ... with silent-corruption faults
-    python -m repro chaos --workload W --seed S  # replay one seeded run
+    python -m repro chaos --workload kmeans --seed 157  # replay one seeded run
     python -m repro chaos --fleet [--runs N]   # rack-scale fleet fault campaign
     python -m repro fleet run [--devices N]    # one seeded fleet run
     python -m repro fleet run --timeline       # ... with the flight recorder
     python -m repro fleet run --trace-out t.json  # ... exporting a fleet trace
-    python -m repro obs dashboard              # fleet sparkline dashboard
     python -m repro faults list                # catalogue of injectable faults
-    python -m repro explain run tpch_q6        # plan vs. reality + critical path
-    python -m repro plan search pagerank       # exact search vs greedy
-    python -m repro run pagerank --plan-mode search  # run with the search plan
     python -m repro bench                      # wall-clock perf-layer benchmark
     python -m repro perf check                 # gate BENCH_*.json vs baselines
     python -m repro perf snapshot              # refresh committed perf baselines
@@ -29,7 +28,11 @@
 
 Every command runs on the simulated platform; ``--scale`` shrinks the
 input population for quick smoke runs (ratios then deviate from the
-calibrated paper-scale ones).
+calibrated paper-scale ones).  ``run`` is the one command that runs a
+workload: each observer flag (``--trace``, ``--trace-out``,
+``--metrics``, ``--explain``, ``--json``) composes with each run flag
+(``--stress``, ``--fault-count``, ``--plan-mode``), and observing a run
+never changes its simulated seconds.
 """
 
 from __future__ import annotations
@@ -49,8 +52,16 @@ from .analysis.experiments import (
 )
 from .analysis.report import ascii_bar_chart, format_table
 from .baselines import run_c_baseline
-from .obs import Observability, render_gantt
-from .runtime.activepy import ActivePy, RunOptions
+from .obs import (
+    Observability,
+    TimeAttributor,
+    Tracer,
+    build_critical_path,
+    render_gantt,
+    validate_chrome_trace,
+    write_chrome_trace,
+)
+from .runtime.activepy import PLAN_MODES, ActivePy, RunOptions
 from .units import format_bytes, format_seconds
 from .workloads import get_workload, workload_names
 
@@ -76,7 +87,14 @@ def _cmd_run(args) -> int:
     print(f"running {workload.name} at scale {args.scale} "
           f"({format_bytes(workload.raw_bytes)})")
     baseline = run_c_baseline(workload.program, workload.dataset)
-    machine = build_machine()
+    tracing = args.trace or args.trace_out is not None or args.explain
+    obs = None
+    if tracing or args.metrics:
+        obs = Observability(
+            tracer=Tracer() if tracing else None,
+            attribution=TimeAttributor() if args.explain else None,
+        )
+    machine = build_machine(obs=obs)
     triggers = [(0.5, args.stress)] if args.stress is not None else []
     fault_plan = None
     if args.fault_count:
@@ -129,101 +147,34 @@ def _cmd_run(args) -> int:
         print(utilization_report(
             machine, total_seconds=report.total_seconds,
         ).render())
+    if args.metrics:
+        print()
+        print(obs.metrics.render())
+    path = build_critical_path(obs) if args.explain else None
+    if path is not None:
+        print(f"prof cache : {report.sampling_cache_status}")
+        print()
+        print(report.explanation.render())
+        print()
+        print(path.render())
+        print()
+        print(path.attribution.render())
+    if args.trace_out is not None:
+        trace = write_chrome_trace(obs.tracer.spans, args.trace_out)
+        problems = validate_chrome_trace(trace)
+        if problems:
+            for problem in problems:
+                print(f"repro run: invalid trace: {problem}", file=sys.stderr)
+            return 1
+        print(f"wrote {args.trace_out} ({len(obs.tracer.spans)} span(s)) — "
+              f"open in chrome://tracing or https://ui.perfetto.dev")
     if args.json:
-        export.dump(report, args.json)
+        payload = report.to_jsonable()
+        if path is not None:
+            payload["critical_path"] = path.to_jsonable()
+            payload["attribution"] = path.attribution.to_jsonable()
+        export.dump(payload, args.json)
         print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_plan_search(args) -> int:
-    """Exact plan search, diffed against greedy Algorithm 1."""
-    import json as json_module
-
-    from .config import DEFAULT_CONFIG
-    from .runtime.estimator import build_estimates
-    from .runtime.planner import assign_csd_code
-    from .runtime.plansearch import search_plan
-    from .runtime.profcache import cached_sampling, default_cache
-    from .runtime.sampling import SamplingPhase
-
-    workload = get_workload(args.workload, scale=args.scale)
-    print(f"planning {workload.name} at scale {args.scale} "
-          f"({format_bytes(workload.raw_bytes)})")
-    sampling, _, _ = cached_sampling(
-        SamplingPhase(DEFAULT_CONFIG), workload.program, workload.dataset,
-        default_cache(),
-    )
-    estimates = build_estimates(sampling, workload.n_records, DEFAULT_CONFIG)
-    greedy = assign_csd_code(estimates, DEFAULT_CONFIG)
-    report = search_plan(
-        workload.program, workload.dataset, estimates, DEFAULT_CONFIG,
-        greedy=greedy,
-    )
-
-    def plan_line(label, assignments, makespan):
-        moves = ", ".join(
-            f"{statement.name}->{where}"
-            for statement, where in zip(workload.program, assignments)
-        )
-        print(f"{label}: {moves}  ({format_seconds(makespan)} speculative)")
-
-    plan_line("greedy ", report.greedy_plan.assignments,
-              report.greedy_makespan_s)
-    plan_line("search ", report.plan.assignments, report.makespan_s)
-    if report.beat_greedy:
-        moves = ", ".join(
-            f"{name}: {a}->{b}" for _, name, a, b in report.changed_lines()
-        )
-        print(f"verdict: search beat greedy by "
-              f"{100 * report.improvement_fraction:.1f}% ({moves})")
-    else:
-        print("verdict: greedy's plan is optimal (search confirmed it)")
-    print(f"search  : {report.steps_simulated} speculative steps, "
-          f"{report.wall_seconds:.3f}s wall")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(report.to_jsonable(), handle, indent=2)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _run_observed(workload_name: str, scale: float, obs: Observability):
-    """Run one workload with a caller-supplied observability handle."""
-    workload = get_workload(workload_name, scale=scale)
-    print(f"running {workload.name} at scale {scale} "
-          f"({format_bytes(workload.raw_bytes)})")
-    report = ActivePy().run(
-        workload.program, workload.dataset, options=RunOptions(obs=obs),
-    )
-    print(f"ActivePy   : {format_seconds(report.total_seconds)}")
-    return report
-
-
-def _cmd_metrics(args) -> int:
-    obs = Observability()
-    _run_observed(args.workload, args.scale, obs)
-    print()
-    print(obs.metrics.render())
-    if args.json:
-        export.dump(obs.snapshot(), args.json)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from .obs import validate_chrome_trace, write_chrome_trace
-
-    obs = Observability.with_tracing()
-    _run_observed(args.workload, args.scale, obs)
-    out = args.out if args.out else f"{args.workload}_trace.json"
-    trace = write_chrome_trace(obs.tracer.spans, out)
-    problems = validate_chrome_trace(trace)
-    if problems:
-        for problem in problems:
-            print(f"repro trace: invalid trace: {problem}", file=sys.stderr)
-        return 1
-    print(f"wrote {out} ({len(obs.tracer.spans)} span(s)) — "
-          f"open in chrome://tracing or https://ui.perfetto.dev")
     return 0
 
 
@@ -319,34 +270,27 @@ def _cmd_fleet_run(args) -> int:
         scale=args.scale,
         plan=FaultPlan(specs=tuple(specs), seed=args.seed),
     )
-    timeline = getattr(args, "timeline", False)
-    trace_out = getattr(args, "trace_out", None)
     obs = None
-    if timeline or trace_out is not None:
-        if args.window <= 0:
-            print(f"repro fleet: error: --window must be positive, "
-                  f"got {args.window}", file=sys.stderr)
-            return 2
+    if args.timeline or args.trace_out is not None:
         obs = Observability.with_timeseries(window_s=args.window)
     report = Fleet(config, obs=obs).run()
     print(report.render())
-    if timeline and obs is not None:
+    if args.timeline:
         print()
         print(f"timeline (window {obs.timeseries.window_s:g}s simulated, "
               f"one sparkline per series):")
         print(obs.timeseries.render())
-    if trace_out is not None:
+    if args.trace_out is not None:
         from .fleet import write_fleet_chrome_trace
-        from .obs import validate_chrome_trace
 
-        trace = write_fleet_chrome_trace(report, trace_out)
+        trace = write_fleet_chrome_trace(report, args.trace_out)
         problems = validate_chrome_trace(trace)
         if problems:
             for problem in problems:
                 print(f"repro fleet: invalid trace: {problem}",
                       file=sys.stderr)
             return 1
-        print(f"wrote {trace_out} ({len(trace['traceEvents'])} event(s)) — "
+        print(f"wrote {args.trace_out} ({len(trace['traceEvents'])} event(s)) — "
               f"validates clean")
     if args.json:
         export.dump(report, args.json)
@@ -435,8 +379,6 @@ def _cmd_chaos(args) -> int:
             return 1
 
         workloads = tuple(name.strip() for name in args.workloads.split(",") if name.strip())
-        from .workloads import workload_names
-
         unknown = [name for name in workloads if name not in workload_names()]
         if unknown:
             print(f"repro chaos: error: unknown workload(s) {unknown}; "
@@ -488,38 +430,6 @@ def _cmd_faults_list(args) -> int:
           "corrupt data\nin flight and are only caught by the integrity "
           "layer (chaos --sdc); fleet faults\nland on the rack scheduler "
           "(chaos --fleet), never on one machine's injector.")
-    return 0
-
-
-def _cmd_explain(args) -> int:
-    from .obs import build_critical_path
-
-    obs = Observability.with_attribution()
-    report = _run_observed(args.workload, args.scale, obs)
-    print(f"prof cache : {report.sampling_cache_status}")
-    path = build_critical_path(obs)
-    attribution = path.attribution
-    print()
-    if report.explanation is not None:
-        print(report.explanation.render())
-        print()
-    print(path.render(max_steps=args.max_steps))
-    print()
-    print(attribution.render())
-    if args.json:
-        payload = {
-            "workload": args.workload,
-            "scale": args.scale,
-            "total_seconds": report.total_seconds,
-            "explanation": (
-                report.explanation.to_jsonable()
-                if report.explanation is not None else None
-            ),
-            "critical_path": path.to_jsonable(),
-            "attribution": attribution.to_jsonable(),
-        }
-        export.dump(payload, args.json)
-        print(f"\nwrote {args.json}")
     return 0
 
 
@@ -622,6 +532,30 @@ def _cmd_selfcheck(args) -> int:
     return 0 if result.ok else 1
 
 
+def _bounded(convert, accept, expected: str):
+    """An argparse ``type=`` that converts and range-checks one value.
+
+    Out-of-range input exits 2 with a usage line, like any other
+    malformed argument, before any work starts.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+#: Input scales and CSE availabilities: a fraction in (0, 1].
+_fraction = _bounded(float, lambda value: 0 < value <= 1, "in (0, 1]")
+_non_negative_int = _bounded(int, lambda value: value >= 0, "at least 0")
+_positive_int = _bounded(int, lambda value: value > 0, "at least 1")
+_positive_float = _bounded(float, lambda value: value > 0, "positive")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -631,24 +565,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the workload suite").set_defaults(fn=_cmd_list)
 
-    workload_choices = sorted(
-        ["blackscholes", "kmeans", "lightgbm", "matrixmul", "mixedgemm",
-         "pagerank", "sparsemv", "tpch_q1", "tpch_q6", "tpch_q14"]
+    run_parser = sub.add_parser(
+        "run",
+        help="run one workload end to end; every observer flag composes "
+             "with every run flag",
     )
-
-    run_parser = sub.add_parser("run", help="run one workload end to end")
-    run_parser.add_argument("workload", choices=workload_choices)
-    run_parser.add_argument("--scale", type=float, default=1.0,
+    run_parser.add_argument("workload", choices=workload_names())
+    run_parser.add_argument("--scale", type=_fraction, default=1.0,
                             help="input scale in (0, 1] (default: paper scale)")
-    run_parser.add_argument("--trace", action="store_true",
-                            help="render the run's spans as a Gantt chart")
     run_parser.add_argument(
-        "--stress", type=float, default=None, metavar="AVAIL",
-        help="throttle the CSE to AVAIL once the offloaded work reaches "
-             "50%% progress (the paper's Figure 5 scenario)",
+        "--stress", type=_fraction, default=None, metavar="AVAIL",
+        help="throttle the CSE to AVAIL in (0, 1] once the offloaded work "
+             "reaches 50%% progress (the paper's Figure 5 scenario)",
     )
     run_parser.add_argument(
-        "--fault-count", type=int, default=0, metavar="N",
+        "--fault-count", type=_non_negative_int, default=0, metavar="N",
         help="inject N deterministic faults (crashes, lost completions, "
              "media errors, link degradation) during the run",
     )
@@ -657,28 +588,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the generated fault plan (default: config fault_seed)",
     )
     run_parser.add_argument(
-        "--plan-mode", choices=("greedy", "search"), default="greedy",
+        "--plan-mode", choices=PLAN_MODES, default="greedy",
         help="how step 3 picks the host/CSD split: the paper's greedy "
              "Algorithm 1, or the exact speculative search",
     )
-    run_parser.add_argument("--json", metavar="PATH", default=None)
+    run_parser.add_argument("--trace", action="store_true",
+                            help="render the run's spans as a Gantt chart")
+    run_parser.add_argument(
+        "--trace-out", metavar="PATH", default=None,
+        help="write the run's spans as a validated Chrome trace_event JSON "
+             "(open in chrome://tracing or Perfetto)",
+    )
+    run_parser.add_argument("--metrics", action="store_true",
+                            help="print the run's metric report")
+    run_parser.add_argument(
+        "--explain", action="store_true",
+        help="attribute every simulated second and print plan vs. reality, "
+             "the critical path and the per-component attribution",
+    )
+    run_parser.add_argument(
+        "--json", metavar="PATH", default=None,
+        help="write the run report as JSON (with --explain, also the "
+             "critical path and attribution)",
+    )
     run_parser.set_defaults(fn=_cmd_run)
-
-    plan_parser = sub.add_parser(
-        "plan", help="plan a workload without executing it"
-    )
-    plan_sub = plan_parser.add_subparsers(dest="plan_command", required=True)
-    plan_search = plan_sub.add_parser(
-        "search",
-        help="exact plan search over steps measured on forked simulator states, "
-             "diffed against greedy Algorithm 1",
-    )
-    plan_search.add_argument("workload", choices=workload_choices)
-    plan_search.add_argument("--scale", type=float, default=1.0,
-                             help="input scale in (0, 1]")
-    plan_search.add_argument("--json", metavar="PATH", default=None,
-                             help="also write the search report as JSON")
-    plan_search.set_defaults(fn=_cmd_plan_search)
 
     for name, fn, help_text in (
         ("table1", _cmd_table1, "regenerate Table I"),
@@ -691,37 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--json", metavar="PATH", default=None)
         cmd.set_defaults(fn=fn)
-
-    metrics_parser = sub.add_parser(
-        "metrics", help="observability: run a workload and report its metrics"
-    )
-    metrics_sub = metrics_parser.add_subparsers(dest="metrics_command",
-                                                required=True)
-    metrics_run = metrics_sub.add_parser(
-        "run", help="run one workload with metrics collection enabled"
-    )
-    metrics_run.add_argument("workload", choices=workload_choices)
-    metrics_run.add_argument("--scale", type=float, default=1.0,
-                             help="input scale in (0, 1]")
-    metrics_run.add_argument("--json", metavar="PATH", default=None,
-                             help="also write the metrics snapshot as JSON")
-    metrics_run.set_defaults(fn=_cmd_metrics)
-
-    trace_parser = sub.add_parser(
-        "trace", help="observability: run a workload and export a Chrome trace"
-    )
-    trace_sub = trace_parser.add_subparsers(dest="trace_command", required=True)
-    trace_run = trace_sub.add_parser(
-        "run", help="run one workload with span tracing enabled"
-    )
-    trace_run.add_argument("workload", choices=workload_choices)
-    trace_run.add_argument("--scale", type=float, default=1.0,
-                           help="input scale in (0, 1]")
-    trace_run.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="Chrome trace_event output path (default: <workload>_trace.json)",
-    )
-    trace_run.set_defaults(fn=_cmd_trace)
 
     chaos_parser = sub.add_parser(
         "chaos",
@@ -738,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated workload rotation for the campaign",
     )
     chaos_parser.add_argument(
-        "--workload", default=None, choices=workload_choices,
+        "--workload", default=None, choices=workload_names(),
         help="replay mode: run exactly one workload with --seed and exit",
     )
     chaos_parser.add_argument(
@@ -746,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="base seed (campaign) or the exact seed to replay (--workload)",
     )
     chaos_parser.add_argument("--fault-count", type=int, default=3, metavar="N")
-    chaos_parser.add_argument("--scale", type=float, default=2**-6)
+    chaos_parser.add_argument("--scale", type=_fraction, default=2**-6)
     chaos_parser.add_argument(
         "--no-validate", action="store_true",
         help="disable checkpoint CRC validation (the planted bug the "
@@ -805,62 +707,47 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one seeded fleet: open-loop traffic through admission "
              "control onto N devices, with per-tenant SLO percentiles",
     )
-    def add_fleet_args(parser) -> None:
-        parser.add_argument("--devices", type=int, default=4, metavar="N")
-        parser.add_argument("--tenants", type=int, default=3, metavar="N")
-        parser.add_argument("--jobs", type=int, default=24, metavar="N")
-        parser.add_argument("--seed", type=int, default=0)
-        parser.add_argument(
-            "--target-load", type=float, default=0.7,
-            help="offered load as a fraction of fleet service capacity "
-                 "(default: 0.7; push past 1.0 to watch graceful degradation)",
-        )
-        parser.add_argument("--scale", type=float, default=2**-6)
-        parser.add_argument(
-            "--lose-device", default=None, metavar="NAME",
-            help="inject one DEVICE_LOST_MID_JOB against this device "
-                 "(csd, csd1, ...)",
-        )
-        parser.add_argument(
-            "--lose-at", type=float, default=0.5, metavar="T",
-            help="simulated time of the injected device loss (default: 0.5)",
-        )
-        parser.add_argument(
-            "--rejoin-after", type=float, default=0.0, metavar="S",
-            help="window after which the lost device rejoins (0 = never)",
-        )
-        parser.add_argument(
-            "--window", type=float, default=0.25, metavar="S",
-            help="flight-recorder rate/percentile window in simulated "
-                 "seconds (default: 0.25)",
-        )
-        parser.add_argument(
-            "--trace-out", metavar="PATH", default=None,
-            help="also export the fleet Chrome trace (jobs as spans per "
-                 "device track, failover/shed/loss as instants)",
-        )
-        parser.add_argument("--json", metavar="PATH", default=None)
-
-    add_fleet_args(fleet_run)
+    fleet_run.add_argument("--devices", type=_positive_int, default=4, metavar="N")
+    fleet_run.add_argument("--tenants", type=_positive_int, default=3, metavar="N")
+    fleet_run.add_argument("--jobs", type=_positive_int, default=24, metavar="N")
+    fleet_run.add_argument("--seed", type=int, default=0)
+    fleet_run.add_argument(
+        "--target-load", type=_positive_float, default=0.7,
+        help="offered load as a fraction of fleet service capacity "
+             "(default: 0.7; push past 1.0 to watch graceful degradation)",
+    )
+    fleet_run.add_argument("--scale", type=_fraction, default=2**-6)
+    fleet_run.add_argument(
+        "--lose-device", default=None, metavar="NAME",
+        help="inject one DEVICE_LOST_MID_JOB against this device "
+             "(csd, csd1, ...)",
+    )
+    fleet_run.add_argument(
+        "--lose-at", type=float, default=0.5, metavar="T",
+        help="simulated time of the injected device loss (default: 0.5)",
+    )
+    fleet_run.add_argument(
+        "--rejoin-after", type=float, default=0.0, metavar="S",
+        help="window after which the lost device rejoins (0 = never)",
+    )
+    fleet_run.add_argument(
+        "--window", type=_positive_float, default=0.25, metavar="S",
+        help="flight-recorder rate/percentile window in simulated "
+             "seconds (default: 0.25)",
+    )
     fleet_run.add_argument(
         "--timeline", action="store_true",
         help="attach the flight recorder and print the ASCII sparkline "
              "timeline (utilization, queue depth, sliding-window SLOs, "
              "alerts)",
     )
+    fleet_run.add_argument(
+        "--trace-out", metavar="PATH", default=None,
+        help="also export the fleet Chrome trace (jobs as spans per "
+             "device track, failover/shed/loss as instants)",
+    )
+    fleet_run.add_argument("--json", metavar="PATH", default=None)
     fleet_run.set_defaults(fn=_cmd_fleet_run)
-
-    obs_parser = sub.add_parser(
-        "obs", help="observability: the fleet flight-recorder dashboard"
-    )
-    obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
-    obs_dashboard = obs_sub.add_parser(
-        "dashboard",
-        help="run one seeded fleet with the flight recorder attached and "
-             "render the sparkline dashboard (timeline always on)",
-    )
-    add_fleet_args(obs_dashboard)
-    obs_dashboard.set_defaults(fn=_cmd_fleet_run, timeline=True)
 
     faults_parser = sub.add_parser(
         "faults", help="the deterministic fault-injection catalogue"
@@ -871,28 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list every injectable fault kind with its default target"
     )
     faults_list.set_defaults(fn=_cmd_faults_list)
-
-    explain_parser = sub.add_parser(
-        "explain",
-        help="observability: attribute a run's time and audit the plan",
-    )
-    explain_sub = explain_parser.add_subparsers(dest="explain_command",
-                                                required=True)
-    explain_run = explain_sub.add_parser(
-        "run",
-        help="run one workload with attribution and explain where the "
-             "time went (plan vs. reality, critical path, bottlenecks)",
-    )
-    explain_run.add_argument("workload", choices=workload_choices)
-    explain_run.add_argument("--scale", type=float, default=1.0,
-                             help="input scale in (0, 1]")
-    explain_run.add_argument(
-        "--max-steps", type=int, default=40,
-        help="critical-path steps to print (default: 40)",
-    )
-    explain_run.add_argument("--json", metavar="PATH", default=None,
-                             help="also write the full explanation as JSON")
-    explain_run.set_defaults(fn=_cmd_explain)
 
     bench_parser = sub.add_parser(
         "bench",
@@ -945,8 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser = sub.add_parser(
         "validate", help="pre-flight check a workload's program definition"
     )
-    validate_parser.add_argument("workload")
-    validate_parser.add_argument("--scale", type=float, default=2**-7)
+    validate_parser.add_argument("workload", choices=workload_names())
+    validate_parser.add_argument("--scale", type=_fraction, default=2**-7)
     validate_parser.set_defaults(fn=_cmd_validate)
 
     selfcheck_parser = sub.add_parser(

@@ -13,7 +13,7 @@ dataclass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import DEFAULT_CONFIG, SystemConfig
@@ -60,25 +60,12 @@ class RunOptions:
         A caller-owned :class:`~repro.obs.Observability` handle; the
         machine's components record metrics and spans into it.  Omit
         for a zero-overhead disabled handle.
-    plan_mode:
-        Override the instance's planning mode for this run: "greedy"
-        (Algorithm 1) or "search" (the exact dynamic program over
-        steps measured on forked simulator states).  ``None`` keeps the
-        instance default.
     """
 
     trace: bool = False
     progress_triggers: Tuple[ProgressTrigger, ...] = ()
     fault_plan: Optional[FaultPlan] = None
     obs: Optional[Observability] = None
-    plan_mode: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.plan_mode is not None and self.plan_mode not in PLAN_MODES:
-            raise PlanningError(
-                f"invalid plan_mode {self.plan_mode!r}; expected one of "
-                f"{PLAN_MODES}"
-            )
 
 
 @dataclass
@@ -209,14 +196,11 @@ class ActivePy:
         machine: Optional[Machine] = None,
         *,
         options: Optional[RunOptions] = None,
-        obs: Optional[Observability] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> ActivePyReport:
         """Run an unannotated program end to end.
 
         Run-shaping knobs travel in ``options`` (a :class:`RunOptions`);
-        ``obs`` and ``fault_plan`` are accepted directly as conveniences
-        and override the corresponding ``options`` fields.
+        the planning mode is the instance's ``plan_mode``.
 
         Injected faults and the runtime's recovery actions land on
         ``result.fault_events``; with tracing ``report.spans`` holds
@@ -224,10 +208,6 @@ class ActivePy:
         ``obs`` handle ``report.obs`` exposes the collected metrics.
         """
         opts = options if options is not None else RunOptions()
-        if fault_plan is not None:
-            opts = replace(opts, fault_plan=fault_plan)
-        if obs is not None:
-            opts = replace(opts, obs=obs)
         if machine is None:
             machine = build_machine(self.config, obs=opts.obs)
         elif opts.obs is not None and machine.obs is not opts.obs:
@@ -282,10 +262,7 @@ class ActivePy:
         #    profile cache.
         plan = assign_csd_code(estimates, self.config)
         search_report: Optional[SearchReport] = None
-        plan_mode = (
-            opts.plan_mode if opts.plan_mode is not None else self.plan_mode
-        )
-        if plan_mode == "search":
+        if self.plan_mode == "search":
             search_report = self._search_plan(
                 program, dataset, estimates, plan,
                 cache=self._profile_cache, cache_key=cache_key, handle=handle,

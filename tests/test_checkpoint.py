@@ -15,7 +15,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.runtime.checkpoint import (
     CheckpointManager,
     CheckpointRecord,
@@ -160,7 +160,7 @@ def _run_toy(config: SystemConfig, fault_plan=None):
     machine = build_machine(config)
     return ActivePy(config).run(
         make_toy_program(), make_toy_dataset(), machine=machine,
-        fault_plan=fault_plan,
+        options=RunOptions(fault_plan=fault_plan),
     )
 
 

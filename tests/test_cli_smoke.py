@@ -1,4 +1,5 @@
-"""End-to-end CLI checks: campaigns, planted bugs, fleet failover, cache hits.
+"""End-to-end CLI checks: campaigns, planted bugs, fleet failover, cache
+hits, and bad input rejected at the argument parser.
 
 Each test runs one ``python -m repro`` command in process through
 :func:`repro.cli.main` and checks its exit code and the line a user
@@ -87,8 +88,36 @@ class TestProfileCacheHit:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(profcache, "_DEFAULT_CACHE", None)
         monkeypatch.setattr(profcache, "_DEFAULT_CACHE_KEY", None)
-        argv = ["explain", "run", "tpch_q6", "--scale", "0.01"]
+        argv = ["run", "tpch_q6", "--scale", "0.01", "--explain"]
         assert main(argv) == 0
         assert "prof cache : miss" in capsys.readouterr().out
         assert main(argv) == 0
         assert "prof cache : hit" in capsys.readouterr().out
+
+
+class TestBadInputIsAUsageError:
+    """Out-of-range values exit 2 with a usage line before any work runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "tpch_q6", "--scale", "0"],
+        ["run", "tpch_q6", "--scale", "1.5"],
+        ["run", "tpch_q6", "--scale", "nan"],
+        ["run", "tpch_q6", "--stress", "1.5"],
+        ["run", "tpch_q6", "--stress", "0"],
+        ["run", "tpch_q6", "--fault-count", "-2"],
+        ["fleet", "run", "--scale", "0"],
+        ["fleet", "run", "--window", "0"],
+        ["fleet", "run", "--devices", "0"],
+        ["fleet", "run", "--jobs", "-1"],
+        ["fleet", "run", "--target-load", "0"],
+        ["chaos", "--scale", "-1"],
+        ["validate", "nope"],
+        ["validate", "tpch_q6", "--scale", "two"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "Traceback" not in err

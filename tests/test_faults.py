@@ -11,7 +11,7 @@ from repro.errors import (
 from repro.baselines import ground_truth_estimates
 from repro.faults import FaultInjector, FaultKind, FaultLog, FaultPlan, FaultSpec
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy, run_plan
+from repro.runtime.activepy import ActivePy, RunOptions, run_plan
 from repro.runtime.codegen import ExecutionMode
 from repro.runtime.planner import CSD, HOST, Plan
 from repro.storage.nand import FlashArray, FlashGeometry
@@ -21,7 +21,8 @@ from .conftest import make_toy_dataset, make_toy_program
 
 def run_with_plan(config, plan, **kwargs):
     return ActivePy(config).run(
-        make_toy_program(), make_toy_dataset(), fault_plan=plan, **kwargs
+        make_toy_program(), make_toy_dataset(),
+        options=RunOptions(fault_plan=plan), **kwargs
     )
 
 

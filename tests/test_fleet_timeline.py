@@ -360,9 +360,3 @@ class TestTimelineCli:
             "--lose-device", "csd1", "--lose-at", "0.3", "--timeline",
         ]) == 0
         assert "ALERT slo-burn:" in capsys.readouterr().out
-
-    def test_obs_dashboard_is_timeline_always_on(self, capsys):
-        from repro.cli import main
-
-        assert main(["obs", "dashboard", "--devices", "2", "--jobs", "8"]) == 0
-        assert "timeline (window" in capsys.readouterr().out

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -355,7 +356,7 @@ class TestActivePyIntegration:
         obs = Observability()
         runtime = ActivePy(plan_mode="search", profile_cache=False)
         search_report = runtime.run(
-            workload.program, workload.dataset, obs=obs
+            workload.program, workload.dataset, options=RunOptions(obs=obs)
         )
         greedy_report = ActivePy(profile_cache=False).run(
             workload.program, workload.dataset
@@ -382,20 +383,9 @@ class TestActivePyIntegration:
         )
         assert "plansearch.cache_hit" not in counters
 
-    def test_run_options_override_plan_mode(self):
-        workload = get_workload("tpch_q6", scale=SCALE)
-        runtime = ActivePy(profile_cache=False)
-        report = runtime.run(
-            workload.program, workload.dataset,
-            options=RunOptions(plan_mode="search"),
-        )
-        assert report.plan.origin == "search"
-
     def test_invalid_plan_mode_rejected(self):
         with pytest.raises(PlanningError):
             ActivePy(plan_mode="oracle")
-        with pytest.raises(PlanningError):
-            RunOptions(plan_mode="oracle")
 
     def test_warm_cache_skips_search(self, tmp_path):
         cache = ProfileCache(tmp_path)
@@ -406,7 +396,9 @@ class TestActivePyIntegration:
         assert cache.plan_misses == 1 and cache.plan_hits == 0
 
         obs = Observability()
-        warm = runtime.run(workload.program, workload.dataset, obs=obs)
+        warm = runtime.run(
+            workload.program, workload.dataset, options=RunOptions(obs=obs)
+        )
         assert warm.search.cache_hit
         assert cache.plan_hits == 1
         counters = obs.snapshot()["counters"]
@@ -436,10 +428,12 @@ class TestCli:
     def test_plan_search_beats_greedy(self, name, capsys):
         from repro.cli import main
 
-        assert main(["plan", "search", name, "--scale", str(SCALE)]) == 0
+        argv = ["run", name, "--scale", str(SCALE), "--plan-mode", "search",
+                "--explain", "--metrics"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "verdict: search beat greedy" in out
-        assert "15 speculative steps" in out
+        assert "search beat greedy" in out
+        assert re.search(r"^plansearch\.steps_simulated\s+15$", out, re.MULTILINE)
 
     def test_run_plan_mode_search(self, capsys):
         from repro.cli import main

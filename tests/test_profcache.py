@@ -382,7 +382,7 @@ class TestSharedSamplingEntryPoint:
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        argv = ["plan", "search", "tpch_q6", "--scale", str(SCALE)]
+        argv = ["run", "tpch_q6", "--scale", str(SCALE), "--plan-mode", "search"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert profile_calls

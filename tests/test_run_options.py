@@ -28,3 +28,11 @@ class TestRunOptions:
         )
         assert report.spans is not None
         assert not [w for w in recwarn if w.category is DeprecationWarning]
+
+    def test_options_is_the_only_run_shaping_keyword(self):
+        workload = _workload()
+        for keyword in ("obs", "fault_plan"):
+            with pytest.raises(TypeError):
+                ActivePy().run(workload.program, workload.dataset, **{keyword: None})
+        fields = {field.name for field in dataclasses.fields(RunOptions)}
+        assert fields == {"trace", "progress_triggers", "fault_plan", "obs"}
