@@ -251,10 +251,16 @@ def _cmd_prediction(args) -> int:
 
 def _cmd_fleet_run(args) -> int:
     from .faults.spec import FaultKind, FaultPlan, FaultSpec
-    from .fleet import Fleet, FleetConfig, default_tenants
+    from .fleet import Fleet, FleetConfig, default_tenants, device_names
 
     specs = []
     if args.lose_device is not None:
+        names = device_names(args.devices)
+        if args.lose_device not in names:
+            args.usage_error(
+                f"argument --lose-device: unknown device {args.lose_device!r} "
+                f"(choose from {', '.join(names)})"
+            )
         specs.append(FaultSpec(
             kind=FaultKind.DEVICE_LOST_MID_JOB,
             at_time=args.lose_at,
@@ -554,6 +560,7 @@ _fraction = _bounded(float, lambda value: 0 < value <= 1, "in (0, 1]")
 _non_negative_int = _bounded(int, lambda value: value >= 0, "at least 0")
 _positive_int = _bounded(int, lambda value: value > 0, "at least 1")
 _positive_float = _bounded(float, lambda value: value > 0, "positive")
+_non_negative_float = _bounded(float, lambda value: value >= 0, "at least 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -723,11 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(csd, csd1, ...)",
     )
     fleet_run.add_argument(
-        "--lose-at", type=float, default=0.5, metavar="T",
+        "--lose-at", type=_non_negative_float, default=0.5, metavar="T",
         help="simulated time of the injected device loss (default: 0.5)",
     )
     fleet_run.add_argument(
-        "--rejoin-after", type=float, default=0.0, metavar="S",
+        "--rejoin-after", type=_non_negative_float, default=0.0, metavar="S",
         help="window after which the lost device rejoins (0 = never)",
     )
     fleet_run.add_argument(
@@ -747,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
              "device track, failover/shed/loss as instants)",
     )
     fleet_run.add_argument("--json", metavar="PATH", default=None)
-    fleet_run.set_defaults(fn=_cmd_fleet_run)
+    fleet_run.set_defaults(fn=_cmd_fleet_run, usage_error=fleet_run.error)
 
     faults_parser = sub.add_parser(
         "faults", help="the deterministic fault-injection catalogue"

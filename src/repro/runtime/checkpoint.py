@@ -189,7 +189,9 @@ class CheckpointManager:
             sim_time=sim_time,
         )
         slot = generation % 2 if self.config.checkpoint_double_buffer else 0
-        clean = self.area.write(slot, encode_record(record), tear_offset(record))
+        blob = encode_record(record)
+        # ``tear_offset(record)``, read off the blob: all but cursor and CRC.
+        clean = self.area.write(slot, blob, len(blob) - _TAIL.size - _CRC.size)
         self.area.next_generation = generation + 1
         self.saves += 1
         if self.obs.enabled:

@@ -131,18 +131,11 @@ def _callable_token(fn: Any, depth: int = 0) -> Dict[str, Any]:
             f"kernel/cost callable is a {type(fn).__name__}, "
             f"not a plain function"
         )
-    try:
-        import inspect
-
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):
-        # Defined in a REPL or exec'd string: fall back to bytecode.
-        source = fn.__code__.co_code.hex() + "|" + repr(fn.__code__.co_consts)
     return {
         "module": fn.__module__,
         "module_digest": _module_digest(fn.__module__),
         "qualname": fn.__qualname__,
-        "source": source,
+        "source": _source(fn),
         "defaults": [
             _value_token(value, depth + 1)
             for value in (fn.__defaults__ or ())
@@ -152,6 +145,33 @@ def _callable_token(fn: Any, depth: int = 0) -> Dict[str, Any]:
             for cell in (fn.__closure__ or ())
         ],
     }
+
+
+#: ``id(code) -> (code, source)``.  Keyed by identity, not equality:
+#: code objects that differ only in a comment compare equal.  Holding
+#: the code object keeps its id from being reused.
+_SOURCES: Dict[int, Tuple[types.CodeType, str]] = {}
+
+
+def _source(fn: types.FunctionType) -> str:
+    """The source of ``fn``, read once per process per code object.
+
+    Source files are fixed for the life of the process, the same
+    lifetime :func:`_module_digest` and :func:`_engine_digest` assume.
+    """
+    code = fn.__code__
+    entry = _SOURCES.get(id(code))
+    if entry is not None:
+        return entry[1]
+    try:
+        import inspect
+
+        source = inspect.getsource(fn)
+    except (OSError, TypeError):
+        # Defined in a REPL or exec'd string: fall back to bytecode.
+        source = code.co_code.hex() + "|" + repr(code.co_consts)
+    _SOURCES[id(code)] = (code, source)
+    return source
 
 
 _MODULE_DIGESTS: Dict[str, str] = {}
@@ -257,11 +277,8 @@ def fingerprint_run(
                 "builder": _callable_token(dataset.builder),
             },
             "config": {
-                key: repr(value)
-                for key, value in sorted(
-                    dataclasses.asdict(config).items(),
-                    key=lambda kv: str(kv[0]),
-                )
+                field.name: repr(getattr(config, field.name))
+                for field in dataclasses.fields(config)
             },
         }
         canonical = json.dumps(fingerprint, sort_keys=True, allow_nan=False)

@@ -110,6 +110,10 @@ class TestBadInputIsAUsageError:
         ["fleet", "run", "--devices", "0"],
         ["fleet", "run", "--jobs", "-1"],
         ["fleet", "run", "--target-load", "0"],
+        ["fleet", "run", "--lose-device", "csd1", "--lose-at", "-1"],
+        ["fleet", "run", "--lose-device", "csd1", "--rejoin-after", "-1"],
+        ["fleet", "run", "--lose-device", "nope"],
+        ["fleet", "run", "--devices", "2", "--lose-device", "csd2"],
         ["chaos", "--scale", "-1"],
         ["validate", "nope"],
         ["validate", "tpch_q6", "--scale", "two"],

@@ -1,6 +1,8 @@
 """The profile/plan cache: keys, invalidation, bit-identical replay."""
 
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import multiprocessing
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.obs import Observability
+from repro.runtime import profcache
 from repro.runtime.activepy import ActivePy, RunOptions
 from repro.runtime.fitting import ComplexityCurve, FittedCurve
 from repro.runtime.profcache import ProfileCache, cached_sampling, default_cache
@@ -121,6 +124,120 @@ class TestKeying:
         )])
         assert cache.key_for(program, make_toy_dataset(), DEFAULT_CONFIG) is None
         assert cache.stats()["uncacheable"] == 1
+
+
+#: sha256 over the profile-cache keys of the 10 rotation workloads at
+#: scale 1/4, under ``DEFAULT_CONFIG`` then ``_PIN_CONFIG``, with the
+#: engine and module digests stubbed to constants.
+_PINNED_KEYS_DIGEST = (
+    "b4d6f3bebb53d9b63166bb6e14c852c95dc7ff32e22be90b7ebee95ac1e8ff16"
+)
+
+_PIN_CONFIG = dataclasses.replace(
+    DEFAULT_CONFIG, cse_cores=4, sampling_factors=(2 ** -9, 2 ** -8)
+)
+
+
+class TestKeyRecipe:
+    def test_rotation_keys_are_pinned(self, monkeypatch):
+        """The key recipe is frozen: existing cache entries keep hitting.
+
+        The pinned digest was computed before the per-process source
+        memo and the ``fields``-based config token were introduced, so
+        it shows both left every key byte-identical.  The engine and
+        module digests hash file contents and are stubbed out.
+        """
+        from repro.workloads import workload_names
+
+        monkeypatch.setattr(profcache, "_engine_digest", lambda: "engine")
+        monkeypatch.setattr(profcache, "_module_digest", lambda name: "module")
+        names = workload_names()
+        assert len(names) == 10
+        keys = []
+        for config in (DEFAULT_CONFIG, _PIN_CONFIG):
+            for name in names:
+                workload = get_workload(name, scale=0.25)
+                key = profcache.fingerprint_run(
+                    workload.program, workload.dataset, config
+                )
+                assert key is not None, name
+                keys.append(key)
+        digest = hashlib.sha256("\n".join(keys).encode("ascii")).hexdigest()
+        assert digest == _PINNED_KEYS_DIGEST
+
+
+_KERNEL_SOURCE = '''
+def kernel(p):
+    return {{"y": p["x"] * 2.0}}  # {comment}
+'''
+
+
+def _import_kernel(path: Path, comment: str):
+    path.write_text(_KERNEL_SOURCE.format(comment=comment), encoding="utf-8")
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.kernel
+
+
+def _k_double(p):
+    return {"y": p["x"] * 2.0}
+
+
+class TestSourceMemo:
+    """A callable's source is read once per code object, never shared."""
+
+    def test_equal_code_objects_keep_their_own_source(self, tmp_path):
+        first = _import_kernel(tmp_path / "kernel_a.py", "double it")
+        second = _import_kernel(tmp_path / "kernel_b.py", "times two")
+        # Equal by value, yet their source differs: a memo keyed by
+        # code equality would hand the second the first's source.
+        assert first.__code__ == second.__code__
+        first_source = profcache._callable_token(first)["source"]
+        second_source = profcache._callable_token(second)["source"]
+        assert "double it" in first_source and "times two" in second_source
+        assert profcache._callable_token(first)["source"] == first_source
+
+    def test_source_read_once_per_code_object(self, cache, monkeypatch):
+        import inspect
+
+        read = []
+        getsource = inspect.getsource
+
+        def counting(fn):
+            read.append(fn.__code__)
+            return getsource(fn)
+
+        monkeypatch.setattr(profcache, "_SOURCES", {})
+        monkeypatch.setattr(inspect, "getsource", counting)
+        program, dataset = make_toy_program(), make_toy_dataset()
+        keys = {cache.key_for(program, dataset, DEFAULT_CONFIG)
+                for _ in range(3)}
+        assert len(keys) == 1
+        callables = [dataset.builder]
+        for statement in program:
+            callables += [statement.kernel, statement.instructions,
+                          statement.output_bytes, statement.storage_bytes]
+        # By identity: distinct code objects may compare equal.
+        codes = {id(fn.__code__) for fn in callables}
+        assert sorted(id(code) for code in read) == sorted(codes)
+
+    def test_closures_from_one_factory_still_differ(self, cache):
+        from repro.lang.program import Program, Statement, per_record
+
+        def build(amount):
+            return Program("toy3", [Statement(
+                "scan", _k_double,
+                instructions=per_record(amount),
+                output_bytes=per_record(4.0),
+                storage_bytes=per_record(64.0),
+            )])
+
+        dataset = make_toy_dataset()
+        keys = [cache.key_for(build(amount), dataset, DEFAULT_CONFIG)
+                for amount in (8.0, 16.0, 8.0)]
+        assert keys[0] != keys[1]
+        assert keys[0] == keys[2]
 
 
 class TestRoundTrip:

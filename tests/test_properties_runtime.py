@@ -125,3 +125,41 @@ def test_migration_never_loses_to_staying(availability, trigger_at):
         options=RunOptions(progress_triggers=((trigger_at, availability),)),
     )
     assert move.total_seconds <= stay.total_seconds * 1.05
+
+
+class _RecordingArea:
+    """A checkpoint area that keeps every write's payload and tear offset."""
+
+    next_generation = 0
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, slot, payload, tear_offset):
+        self.writes.append((payload, tear_offset))
+        return True
+
+
+_LIVE_VAR_NAMES = st.lists(
+    st.text(max_size=40).filter(lambda name: len(name.encode("utf-8")) <= 0xFF),
+    max_size=8,
+)
+
+
+@given(live_vars=_LIVE_VAR_NAMES, next_chunk=st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_checkpoint_save_tears_where_tear_offset_says(live_vars, next_chunk):
+    """``save`` reads the torn prefix off the encoded blob; it must land
+    exactly the bytes :func:`tear_offset` computes from the names."""
+    from repro.runtime.checkpoint import (
+        CheckpointManager, CheckpointRecord, encode_record, tear_offset,
+    )
+
+    manager = CheckpointManager(device=build_machine(CONFIG).csd, config=CONFIG)
+    manager.area = _RecordingArea()
+    manager.save(3, next_chunk, live_vars, 1.5)
+    record = CheckpointRecord(
+        generation=0, line_index=3, next_chunk=next_chunk,
+        live_vars=tuple(live_vars), sim_time=1.5,
+    )
+    assert manager.area.writes == [(encode_record(record), tear_offset(record))]
