@@ -2,16 +2,15 @@
 
 Paper series: every workload, stressed right after its ISP task makes
 50% progress; full ActivePy vs the no-migration ablation, normalised to
-the no-ISP baseline.  Headline numbers: 2.82x gain over the ablation at
-10%, ~8% average slowdown vs baseline with migration, 67% average / 88%
-maximum loss without it.
+the no-ISP baseline.  The headline numbers (gain over the ablation at
+10%, slowdown vs baseline with migration, loss without it) are claim
+rows of ``repro.analysis.claims``.
 """
 
 from repro.analysis.experiments import run_fig5
-from repro.analysis.metrics import slowdown_fraction
 from repro.analysis.report import format_table
 
-from .conftest import run_once
+from .conftest import assert_claims, run_once
 
 
 def test_fig5_migration(benchmark):
@@ -25,22 +24,9 @@ def test_fig5_migration(benchmark):
                 [row.name,
                  f"{row.with_migration_speedup:.3f}x",
                  f"{row.without_migration_speedup:.3f}x",
-                 f"{row.migration_gain:.2f}x",
+                 f"{row.migration_gain:.3f}x",
                  row.migrations]
                 for row in result.at(availability)
             ],
         ))
-    gain = result.mean_gain(0.1)
-    without = result.mean_without(0.1)
-    with_mig = result.mean_with(0.1)
-    worst = min(r.without_migration_speedup for r in result.at(0.1))
-    print(f"\nat 10%: migration gain {gain:.2f}x (paper: 2.82x)")
-    print(f"at 10%: mean loss w/o migration "
-          f"{slowdown_fraction(1.0, 1.0 / without):.0%} "
-          f"(paper: 67% avg), worst {slowdown_fraction(1.0, 1.0 / worst):.0%} "
-          f"(paper: 88%)")
-    print(f"at 10%: ActivePy vs baseline {with_mig:.3f}x "
-          f"(paper: ~8% slowdown)")
-
-    assert gain > 2.0
-    assert without < 0.45
+    assert_claims("run_fig5", result)

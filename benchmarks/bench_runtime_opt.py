@@ -1,15 +1,16 @@
 """§V "ActivePy's optimizations in its language runtime".
 
-Paper ladder, host-only (no ISP anywhere): plain Python is 41% slower
-than the C baseline; Cython compilation shrinks that to 20%; ActivePy's
-copy elimination makes it almost indistinguishable from C, modulo the
-~0.1 s compilation cost.
+Paper ladder, host-only (no ISP anywhere): plain Python is markedly
+slower than the C baseline; Cython compilation roughly halves that;
+ActivePy's copy elimination makes it almost indistinguishable from C,
+modulo a one-off compilation cost.  The paper's numbers and the pins
+are claim rows of ``repro.analysis.claims``.
 """
 
 from repro.analysis.experiments import run_overhead_ladder
 from repro.analysis.report import format_table
 
-from .conftest import run_once
+from .conftest import assert_claims, run_once
 
 
 def test_runtime_overhead_ladder(benchmark):
@@ -25,13 +26,4 @@ def test_runtime_overhead_ladder(benchmark):
             for name, modes in result.per_workload.items()
         ],
     ))
-    print(
-        f"\nmean: python +{result.mean_overhead('python') * 100:.1f}% "
-        f"(paper: +41%), cython +{result.mean_overhead('cython') * 100:.1f}% "
-        f"(paper: +20%), activepy +{result.mean_overhead('activepy') * 100:.2f}% "
-        f"(paper: ~1% compile overhead)"
-    )
-
-    assert abs(result.mean_overhead("python") - 0.41) < 0.02
-    assert abs(result.mean_overhead("cython") - 0.20) < 0.02
-    assert result.mean_overhead("activepy") < 0.03
+    assert_claims("run_overhead_ladder", result)

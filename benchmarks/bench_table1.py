@@ -1,13 +1,14 @@
 """Table I: the applications and their input data sizes.
 
-Paper row format: name + data size (5.3-9.4 GB across nine apps).
+Paper row format: name + data size; the sizes are claim rows of
+``repro.analysis.claims``.
 """
 
 from repro.analysis.experiments import run_table1
 from repro.analysis.report import format_table
 from repro.units import format_bytes
 
-from .conftest import run_once
+from .conftest import assert_claims, run_once
 
 
 def test_table1(benchmark):
@@ -23,3 +24,4 @@ def test_table1(benchmark):
         ],
     ))
     assert len(rows) == 9
+    assert_claims("run_table1", rows)

@@ -56,6 +56,16 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
 
+def assert_claims(driver: str, result) -> None:
+    """Print and assert every paper claim row over one driver's result."""
+    from repro.analysis.claims import evaluate, render
+
+    verdicts = evaluate({driver: result})
+    text = render(verdicts)
+    print("\n" + text)
+    assert verdicts and all(verdict.ok for verdict in verdicts), text
+
+
 def write_bench_json(name: str, payload: dict, meta: Optional[dict] = None) -> Path:
     """Write one benchmark module's results; returns the file's path.
 

@@ -12,6 +12,7 @@
     python -m repro table1                     # regenerate Table I
     python -m repro fig2 | fig4 | fig5         # regenerate a figure
     python -m repro ladder | prediction        # the §V results
+    python -m repro selfcheck                  # every paper claim: band and pin
     python -m repro chaos [--runs N]           # randomized fault campaign
     python -m repro chaos --workers 4          # ... across worker processes
     python -m repro chaos --sdc                # ... with silent-corruption faults
@@ -42,6 +43,7 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import export
+from .analysis.claims import evaluate, render, run_claims
 from .analysis.experiments import (
     run_fig2,
     run_fig4,
@@ -213,8 +215,7 @@ def _cmd_fig4(args) -> int:
         [[r.name, f"{r.static_speedup:.3f}x", f"{r.activepy_speedup:.3f}x"]
          for r in result.rows],
     )
-    text += (f"\n\ngeomean: static {result.static_geomean:.3f}x, "
-             f"ActivePy {result.activepy_geomean:.3f}x")
+    text += "\n\n" + render(evaluate({"run_fig4": result}))
     return _print_and_maybe_export(result, text, args.json)
 
 
@@ -226,26 +227,19 @@ def _cmd_fig5(args) -> int:
           f"{r.with_migration_speedup:.3f}x",
           f"{r.without_migration_speedup:.3f}x"] for r in result.rows],
     )
-    text += f"\n\nmigration gain at 10%: {result.mean_gain(0.1):.2f}x"
+    text += "\n\n" + render(evaluate({"run_fig5": result}))
     return _print_and_maybe_export(result, text, args.json)
 
 
 def _cmd_ladder(args) -> int:
     result = run_overhead_ladder()
-    text = "\n".join(
-        f"{mode:<9} +{result.mean_overhead(mode) * 100:.1f}%"
-        for mode in ("python", "cython", "activepy")
-    )
+    text = render(evaluate({"run_overhead_ladder": result}))
     return _print_and_maybe_export(result, text, args.json)
 
 
 def _cmd_prediction(args) -> int:
     result = run_prediction_accuracy()
-    text = (
-        f"geomean error excl. outliers: "
-        f"{result.geomean_error_excluding_outliers() * 100:.1f}%\n"
-        f"max CSR over-estimate: {result.max_csr_overestimate():.2f}x"
-    )
+    text = render(evaluate({"run_prediction_accuracy": result}))
     return _print_and_maybe_export(result, text, args.json)
 
 
@@ -505,37 +499,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    from .analysis.selfcheck import measure_selfcheck, run_selfcheck
-
-    if args.repin:
-        measured = measure_selfcheck()
-        lines = [
-            '"""Pinned self-check expectations.',
-            "",
-            "Generated by ``python -m repro selfcheck --repin`` against the",
-            "calibrated default platform; ``run_selfcheck`` compares fresh",
-            "measurements to these within a small tolerance.",
-            '"""',
-            "",
-            "EXPECTED_SELFCHECK = {",
-        ]
-        for key, value in sorted(measured.items()):
-            lines.append(f'    "{key}": {value},')
-        lines.append("}")
-        import repro.analysis.expected as expected_module
-
-        path = expected_module.__file__
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        print(f"repinned {len(measured)} expectations to {path}")
-        return 0
-
-    result = run_selfcheck(tolerance=args.tolerance)
-    print(result.render())
-    if not result.ok:
-        for drift in result.drifted:
-            print(f"  {drift}")
-    return 0 if result.ok else 1
+    verdicts = run_claims()
+    print(render(verdicts))
+    return 0 if all(verdict.ok for verdict in verdicts) else 1
 
 
 def _bounded(convert, accept, expected: str):
@@ -823,12 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selfcheck_parser = sub.add_parser(
         "selfcheck",
-        help="verify headline numbers against pinned expectations",
-    )
-    selfcheck_parser.add_argument("--tolerance", type=float, default=0.02)
-    selfcheck_parser.add_argument(
-        "--repin", action="store_true",
-        help="overwrite the pinned expectations with fresh measurements",
+        help="check every paper claim against its band and pinned value",
     )
     selfcheck_parser.set_defaults(fn=_cmd_selfcheck)
 

@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..errors import ReproError
 from ..lang.program import Program, Statement, constant
+from ..runtime.profcache import FINGERPRINT_ATTR
 from .liveness import live_after_each, names_read
 
 #: Default instructions charged per AST operation per record.
@@ -172,20 +173,25 @@ def _compile_line(statement: ast.stmt, filename: str):
 _STORED_KEY = "__stored__"
 
 
-def _make_kernel(code, fn_globals: dict, keep: Set[str], unread_params: Set[str]):
-    """One line's executable kernel over the flowing namespace.
+def _make_kernel(
+    code, fn: Callable, index: int, keep: Set[str], unread_params: Set[str],
+):
+    """Line ``index`` of ``fn`` (compiled: ``code``) as a kernel over the
+    flowing namespace.
 
     Parameters the program has not read yet are threaded through under
     ``__stored__``: they are still on flash, so the profiler must not
     count them as this line's in-memory output (their bytes are charged
-    as storage streaming at their first reader instead).
+    as storage streaming at their first reader instead).  The profile
+    cache cannot fingerprint the code object and module globals the
+    kernel closes over, so it declares the function, line and names.
     """
 
     def kernel(payload: Dict[str, Any]) -> Dict[str, Any]:
         namespace = dict(payload)
         stored = namespace.pop(_STORED_KEY, {})
         namespace.update(stored)
-        exec(code, fn_globals, namespace)  # the actual user line
+        exec(code, fn.__globals__, namespace)  # the actual user line
         out = {name: namespace[name] for name in keep if name in namespace}
         still_stored = {
             name: namespace[name]
@@ -195,6 +201,10 @@ def _make_kernel(code, fn_globals: dict, keep: Set[str], unread_params: Set[str]
             out[_STORED_KEY] = still_stored
         return out
 
+    setattr(kernel, FINGERPRINT_ATTR, {
+        "function": fn, "line": index,
+        "keep": sorted(keep), "unread": sorted(unread_params),
+    })
     return kernel
 
 
@@ -262,7 +272,7 @@ def program_from_function(
             set(live_sets[index]) - unread
         ) | ({_RESULT_NAME} if is_last else set())
         code = _compile_line(statement, filename=f"<{fn_name}:L{index}>")
-        kernel = _make_kernel(code, fn.__globals__, keep, unread)
+        kernel = _make_kernel(code, fn, index, keep, unread)
         stmt_name = _statement_name(statement, index)
         # Folded loops: the line's cost is its body's, times the trip
         # count; the trips are its dynamic instances (migration points).

@@ -27,6 +27,8 @@ population-scale ground truth analytically.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import WorkloadError
@@ -37,6 +39,7 @@ DEFAULT_ALPHA = 1.5
 DEFAULT_DST_S = 1.8
 
 
+@lru_cache(maxsize=None)  # every sample of a dataset asks for the same one
 def _degree_normaliser(n_vertices: int, alpha: float) -> float:
     """Mean of (n/(n-i))^alpha over i, via the rank form r^-alpha."""
     ranks = np.arange(1, n_vertices + 1, dtype=np.float64)

@@ -48,7 +48,7 @@ import tempfile
 import types
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +61,13 @@ from .sampling import LineFits, SampleSeries, SamplingPhase, SamplingReport
 if TYPE_CHECKING:
     from ..obs import Observability
 
-__all__ = ["ProfileCache", "cached_sampling", "default_cache", "fingerprint_run"]
+__all__ = [
+    "FINGERPRINT_ATTR",
+    "ProfileCache",
+    "cached_sampling",
+    "default_cache",
+    "fingerprint_run",
+]
 
 #: Bumped whenever the payload layout or fingerprint recipe changes.
 _SCHEMA_VERSION = 1
@@ -77,6 +83,12 @@ _COST_PROBES = (1.0, 2.0, 17.0, 1024.0, 31337.0)
 
 #: Recursion guard for closure-cell fingerprinting.
 _MAX_DEPTH = 8
+
+#: A generated function whose closure holds values the fingerprinter
+#: refuses (code objects, module globals) sets this attribute to a
+#: fingerprintable description of what that closure computes; the
+#: description then stands in for the closure cells.
+FINGERPRINT_ATTR = "repro_fingerprint"
 
 
 class _Unfingerprintable(Exception):
@@ -131,7 +143,7 @@ def _callable_token(fn: Any, depth: int = 0) -> Dict[str, Any]:
             f"kernel/cost callable is a {type(fn).__name__}, "
             f"not a plain function"
         )
-    return {
+    token = {
         "module": fn.__module__,
         "module_digest": _module_digest(fn.__module__),
         "qualname": fn.__qualname__,
@@ -140,11 +152,16 @@ def _callable_token(fn: Any, depth: int = 0) -> Dict[str, Any]:
             _value_token(value, depth + 1)
             for value in (fn.__defaults__ or ())
         ],
-        "closure": [
+    }
+    declared = getattr(fn, FINGERPRINT_ATTR, None)
+    if declared is None:
+        token["closure"] = [
             _value_token(cell.cell_contents, depth + 1)
             for cell in (fn.__closure__ or ())
-        ],
-    }
+        ]
+    else:
+        token["declared"] = _value_token(declared, depth + 1)
+    return token
 
 
 #: ``id(code) -> (code, source)``.  Keyed by identity, not equality:
@@ -432,54 +449,34 @@ class ProfileCache:
         schema mismatch) is a *miss plus invalidation*: the entry is
         dropped with a warning and the caller re-profiles.
         """
-        path = self._path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except OSError as exc:
-            self._invalidate(path, f"unreadable ({exc})")
-            return None
-        try:
-            envelope = json.loads(raw)
-            if envelope.get("schema_version") != _SCHEMA_VERSION:
-                raise ValueError(
-                    f"schema {envelope.get('schema_version')!r} != "
-                    f"{_SCHEMA_VERSION}"
-                )
-            if envelope.get("key") != key:
-                raise ValueError("key mismatch (renamed or copied entry)")
-            payload = envelope["payload"]
-            if envelope.get("checksum") != _checksum(payload):
-                raise ValueError("checksum mismatch (truncated or edited)")
-            report = _report_from_jsonable(payload)
-        except Exception as exc:  # noqa: BLE001 — any damage means re-profile
-            self._invalidate(path, str(exc))
-            return None
-        self.hits += 1
+        report = self._read(self._path(key), key, _report_from_jsonable)
+        self.hits += report is not None
+        self.misses += report is None
         return report
 
     def get_plan(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached plan-search payload for ``key``, or ``None``.
 
         ``key`` is the run's sampling fingerprint, so anything that
-        invalidates a profile invalidates its plan.  Plan entries share the profile entries' envelope (schema, key,
-        checksum) and damage policy: anything unusable is dropped and
-        recomputed, never served.  The payload is the JSON view of a
-        :class:`~repro.runtime.plansearch.SearchReport`.
+        invalidates a profile invalidates its plan.  Plan entries share
+        the profile entries' envelope and damage policy.  The payload is
+        the JSON view of a :class:`~repro.runtime.plansearch.SearchReport`.
         """
-        path = self._plan_path(key)
+        payload = self._read(self._plan_path(key), key, dict)
+        self.plan_hits += payload is not None
+        self.plan_misses += payload is None
+        return payload
+
+    def _read(self, path: Path, key: str, decode: Callable[[Dict[str, Any]], Any]):
+        """The decoded payload of the entry at ``path``, or ``None``.
+
+        The envelope must carry this schema, ``key`` and the payload's
+        checksum.  Anything unusable (unreadable, corrupted, copied,
+        truncated, edited) is dropped with a warning and counted as an
+        invalidation, never served.
+        """
         try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self.plan_misses += 1
-            return None
-        except OSError as exc:
-            self._invalidate(path, f"unreadable ({exc})", plan=True)
-            return None
-        try:
-            envelope = json.loads(raw)
+            envelope = json.loads(path.read_text(encoding="utf-8"))
             if envelope.get("schema_version") != _SCHEMA_VERSION:
                 raise ValueError(
                     f"schema {envelope.get('schema_version')!r} != "
@@ -490,43 +487,22 @@ class ProfileCache:
             payload = envelope["payload"]
             if envelope.get("checksum") != _checksum(payload):
                 raise ValueError("checksum mismatch (truncated or edited)")
-        except Exception as exc:  # noqa: BLE001 — any damage means re-search
-            self._invalidate(path, str(exc), plan=True)
+            return decode(payload)
+        except FileNotFoundError:
             return None
-        self.plan_hits += 1
-        return payload
-
-    def put_plan(self, key: str, payload: Dict[str, Any]) -> bool:
-        """Persist a plan-search payload under ``key``; atomic, best-effort."""
-        try:
-            envelope = {
-                "schema_version": _SCHEMA_VERSION,
-                "repro_version": _repro_version(),
-                "key": key,
-                "checksum": _checksum(payload),
-                "payload": payload,
-            }
-            text = json.dumps(envelope, sort_keys=True, allow_nan=False)
-        except (TypeError, ValueError):
-            return False
-        return self._write_atomic(self._plan_path(key), key, text)
-
-    def _invalidate(self, path: Path, reason: str, plan: bool = False) -> None:
-        warnings.warn(
-            f"repro profile cache: ignoring corrupted entry "
-            f"{path.name}: {reason}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self.invalidations += 1
-        if plan:
-            self.plan_misses += 1
-        else:
-            self.misses += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        except Exception as exc:  # noqa: BLE001 — any damage means recompute
+            warnings.warn(
+                f"repro profile cache: ignoring corrupted entry "
+                f"{path.name}: {exc}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self.invalidations += 1
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
 
     # --- write ------------------------------------------------------------
 
@@ -537,22 +513,28 @@ class ProfileCache:
         serialised or the filesystem refuses the write — caching is an
         optimisation, never a failure mode.
         """
+        return self._write(self._path(key), key, _report_to_jsonable, report)
+
+    def put_plan(self, key: str, payload: Dict[str, Any]) -> bool:
+        """Persist a plan-search payload under ``key``; atomic, best-effort."""
+        return self._write(self._plan_path(key), key, dict, payload)
+
+    def _write(
+        self, path: Path, key: str, encode: Callable[[Any], Dict[str, Any]],
+        value: Any,
+    ) -> bool:
+        """Write ``encode(value)`` in the envelope :meth:`_read` checks."""
         try:
-            payload = _report_to_jsonable(report)
-            envelope = {
+            payload = encode(value)
+            text = json.dumps({
                 "schema_version": _SCHEMA_VERSION,
                 "repro_version": _repro_version(),
                 "key": key,
                 "checksum": _checksum(payload),
                 "payload": payload,
-            }
-            text = json.dumps(envelope, sort_keys=True, allow_nan=False)
+            }, sort_keys=True, allow_nan=False)
         except (TypeError, ValueError):
             return False
-        return self._write_atomic(self._path(key), key, text)
-
-    @staticmethod
-    def _write_atomic(path: Path, key: str, text: str) -> bool:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
@@ -666,13 +648,3 @@ def cached_sampling(
         if key is not None:
             cache.put(key, report)
     return report, key, status
-
-
-def sampling_report_to_jsonable(report: SamplingReport) -> Dict[str, Any]:
-    """Public serialisation hook (the cache's own payload layout)."""
-    return _report_to_jsonable(report)
-
-
-def sampling_report_from_jsonable(payload: Dict[str, Any]) -> SamplingReport:
-    """Inverse of :func:`sampling_report_to_jsonable` (exact floats)."""
-    return _report_from_jsonable(payload)

@@ -115,3 +115,81 @@ def toy_program() -> Program:
 @pytest.fixture
 def toy_dataset() -> Dataset:
     return make_toy_dataset()
+
+
+# --- the paper experiments, each run once per session ---------------------
+
+@pytest.fixture(scope="session")
+def table1():
+    from repro.analysis.experiments import run_table1
+
+    return run_table1()
+
+
+@pytest.fixture(scope="session")
+def fig2():
+    from repro.analysis.experiments import run_fig2
+
+    return run_fig2()
+
+
+@pytest.fixture(scope="session")
+def fig4():
+    from repro.analysis.experiments import run_fig4
+
+    return run_fig4()
+
+
+@pytest.fixture(scope="session")
+def fig5():
+    from repro.analysis.experiments import run_fig5
+
+    return run_fig5()
+
+
+@pytest.fixture(scope="session")
+def ladder():
+    from repro.analysis.experiments import run_overhead_ladder
+
+    return run_overhead_ladder()
+
+
+@pytest.fixture(scope="session")
+def prediction(fig4, fig5):
+    from repro.analysis.experiments import run_prediction_accuracy
+
+    # Fig. 4/5 profile the same programs first, so every sampling here
+    # is a profile-cache hit.
+    return run_prediction_accuracy()
+
+
+@pytest.fixture(scope="session")
+def csr_sweep():
+    from repro.analysis.experiments import run_csr_matrix_sweep
+
+    return run_csr_matrix_sweep()
+
+
+@pytest.fixture(scope="session")
+def driver_results(table1, fig2, fig4, fig5, ladder, prediction, csr_sweep):
+    """Every paper driver's result, keyed as ``claims.DRIVERS`` is."""
+    from repro.config import DEFAULT_CONFIG
+
+    return {
+        "run_table1": table1,
+        "run_fig2": fig2,
+        "run_fig4": fig4,
+        "run_fig5": fig5,
+        "run_overhead_ladder": ladder,
+        "run_prediction_accuracy": prediction,
+        "run_csr_matrix_sweep": csr_sweep,
+        "config": DEFAULT_CONFIG,
+    }
+
+
+@pytest.fixture(scope="session")
+def verdicts(driver_results):
+    """Claim name -> its verdict over the session's driver results."""
+    from repro.analysis.claims import evaluate
+
+    return {verdict.claim.name: verdict for verdict in evaluate(driver_results)}

@@ -79,21 +79,12 @@ class TestGradualDegradation:
 
 
 class TestCsrSweep:
-    def test_always_overestimates_across_matrices(self, config):
-        from repro.analysis.experiments import run_csr_matrix_sweep
+    def test_always_overestimates_across_matrices(self, csr_sweep):
+        assert all(row.ratio > 1.0 for row in csr_sweep)
 
-        rows = run_csr_matrix_sweep(
-            degrees=(4.0, 8.0), alphas=(1.5,), n_edges=10_000_000,
-        )
-        assert all(row.ratio > 1.0 for row in rows)
-
-    def test_denser_population_widens_the_gap(self, config):
-        from repro.analysis.experiments import run_csr_matrix_sweep
-
-        rows = run_csr_matrix_sweep(
-            degrees=(4.0, 16.0), alphas=(1.5,), n_edges=10_000_000,
-        )
-        sparse, dense = rows[0], rows[1]
+    def test_denser_population_widens_the_gap(self, csr_sweep):
+        (sparse,) = [r for r in csr_sweep if (r.avg_degree, r.alpha) == (4.0, 1.5)]
+        (dense,) = [r for r in csr_sweep if (r.avg_degree, r.alpha) == (16.0, 1.5)]
         # Sample prefixes always look like degree ~1; the denser the
         # true population, the larger the over-estimate.
         assert dense.ratio > sparse.ratio

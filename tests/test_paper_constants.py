@@ -1,54 +1,57 @@
-"""The paper-constants module, and config consistency with it."""
+"""The paper's own values in the claim table, and the calibrated
+platform's consistency with them."""
 
-import pytest
-
-from repro import paper
+from repro.analysis.claims import claim, evaluate
+from repro.analysis.experiments import TABLE1_WORKLOADS
 from repro.config import DEFAULT_CONFIG
 from repro.units import GB
+
+_CONFIG = {v.claim.name: v for v in evaluate({"config": DEFAULT_CONFIG})}
+
+
+def _config_is_the_papers(name: str) -> None:
+    """The row pins the paper's value, and the platform measures it."""
+    row = claim(name)
+    assert row.pin == row.paper, name
+    assert _CONFIG[name].pinned, (name, _CONFIG[name].measured)
 
 
 class TestPaperConstants:
     def test_fig4_averages(self):
-        assert paper.FIG4_STATIC_GEOMEAN == 1.33
-        assert paper.FIG4_ACTIVEPY_GEOMEAN == 1.34
+        for name in ("fig4 static geomean", "fig4 ActivePy geomean"):
+            low, high = claim(name).band
+            assert low < claim(name).paper < high, name
 
     def test_table1_has_nine_apps(self):
-        assert len(paper.TABLE1_SIZES) == 9
-        assert paper.TABLE1_SIZES["kmeans"] == pytest.approx(5.3 * GB)
-        assert paper.TABLE1_SIZES["mixedgemm"] == pytest.approx(9.4 * GB)
+        sizes = claim("table1 input sizes GB")
+        assert len(sizes.paper) == len(TABLE1_WORKLOADS) == 9
+        assert sizes.pin == sizes.paper
 
     def test_sampling_factors_match_config(self):
-        assert DEFAULT_CONFIG.sampling_factors == paper.SAMPLING_FACTORS
+        _config_is_the_papers("config sampling factors log2")
 
     def test_ladder_matches_config_decomposition(self):
-        total = (
-            DEFAULT_CONFIG.interp_dispatch_overhead + DEFAULT_CONFIG.copy_overhead
-        )
-        assert total == pytest.approx(paper.LADDER_PYTHON_OVERHEAD)
-        assert DEFAULT_CONFIG.copy_overhead == pytest.approx(
-            paper.LADDER_CYTHON_OVERHEAD
+        _config_is_the_papers("config python overhead")
+        _config_is_the_papers("config cython overhead")
+        assert claim("config python overhead").paper * 100 == (
+            claim("ladder python overhead %").paper
         )
 
     def test_platform_internal_bandwidth_matches_config(self):
-        assert DEFAULT_CONFIG.bw_internal == pytest.approx(
-            paper.PLATFORM_INTERNAL_BANDWIDTH
-        )
+        _config_is_the_papers("config internal bandwidth GB/s")
 
     def test_cse_cores_match(self):
-        assert DEFAULT_CONFIG.cse_cores == paper.PLATFORM_CSE_CORES
+        _config_is_the_papers("config CSE cores")
 
     def test_nand_capacity_matches(self):
-        assert DEFAULT_CONFIG.nand_capacity_bytes == pytest.approx(
-            paper.PLATFORM_NAND_CAPACITY
-        )
+        _config_is_the_papers("config NAND capacity GB")
 
     def test_compile_cost_matches(self):
-        assert DEFAULT_CONFIG.compile_overhead_s == pytest.approx(
-            paper.SAMPLING_PLUS_CODEGEN_SECONDS
-        )
+        _config_is_the_papers("config compile overhead s")
 
     def test_workload_sizes_match_table1(self):
         from repro.workloads import get_workload
 
-        for name, size in paper.TABLE1_SIZES.items():
-            assert get_workload(name, scale=2**-7).table1_bytes == pytest.approx(size)
+        paper = dict(zip(TABLE1_WORKLOADS, claim("table1 input sizes GB").paper))
+        for name, size in paper.items():
+            assert get_workload(name, scale=2**-7).table1_bytes == size * GB

@@ -507,3 +507,76 @@ class TestSharedSamplingEntryPoint:
         assert main(argv) == 0
         assert profile_calls == []
         assert capsys.readouterr().out.splitlines()[:3] == first.splitlines()[:3]
+
+
+_PIPELINE_SOURCE = '''
+import numpy as np
+
+
+def pipeline(prices, volumes):
+    notional = (prices * volumes).astype(np.float32)
+    active = notional[volumes > {threshold}]
+    return float(np.sum(active))
+'''
+
+
+def _lower(path: Path, threshold: float):
+    from repro.frontend import program_from_function
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(_PIPELINE_SOURCE.format(threshold=threshold), encoding="utf-8")
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return program_from_function(module.pipeline, record_bytes=16.0)
+
+
+def _ticks(n: int, full: int = 0) -> dict:
+    import numpy as np
+
+    rng = np.random.default_rng(47)
+    return {
+        "prices": rng.uniform(5.0, 500.0, size=n),
+        "volumes": rng.uniform(0.0, 400.0, size=n),
+    }
+
+
+def _tick_dataset():
+    from repro.lang.dataset import Dataset
+
+    return Dataset("ticks", n_records=40_000_000, record_bytes=16.0, builder=_ticks)
+
+
+class TestFrontendPrograms:
+    """A program lowered from a plain function is cacheable like any
+    hand-written one: its kernels declare the line they run."""
+
+    def test_second_run_of_a_lowered_program_hits(self, cache, tmp_path):
+        program = _lower(tmp_path / "pipe.py", 150.0)
+        runtime = ActivePy(profile_cache=cache)
+        cold = runtime.run(program, _tick_dataset())
+        warm = runtime.run(program, _tick_dataset())
+        assert (cold.sampling_cache_status, warm.sampling_cache_status) == (
+            "miss", "hit"
+        )
+        assert warm.total_seconds == cold.total_seconds
+
+    def test_lowering_twice_gives_the_same_key(self, cache, tmp_path):
+        path = tmp_path / "pipe.py"
+        first = cache.key_for(_lower(path, 150.0), _tick_dataset(), DEFAULT_CONFIG)
+        second = cache.key_for(_lower(path, 150.0), _tick_dataset(), DEFAULT_CONFIG)
+        assert first is not None
+        assert first == second
+
+    def test_a_changed_line_changes_the_key(self, cache, tmp_path, monkeypatch):
+        # Same module name and qualname; only one line's text differs,
+        # and the module-file digest is held fixed.
+        monkeypatch.setattr(profcache, "_module_digest", lambda name: "module")
+        keys = {
+            cache.key_for(
+                _lower(tmp_path / side / "pipe.py", threshold),
+                _tick_dataset(), DEFAULT_CONFIG,
+            )
+            for side, threshold in (("a", 150.0), ("b", 151.0))
+        }
+        assert len(keys) == 2 and None not in keys

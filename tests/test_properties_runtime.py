@@ -1,10 +1,13 @@
 """Property-based tests over the whole runtime pipeline.
 
 Hypothesis generates random-but-well-formed programs (random per-line
-instruction densities, reduction ratios and storage footprints); for
-every one, the full pipeline — sampling, fitting, planning, compiled
-execution — must satisfy the structural invariants the figures rest on.
+instruction densities, reduction ratios and storage footprints) on
+random platforms; for every one, the full pipeline — sampling, fitting,
+planning, compiled execution — must satisfy the structural invariants
+the figures rest on.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,6 +22,9 @@ from repro.runtime.codegen import ExecutionMode
 from repro.runtime.planner import HOST, host_only_plan
 from repro.runtime.activepy import run_plan
 from repro.baselines import ground_truth_estimates
+from repro.obs import Observability, TimeAttributor
+from repro.obs.attribution import build_attribution_report
+from repro.units import GB
 
 CONFIG = SystemConfig()
 
@@ -57,18 +63,44 @@ def random_programs(draw):
     return Program("random", statements)
 
 
-@given(random_programs(), st.integers(min_value=1, max_value=20))
-@settings(max_examples=25, deadline=None)
-def test_pipeline_invariants_hold_for_random_programs(program, millions):
+@st.composite
+def random_configs(draw):
+    """Platforms around the calibrated one: both storage paths (the
+    internal one within what the NAND array sustains), a CSE no faster
+    than the host, its width, and whether the CSD computes at all."""
+    nand_peak = (
+        CONFIG.nand_channels * CONFIG.nand_page_bytes / CONFIG.nand_read_latency_s
+    )
+    return dataclasses.replace(
+        CONFIG,
+        bw_host_storage=draw(st.floats(min_value=0.2 * GB, max_value=8.0 * GB)),
+        bw_internal=draw(st.floats(min_value=0.5 * GB, max_value=nand_peak)),
+        cse_ips=CONFIG.host_ips * draw(st.floats(min_value=0.05, max_value=1.0)),
+        cse_cores=draw(st.integers(min_value=1, max_value=16)),
+        csd_enabled=draw(st.booleans()),
+    )
+
+
+@given(
+    random_programs(),
+    st.one_of(st.just(CONFIG), random_configs()),
+    st.integers(min_value=1, max_value=20),
+)
+@settings(max_examples=25, deadline=None, print_blob=True)
+def test_pipeline_invariants_hold_for_random_programs(program, config, millions):
     dataset = Dataset(
         "random.data", n_records=millions * 1_000_000, record_bytes=64.0,
         builder=_payload,
     )
-    machine = build_machine(CONFIG)
-    report = ActivePy(CONFIG).run(program, dataset, machine=machine)
+    attributor = TimeAttributor()
+    machine = build_machine(config, obs=Observability(attribution=attributor))
+    report = ActivePy(config).run(program, dataset, machine=machine)
 
-    # 1. The plan never projects worse than host-only.
+    # 1. The plan never projects worse than host-only, and a CSD that
+    #    cannot compute gets no line.
     assert report.plan.t_csd <= report.plan.t_host + 1e-9
+    if not config.csd_enabled:
+        assert set(report.plan.assignments) == {HOST}
 
     # 2. Execution tracks the projection when nothing degrades
     #    (mode multiplier, chunk latencies and final transfers allow a
@@ -82,6 +114,10 @@ def test_pipeline_invariants_hold_for_random_programs(program, millions):
 
     # 4. No migration without degradation.
     assert not report.result.migrated
+
+    # 5. Every simulated second is attributed to one component, exactly.
+    assert attributor.record_count > 0
+    assert build_attribution_report(attributor).residual == 0.0
 
 
 @given(random_programs())
