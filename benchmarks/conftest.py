@@ -1,16 +1,18 @@
 """Shared machinery for the benchmark harness.
 
-Each ``bench_*`` module regenerates one table or figure of the paper:
-it runs the experiment driver under ``pytest-benchmark`` (one round —
-the simulator is deterministic, so repetition only measures the
-harness) and prints the same rows/series the paper reports.
+The ``bench_*`` modules time the machinery the paper's figures rest on
+(the planner, the frontend, design-choice ablations) and the
+fault-tolerance, observability, fleet and substrate layers, each under
+``pytest-benchmark`` with one round where the run is deterministic (the
+simulator is, so repetition only measures the harness).  The paper's
+tables and figures themselves are printed, and their claims gated, by
+``python -m repro <figure>``.
 
 Run everything with::
 
     pytest benchmarks/ --benchmark-only
 
-Expensive experiment results are cached per session so a figure that
-several benchmarks share is computed once.
+or only the assertions, as CI does, with ``--benchmark-disable``.
 
 Results go to ``bench_results/BENCH_<name>.json`` in a
 ``schema_version`` 2 envelope with run metadata (config hash, the
@@ -54,16 +56,6 @@ def config_hash() -> str:
 def run_once(benchmark, fn):
     """Benchmark a deterministic experiment with a single round."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-
-def assert_claims(driver: str, result) -> None:
-    """Print and assert every paper claim row over one driver's result."""
-    from repro.analysis.claims import evaluate, render
-
-    verdicts = evaluate({driver: result})
-    text = render(verdicts)
-    print("\n" + text)
-    assert verdicts and all(verdict.ok for verdict in verdicts), text
 
 
 def write_bench_json(name: str, payload: dict, meta: Optional[dict] = None) -> Path:

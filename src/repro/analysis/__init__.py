@@ -19,7 +19,7 @@ from .experiments import (
     run_table1,
 )
 from .metrics import geometric_mean, relative_error, speedup
-from .report import ascii_bar_chart, format_table
+from .report import format_table
 from .sweep import SweepResult, sweep_config
 from .utilization import UtilizationReport, utilization_report
 
@@ -27,7 +27,6 @@ __all__ = [
     "geometric_mean",
     "relative_error",
     "speedup",
-    "ascii_bar_chart",
     "format_table",
     "SweepResult",
     "sweep_config",

@@ -6,7 +6,8 @@ extractor, the paper's value (``None`` where it states none), the open
 band the value must lie in (``None``: no band) and the pin, compared
 after rounding to ``decimals``.  ``repro selfcheck`` and tier-1 assert
 every row; a moved pin is edited here and in EXPERIMENTS.md, whose
-tables a tier-1 test compares with these rows.
+figure blocks (the output of ``python -m repro <figure>``) and prose a
+tier-1 test compares with these rows.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Drivers that regenerate every table and figure of the paper.
 
 Each ``run_*`` function reproduces one artifact end to end on the
-simulated platform and returns a structured result; the benchmark
-harness (``benchmarks/``) prints them in the paper's shape, and
-``tests/test_experiments.py`` asserts the qualitative claims (who wins,
-by roughly what factor, where the crossovers fall).
+simulated platform and returns a structured result;
+:mod:`repro.analysis.report` renders each in the paper's shape
+(``python -m repro <figure>``), and ``tests/test_experiments.py``
+asserts the qualitative claims (who wins, by roughly what factor, where
+the crossovers fall).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@
     python -m repro run pagerank --plan-mode search  # ... with the exact plan search
     python -m repro run blackscholes --stress 0.1 --fault-count 3  # ... migrated, faulted
     python -m repro table1                     # regenerate Table I
-    python -m repro fig2 | fig4 | fig5         # regenerate a figure
-    python -m repro ladder | prediction        # the §V results
+    python -m repro fig2 | fig4 | fig5         # a figure, then its claim rows
+    python -m repro ladder | prediction        # the §V results, likewise
     python -m repro selfcheck                  # every paper claim: band and pin
     python -m repro chaos [--runs N]           # randomized fault campaign
     python -m repro chaos --workers 4          # ... across worker processes
@@ -42,17 +42,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .analysis import export
-from .analysis.claims import evaluate, render, run_claims
-from .analysis.experiments import (
-    run_fig2,
-    run_fig4,
-    run_fig5,
-    run_overhead_ladder,
-    run_prediction_accuracy,
-    run_table1,
-)
-from .analysis.report import ascii_bar_chart, format_table
+from .analysis import claims, export
+from .analysis.report import FIGURES, format_table
 from .baselines import run_c_baseline
 from .obs import (
     Observability,
@@ -180,67 +171,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _print_and_maybe_export(result, text: str, json_path: Optional[str]) -> int:
-    print(text)
-    if json_path:
-        export.dump(result, json_path)
-        print(f"\nwrote {json_path}")
-    return 0
-
-
-def _cmd_table1(args) -> int:
-    rows = run_table1()
-    text = format_table(
-        ["application", "data size", "regions"],
-        [[r.name, format_bytes(r.data_bytes), r.sese_regions] for r in rows],
-    )
-    return _print_and_maybe_export(rows, text, args.json)
-
-
-def _cmd_fig2(args) -> int:
-    result = run_fig2()
-    lines = ["FIGURE 2 — static C ISP speedup vs CSE availability"]
-    for name, series in result.series.items():
-        lines.append(f"\n{name}:")
-        lines.append(ascii_bar_chart(
-            [f"{a:.0%}" for a in result.availabilities], series,
-        ))
-    return _print_and_maybe_export(result, "\n".join(lines), args.json)
-
-
-def _cmd_fig4(args) -> int:
-    result = run_fig4()
-    text = format_table(
-        ["application", "static ISP", "ActivePy"],
-        [[r.name, f"{r.static_speedup:.3f}x", f"{r.activepy_speedup:.3f}x"]
-         for r in result.rows],
-    )
-    text += "\n\n" + render(evaluate({"run_fig4": result}))
-    return _print_and_maybe_export(result, text, args.json)
-
-
-def _cmd_fig5(args) -> int:
-    result = run_fig5()
-    text = format_table(
-        ["application", "availability", "ActivePy", "w/o migration"],
-        [[r.name, f"{r.availability:.0%}",
-          f"{r.with_migration_speedup:.3f}x",
-          f"{r.without_migration_speedup:.3f}x"] for r in result.rows],
-    )
-    text += "\n\n" + render(evaluate({"run_fig5": result}))
-    return _print_and_maybe_export(result, text, args.json)
-
-
-def _cmd_ladder(args) -> int:
-    result = run_overhead_ladder()
-    text = render(evaluate({"run_overhead_ladder": result}))
-    return _print_and_maybe_export(result, text, args.json)
-
-
-def _cmd_prediction(args) -> int:
-    result = run_prediction_accuracy()
-    text = render(evaluate({"run_prediction_accuracy": result}))
-    return _print_and_maybe_export(result, text, args.json)
+def _cmd_figure(args) -> int:
+    """Print each driver's table, then its rows of the claim table."""
+    renderers = FIGURES[args.command][1]
+    results = {driver: claims.DRIVERS[driver]() for driver in renderers}
+    verdicts = claims.evaluate(results)
+    for driver, render in renderers.items():
+        print(render(results[driver]) + "\n")
+    print(claims.render(verdicts))
+    if args.json:
+        export.dump(results, args.json)
+        print(f"\nwrote {args.json}")
+    return 0 if all(verdict.ok for verdict in verdicts) else 1
 
 
 def _cmd_fleet_run(args) -> int:
@@ -499,8 +441,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    verdicts = run_claims()
-    print(render(verdicts))
+    verdicts = claims.run_claims()
+    print(claims.render(verdicts))
     return 0 if all(verdict.ok for verdict in verdicts) else 1
 
 
@@ -586,17 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.set_defaults(fn=_cmd_run)
 
-    for name, fn, help_text in (
-        ("table1", _cmd_table1, "regenerate Table I"),
-        ("fig2", _cmd_fig2, "regenerate Figure 2 (availability sweep)"),
-        ("fig4", _cmd_fig4, "regenerate Figure 4 (ActivePy vs static ISP)"),
-        ("fig5", _cmd_fig5, "regenerate Figure 5 (migration study)"),
-        ("ladder", _cmd_ladder, "regenerate the §V runtime-overhead ladder"),
-        ("prediction", _cmd_prediction, "regenerate the §V accuracy result"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, (title, _) in FIGURES.items():
+        cmd = sub.add_parser(name, help=f"regenerate {title}")
         cmd.add_argument("--json", metavar="PATH", default=None)
-        cmd.set_defaults(fn=fn)
+        cmd.set_defaults(fn=_cmd_figure)
 
     chaos_parser = sub.add_parser(
         "chaos",

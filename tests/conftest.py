@@ -193,3 +193,16 @@ def verdicts(driver_results):
     from repro.analysis.claims import evaluate
 
     return {verdict.claim.name: verdict for verdict in evaluate(driver_results)}
+
+
+@pytest.fixture
+def measured(monkeypatch, driver_results):
+    """Make every claim-gated command (``selfcheck``, the figure commands)
+    read the session's driver results instead of measuring again."""
+    from repro.analysis import claims
+
+    monkeypatch.setattr(claims, "DRIVERS", {
+        driver: (lambda result=result: result)
+        for driver, result in driver_results.items()
+    })
+    return driver_results

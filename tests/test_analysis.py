@@ -10,7 +10,7 @@ from repro.analysis.metrics import (
     slowdown_fraction,
     speedup,
 )
-from repro.analysis.report import ascii_bar_chart, format_table
+from repro.analysis.report import format_table
 from repro.errors import ReproError
 
 
@@ -44,16 +44,17 @@ class TestMetrics:
 
 class TestFormatTable:
     def test_aligned_columns(self):
+        # A padded Markdown pipe table: header, rule, one line per row.
         text = format_table(
             ["name", "speedup"],
             [["tpch_q6", 1.337], ["kmeans", 1.25]],
         )
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert "tpch_q6" in lines[2]
-        assert "1.337" in lines[2]
-        widths = {len(line) for line in lines}
-        assert len(widths) <= 2  # header rule and rows line up
+        assert text.splitlines() == [
+            "| name    | speedup |",
+            "|---------|---------|",
+            "| tpch_q6 | 1.337   |",
+            "| kmeans  | 1.250   |",
+        ]
 
     def test_row_width_checked(self):
         with pytest.raises(ReproError):
@@ -62,17 +63,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         text = format_table(["a"], [])
         assert "a" in text
-
-
-class TestAsciiBarChart:
-    def test_renders_values_and_reference(self):
-        chart = ascii_bar_chart(["q6", "q1"], [1.4, 0.9], reference=1.0)
-        assert "1.400x" in chart and "0.900x" in chart
-        assert "#" in chart
-
-    def test_label_value_mismatch(self):
-        with pytest.raises(ReproError):
-            ascii_bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty(self):
-        assert ascii_bar_chart([], []) == "(no data)"

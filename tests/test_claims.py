@@ -1,15 +1,20 @@
 """Every paper claim holds: each row's band and pin, and the copies of
 the table outside ``repro.analysis.claims`` (the e2e benchmark's pins,
-EXPERIMENTS.md) agree with it."""
+EXPERIMENTS.md's figure blocks and prose, README's headline numbers)
+agree with it."""
 
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.claims import CLAIMS, DRIVERS, claim
+from repro.analysis.claims import _LOW, CLAIMS, DRIVERS, claim
+from repro.analysis.report import FIGURES
+from repro.cli import main
 
-EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+ROOT = Path(__file__).resolve().parents[1]
+EXPERIMENTS_MD = ROOT / "EXPERIMENTS.md"
+README_MD = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("row", CLAIMS, ids=lambda row: row.name)
@@ -51,7 +56,11 @@ def test_e2e_pins_match_the_table(driver_results):
         assert (value if decimals is None else round(value, decimals)) == pinned, name
 
 
-# --- EXPERIMENTS.md -----------------------------------------------------------
+# --- EXPERIMENTS.md and README ----------------------------------------------
+
+#: A block holding the exact output of ``python -m repro <figure>``.
+_BLOCK = re.compile(r"^<!-- repro (\w+) -->\n(.*?)^<!-- /repro \1 -->$", re.S | re.M)
+
 
 def _section(title: str) -> str:
     text = EXPERIMENTS_MD.read_text(encoding="utf-8")
@@ -60,30 +69,36 @@ def _section(title: str) -> str:
     return match.group(0)
 
 
-def _rows(section: str):
-    """The body rows of the section's first table, as stripped cells."""
-    rows = [
-        [cell.strip() for cell in line.strip().strip("|").split("|")]
-        for line in section.splitlines() if line.startswith("|")
-    ]
-    return rows[2:]
-
-
-def _number(cell: str) -> float:
-    return float(re.search(r"-?\d+(?:\.\d+)?", cell).group(0))
-
-
 def _pin(name: str):
     return claim(name).pin
 
 
+def _assert_block(figure, capsys):
+    """The ``figure`` block is byte-equal to ``python -m repro <figure>``'s
+    output over the session's driver results (the ``measured`` fixture)."""
+    blocks = dict(_BLOCK.findall(EXPERIMENTS_MD.read_text(encoding="utf-8")))
+    assert main([figure]) == 0
+    expected = capsys.readouterr().out
+    assert blocks.get(figure) == expected, (
+        f"EXPERIMENTS.md's `repro {figure}` block is stale; it should read:\n"
+        f"<!-- repro {figure} -->\n{expected}<!-- /repro {figure} -->"
+    )
+
+
 class TestExperimentsDoc:
-    def test_fig2_rows_and_crossovers(self, fig2):
+    """Each figure's block is its command's output; the prose numbers are
+    the rows' paper values and pins."""
+
+    def test_every_figure_has_one_block(self):
+        names = [name for name, _ in _BLOCK.findall(EXPERIMENTS_MD.read_text(encoding="utf-8"))]
+        assert sorted(names) == sorted(FIGURES)
+
+    def test_table1_rows(self, measured, capsys):
+        _assert_block("table1", capsys)
+
+    def test_fig2_rows_and_crossovers(self, measured, capsys):
+        _assert_block("fig2", capsys)
         section = _section("Figure 2")
-        for cells in _rows(section):
-            index = fig2.availabilities.index(_number(cells[0]) / 100)
-            shown = [f"{fig2.series[name][index]:.3f}×" for name in fig2.series]
-            assert cells[1:] == shown, cells
         crossovers = _pin("fig2 crossovers").values()
         band = f"{min(crossovers):.0%}"[:-1] + f"–{max(crossovers):.0%}"
         text = EXPERIMENTS_MD.read_text(encoding="utf-8")
@@ -92,33 +107,16 @@ class TestExperimentsDoc:
         assert f"geomean {_pin('fig2 static geomean at 100% CSE'):.2f}× at 100%" in section
         assert f"~{claim('fig2 static geomean at 100% CSE').paper}× at 100%" in section
 
-    def test_fig4_rows_and_geomeans(self, fig4):
+    def test_fig4_rows_and_geomeans(self, measured, capsys):
+        _assert_block("fig4", capsys)
         section = _section("Figure 4")
-        rows = _rows(section)
-        for cells in rows[:-1]:
-            row = fig4.row(cells[0])
-            assert cells[1:4] == [
-                f"{row.baseline_seconds:.2f}",
-                f"{row.static_speedup:.3f}×",
-                f"{row.activepy_speedup:.3f}×",
-            ], cells
-            assert cells[4].startswith("yes" if row.same_regions else "no"), cells
-        static, activepy = _pin("fig4 static geomean"), _pin("fig4 ActivePy geomean")
-        assert rows[-1][2:4] == [f"**{static:.3f}×**", f"**{activepy:.3f}×**"]
         paper = (claim("fig4 static geomean").paper, claim("fig4 ActivePy geomean").paper)
         assert f"Paper: {paper[0]}× (static) vs {paper[1]}× (ActivePy)" in section
         assert f"regions on {_pin('fig4 rows with the same regions')}/9 workloads" in section
 
-    def test_fig5_rows_and_headline(self, fig5):
+    def test_fig5_rows_and_headline(self, measured, capsys):
+        _assert_block("fig5", capsys)
         section = _section("Figure 5")
-        for cells in _rows(section):
-            availability = _number(cells[1]) / 100
-            (row,) = [r for r in fig5.at(availability) if r.name == cells[0]]
-            assert cells[2:] == [
-                f"{row.with_migration_speedup:.3f}×",
-                f"{row.without_migration_speedup:.3f}×",
-                f"{row.migration_gain:.3f}×",
-            ], cells
         gain = claim("fig5 migration gain at 10% availability")
         loss = claim("fig5 mean loss without migration at 10%")
         worst = claim("fig5 worst loss without migration at 10%")
@@ -127,25 +125,37 @@ class TestExperimentsDoc:
         assert f"loss averages {loss.paper:.0%} (up to {worst.paper:.0%})" in section
         assert f"loss without migration {loss.pin:.0%} average" in section
 
-    def test_ladder(self):
-        rows = {cells[0]: cells for cells in _rows(_section("§V — language-runtime"))}
-        for mode, label in (
-            ("python", "plain CPython"),
-            ("cython", "Cython-compiled"),
-            ("activepy", "ActivePy (copy-eliminated)"),
-        ):
-            row = claim(f"ladder {mode} overhead %")
-            assert _number(rows[label][1]) == row.paper, label
-            assert _number(rows[label][2]) == row.pin, label
+    def test_ladder(self, measured, capsys):
+        _assert_block("ladder", capsys)
 
-    def test_prediction(self, csr_sweep):
+    def test_prediction(self, measured, capsys):
+        _assert_block("prediction", capsys)
         section = _section("§V — prediction accuracy")
-        rows = {cells[0]: cells for cells in _rows(section)}
-        error = claim("volume error excluding outliers %")
-        cells = rows["Geomean data-volume error, outliers discounted"]
-        assert (_number(cells[1]), _number(cells[2])) == (error.paper, error.pin)
-        over = claim("CSR volume over-estimate")
-        cells = rows["CSR volume over-estimate"]
-        assert (_number(cells[1]), _number(cells[2])) == (over.paper, over.pin)
-        ratios = [row.ratio for row in csr_sweep]
-        assert f"ratios {min(ratios):.2f}×–{max(ratios):.2f}×" in section
+        pagerank = _pin("fig4 (baseline s, static, ActivePy, CSD lines)")["pagerank"]
+        assert f"PageRank's ActivePy speedup\nis {pagerank[2]}×" in section
+        ratios = sorted({f"{row.ratio:.3f}×" for row in measured["run_csr_matrix_sweep"]})
+        assert len(ratios) == 3, ratios
+        assert f"three\ndistinct ratios, {ratios[0]}, {ratios[1]} and {ratios[2]}" in section
+
+
+def test_readme_headline_numbers_are_claim_rows():
+    """Every number in README's headline bullets is a claim's paper value
+    or pin, in bullet order (figure labels aside)."""
+    text = README_MD.read_text(encoding="utf-8")
+    bullets = re.search(r"^Headline shapes.*?\n\n(.*?)\n\n", text, re.S | re.M).group(1)
+    static, activepy = claim("fig4 static geomean"), claim("fig4 ActivePy geomean")
+    crossovers = _pin("fig2 crossovers").values()
+    loss = claim("fig5 mean loss without migration at 10%")
+    gain = claim("fig5 migration gain at 10% availability")
+    csr = claim("CSR volume over-estimate")
+    expected = [
+        str(static.paper), str(activepy.paper), f"{static.pin:.2f}", f"{activepy.pin:.2f}",
+        str(claim("fig2 static geomean at 100% CSE").paper),
+        f"{100 * min(crossovers):.0f}", f"{100 * max(crossovers):.0f}",
+        f"{100 * loss.paper:.0f}", f"{100 * _LOW:.0f}", str(gain.paper), str(gain.pin),
+        f"{claim('ladder python overhead %').paper:.0f}",
+        f"{claim('ladder cython overhead %').paper:.0f}",
+        str(csr.paper), f"{csr.pin:.2f}",
+    ]
+    numbers = re.findall(r"\d+(?:\.\d+)?", re.sub(r"Figure \d", "", bullets))
+    assert numbers == expected

@@ -99,4 +99,9 @@ class TestCliExecution:
         path = tmp_path / "table1.json"
         assert main(["table1", "--json", str(path)]) == 0
         data = json.loads(path.read_text())
-        assert len(data) == 9
+        assert list(data) == ["run_table1"]
+        assert len(data["run_table1"]) == 9
+        # Table I, then its claim rows, as pipe tables.
+        out = capsys.readouterr().out
+        assert out.startswith("| application ")
+        assert "| table1 SESE regions " in out and "claims: PASS" in out
