@@ -154,6 +154,15 @@ class IntegrityChecker:
             self._tainted.pop(key, None)
 
     @property
+    def has_tainted_units(self) -> bool:
+        """True while the ledger holds a tainted unit.
+
+        With an empty ledger a clean unit changes nothing, so callers
+        may skip :meth:`record_unit` (and building its key) for it.
+        """
+        return bool(self._tainted)
+
+    @property
     def tainted_units(self) -> tuple:
         return tuple(sorted(self._tainted))
 

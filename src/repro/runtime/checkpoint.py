@@ -31,6 +31,7 @@ destroys — which is what the chaos harness's planted-bug campaign
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -63,25 +64,52 @@ class CheckpointRecord:
     sim_time: float
 
 
-def encode_record(record: CheckpointRecord) -> bytes:
-    """Serialize a record; the trailing CRC covers every prior byte."""
-    if record.generation < 0 or record.next_chunk < 0:
-        raise CheckpointError("generation and next_chunk must be non-negative")
-    names = [name.encode("utf-8") for name in record.live_vars]
-    if len(names) > 0xFFFF:
-        raise CheckpointError(f"too many live variables ({len(names)})")
-    parts = [_HEAD.pack(
-        _MAGIC, record.generation, record.line_index,
-        record.sim_time, len(names),
-    )]
-    for blob in names:
+@functools.lru_cache(maxsize=1024)
+def _names_layout(live_vars: Tuple[str, ...]) -> Tuple[struct.Struct, bytes]:
+    """The record packer for ``live_vars`` and their encoded names.
+
+    Within a line only the generation, timestamp and cursor change, so
+    the names are encoded once per live-variable tuple.  A bad tuple
+    raises on every call: exceptions are never cached.
+    """
+    blobs = [name.encode("utf-8") for name in live_vars]
+    if len(blobs) > 0xFFFF:
+        raise CheckpointError(f"too many live variables ({len(blobs)})")
+    parts = []
+    for blob in blobs:
         if len(blob) > 0xFF:
             raise CheckpointError(f"live-variable name too long ({len(blob)} bytes)")
-        parts.append(struct.pack("!B", len(blob)))
+        parts.append(bytes((len(blob),)))
         parts.append(blob)
-    parts.append(_TAIL.pack(record.next_chunk))
-    payload = b"".join(parts)
+    names = b"".join(parts)
+    # Head, the length-prefixed names, then the cursor: one pack call.
+    return struct.Struct(f"{_HEAD.format}{len(names)}s{_TAIL.format[1:]}"), names
+
+
+def _encode(
+    generation: int,
+    line_index: int,
+    next_chunk: int,
+    live_vars: Sequence[str],
+    sim_time: float,
+) -> bytes:
+    """The one record encoder, behind :func:`encode_record` and ``save``."""
+    if generation < 0 or next_chunk < 0:
+        raise CheckpointError("generation and next_chunk must be non-negative")
+    live_vars = tuple(live_vars)
+    body, names = _names_layout(live_vars)
+    payload = body.pack(
+        _MAGIC, generation, line_index, sim_time, len(live_vars), names, next_chunk,
+    )
     return payload + _CRC.pack(zlib.crc32(payload))
+
+
+def encode_record(record: CheckpointRecord) -> bytes:
+    """Serialize a record; the trailing CRC covers every prior byte."""
+    return _encode(
+        record.generation, record.line_index, record.next_chunk,
+        record.live_vars, record.sim_time,
+    )
 
 
 def tear_offset(record: CheckpointRecord) -> int:
@@ -90,8 +118,7 @@ def tear_offset(record: CheckpointRecord) -> int:
     The head — magic, generation, line index, timestamp and names —
     makes it to DRAM; the chunk cursor and CRC do not.
     """
-    names_bytes = sum(1 + len(name.encode("utf-8")) for name in record.live_vars)
-    return _HEAD.size + names_bytes
+    return _HEAD.size + len(_names_layout(tuple(record.live_vars))[1])
 
 
 def decode_record(blob: Optional[bytes], validate: bool = True) -> Optional[CheckpointRecord]:
@@ -178,31 +205,23 @@ class CheckpointManager:
         sim_time: float,
     ) -> None:
         """Commit a resume point for ``line_index`` at ``next_chunk``."""
-        if not self.enabled:
+        config = self.config
+        if not config.checkpoint_enabled:
             return
-        generation = self.area.next_generation
-        record = CheckpointRecord(
-            generation=generation,
-            line_index=line_index,
-            next_chunk=next_chunk,
-            live_vars=tuple(live_vars),
-            sim_time=sim_time,
-        )
-        slot = generation % 2 if self.config.checkpoint_double_buffer else 0
-        blob = encode_record(record)
-        # ``tear_offset(record)``, read off the blob: all but cursor and CRC.
-        clean = self.area.write(slot, blob, len(blob) - _TAIL.size - _CRC.size)
-        self.area.next_generation = generation + 1
+        area = self.area
+        generation = area.next_generation
+        slot = generation % 2 if config.checkpoint_double_buffer else 0
+        blob = _encode(generation, line_index, next_chunk, live_vars, sim_time)
+        # ``tear_offset``, read off the blob: all but cursor and CRC.
+        clean = area.write(slot, blob, len(blob) - _TAIL.size - _CRC.size)
+        area.next_generation = generation + 1
         self.saves += 1
+        cost = config.checkpoint_write_cost_s
         if self.obs.enabled:
             self.obs.metrics.counter("checkpoint.saves").inc()
-            self.obs.metrics.counter("checkpoint.write_seconds").inc(
-                self.config.checkpoint_write_cost_s
-            )
-        if self.config.checkpoint_write_cost_s > 0:
-            self.device.simulator.clock.advance(
-                self.config.checkpoint_write_cost_s, component="checkpoint"
-            )
+            self.obs.metrics.counter("checkpoint.write_seconds").inc(cost)
+        if cost > 0:
+            self.device.simulator.clock.advance(cost, component="checkpoint")
         if not clean:
             self.obs.count("checkpoint.torn_writes")
             # Accounting only: the host has no idea yet — it will find

@@ -292,12 +292,16 @@ class CallQueueDispatcher:
 
         Costs one small message on the device-to-host path.
         """
-        self.queue_pair.cq.post(Completion(command_id=-1, status="status", payload=update))
+        cq = self.queue_pair.cq
+        cq.post(Completion(command_id=-1, status="status", payload=update))
+        self._status_sent(len(cq))
+
+    def _status_sent(self, cq_depth: int) -> None:
         self.machine.d2h_link.message()
         self.status_updates += 1
         if self.obs.enabled:
             self.obs.metrics.counter("dispatch.status_updates").inc()
-            self.obs.metrics.gauge(self._m_cq_depth).set(len(self.queue_pair.cq))
+            self.obs.metrics.gauge(self._m_cq_depth).set(cq_depth)
 
     def drain_status(self) -> List[StatusUpdate]:
         """Host side: collect all pending status updates."""
@@ -313,3 +317,19 @@ class CallQueueDispatcher:
         for completion in retained:
             self.queue_pair.cq.post(completion)
         return updates
+
+    def exchange_status(self, update: StatusUpdate) -> None:
+        """One status round trip: :meth:`post_status`, then :meth:`drain_status`.
+
+        When the completion queue is empty and no loss is armed, the
+        posted entry would be the ring's only one and the drain would
+        take it straight back out, so the ring is left alone: the
+        message, the counters and the depth gauge are the round trip's
+        only effects.  Otherwise the entry goes through the ring.
+        """
+        cq = self.queue_pair.cq
+        if cq.is_empty and not cq.loss_armed:
+            self._status_sent(1)
+            return
+        self.post_status(update)
+        self.drain_status()

@@ -31,7 +31,7 @@ remaining chunks in the single host-chunk loop.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CseCrashError, FaultError, MigrationError, ProgramError
 from ..faults import FaultEvent, FaultLog
@@ -148,6 +148,21 @@ ProgressTrigger = Tuple[float, float]  # (csd-progress fraction, new availabilit
 #: Span resource of a line that started on the CSD and finished on the host.
 _SPLIT = f"{CSD}+host"
 
+#: A taint-ledger key: a unit's name, or ``(line, chunk)`` for one chunk.
+_UnitKey = Union[str, Tuple[int, int]]
+
+
+def _unit_name(key: _UnitKey) -> str:
+    """The ledger name of ``key``; a chunk is ``line<i>.chunk<c>``.
+
+    A chunk key stays a tuple until a tainted chunk or a non-empty
+    ledger needs its name, which a clean run never does.
+    """
+    if isinstance(key, str):
+        return key
+    index, chunk = key
+    return f"line{index}.chunk{chunk}"
+
 
 @dataclass
 class RunState:
@@ -216,6 +231,8 @@ class PlanExecutor:
             device=self.device, config=machine.config, fault_log=self.fault_log
         )
         self.obs = machine.obs
+        #: ``machine.now`` reads through the simulator to this clock.
+        self.clock = machine.simulator.clock
         self.integrity = IntegrityChecker(
             config=machine.config,
             clock=machine.simulator.clock,
@@ -224,7 +241,7 @@ class PlanExecutor:
         )
 
     def _trace(self, start: float, resource: str, kind: str, label: str) -> None:
-        self.obs.record_span(label, kind, resource, start, self.machine.now)
+        self.obs.record_span(label, kind, resource, start, self.clock.now)
 
     # --- public entry ----------------------------------------------------
 
@@ -405,9 +422,14 @@ class PlanExecutor:
         the call outright.
         """
         machine = self.machine
+        simulator = machine.simulator
+        clock = self.clock
+        cse = self.device.cse
+        checkpoints = self.checkpoints
         statement = line.statement
         index = line.index
         chunks = statement.chunks
+        live_vars = statement.live_vars
         try:
             command_id = self.dispatcher.invoke(
                 statement.name,
@@ -422,29 +444,28 @@ class PlanExecutor:
                 detail=f"{statement.name} could not be dispatched: {exc}",
             )
             return HOST
+        expected_ipc = cse.expected_ipc()
         # The monitor's decision only matters to migration and to the
         # drift histogram.
         monitor = (
-            RuntimeMonitor(
-                config=machine.config,
-                expected_ipc=self.device.cse.expected_ipc(),
-            )
+            RuntimeMonitor(config=machine.config, expected_ipc=expected_ipc)
             if self.migration_enabled or self.obs.enabled else None
         )
+        moves = [(self.device.internal_link, line.storage_bytes)]
         resource = CSD
         replays_left = machine.config.chunk_replay_limit
         chunk = 0
         # Commit the line's entry checkpoint so a crash during the very
         # first chunk still restores to *this* line.
-        self.checkpoints.save(index, 0, statement.live_vars, machine.now)
+        checkpoints.save(index, 0, live_vars, clock.now)
         while chunk < chunks:
             fault: Optional[FaultError] = None
             try:
-                self._run_chunk_on_csd(state, line, chunk)
+                self._run_chunk_on_csd(state, line, chunk, moves)
             except FaultError as exc:
                 fault = exc
-            machine.simulator.fire_due_events()
-            if fault is None and self.device.cse.crashed:
+            simulator.fire_due_events()
+            if fault is None and cse.crashed:
                 # The crash event fired inside this chunk's time span:
                 # its partial work is lost.
                 fault = CseCrashError(f"CSE {self.device.name!r} crashed mid-chunk")
@@ -463,7 +484,7 @@ class PlanExecutor:
                 # resume point comes from the BAR checkpoint record, not
                 # from host-side bookkeeping — the record survives the
                 # crash (and, double-buffered, a torn write).
-                resume = self.checkpoints.resume_chunk(index, chunks, fallback=chunk)
+                resume = checkpoints.resume_chunk(index, chunks, fallback=chunk)
                 self._fall_back(
                     state, line, resume, input_remote=True,
                     action="host-fallback",
@@ -474,14 +495,14 @@ class PlanExecutor:
             state.csd_instr_done += line.instructions
             state.chunk_ledger[index] += 1
             chunk += 1
-            self.checkpoints.save(index, chunk, statement.live_vars, machine.now)
+            checkpoints.save(index, chunk, live_vars, clock.now)
             triggers = state.triggers
             while (
                 triggers
                 and state.csd_instr_done / state.total_csd_instr >= triggers[-1][0]
             ):
-                self.device.cse.set_availability(triggers.pop()[1])
-            update = self._post_status(statement, chunk, chunks)
+                cse.set_availability(triggers.pop()[1])
+            update = self._post_status(statement, chunk, chunks, expected_ipc)
             if monitor is None:
                 continue
             decision = monitor.observe(update)
@@ -509,9 +530,9 @@ class PlanExecutor:
             self.obs.count("executor.migrations")
             # The drift that tipped this migration, for audits.
             self.obs.gauge("monitor.migration_trigger_drift", decision.ipc_drift)
-            state.last_migration_at = machine.now
+            state.last_migration_at = clock.now
             if update.high_priority_pending:
-                self.device.cse.acknowledge_high_priority()
+                cse.acknowledge_high_priority()
             # Finish this line's remaining chunks on the host, reading
             # the unconsumed input remotely.  The break chunk is re-read
             # from the checkpoint record the device left in shared
@@ -603,7 +624,7 @@ class PlanExecutor:
         moves,
         multiplier: float,
         tainted: bool,
-        key: Optional[str],
+        key: _UnitKey,
         target: str,
         raise_on_detect: bool,
     ) -> None:
@@ -616,13 +637,14 @@ class PlanExecutor:
         chunks — the caller's replay machinery recovers) or re-reads
         the garbled payloads inline (host-side transfers).  With the
         layer disabled this touches neither the clock nor any metric.
+        ``key`` names the logical unit in the taint ledger; see
+        :func:`_unit_name`.
         """
         integ = self.integrity
-        dirty = [
-            (link, nbytes)
-            for link, nbytes in moves
-            if nbytes > 0 and link.consume_transfer_corruption()
-        ]
+        dirty = []
+        for link, nbytes in moves:
+            if nbytes > 0 and link.consume_transfer_corruption():
+                dirty.append((link, nbytes))
         tainted = tainted or bool(dirty)
         if integ.enabled:
             integ.charge_verify(
@@ -630,10 +652,13 @@ class PlanExecutor:
             )
             if tainted and integ.verify:
                 if raise_on_detect:
-                    integ.raise_mismatch(target, f"{key}: content digest mismatch")
+                    integ.raise_mismatch(
+                        target, f"{_unit_name(key)}: content digest mismatch"
+                    )
                 while dirty:
                     integ.record_detected(
-                        target, f"{key}: payload digest mismatch; re-reading"
+                        target,
+                        f"{_unit_name(key)}: payload digest mismatch; re-reading",
                     )
                     redo, dirty = dirty, []
                     for link, nbytes in redo:
@@ -642,8 +667,10 @@ class PlanExecutor:
                         if link.consume_transfer_corruption():
                             dirty.append((link, nbytes))
                 tainted = False
-        if key is not None:
-            integ.record_unit(key, tainted)
+        # A clean unit only ever clears its own ledger entry, so with an
+        # empty ledger it has nothing to record.
+        if tainted or integ.has_tainted_units:
+            integ.record_unit(_unit_name(key), tainted)
 
     def _chunk(
         self,
@@ -651,7 +678,7 @@ class PlanExecutor:
         moves,
         instructions: float,
         multiplier: float,
-        key: Optional[str] = None,
+        key: _UnitKey,
         tainted: bool = False,
         raise_on_detect: bool = False,
     ) -> None:
@@ -665,55 +692,51 @@ class PlanExecutor:
         by the caller (a silently corrupted NAND stream).
         """
         machine = self.machine
-        chunk_started = machine.now
+        observed = self.obs.enabled
+        if observed:
+            chunk_started = self.clock.now
         if not machine.config.overlap_io_compute:
             for link, nbytes in moves:
                 if nbytes > 0:
                     self._move(link, nbytes, multiplier)
             unit.execute(instructions)
-            self._record_chunk(unit, chunk_started)
-            self._ingest(
-                moves, multiplier,
-                tainted=tainted, key=key, target=unit.name,
-                raise_on_detect=raise_on_detect,
-            )
-            return
-        io_seconds = sum(
-            link.transfer_time(nbytes) * multiplier
-            for link, nbytes in moves if nbytes > 0
-        )
-        compute_seconds = unit.execution_time(instructions)
-        elapsed = max(io_seconds, compute_seconds)
-        # Overlapped chunks advance once by the binding side; attributing
-        # the whole advance to that side is critical-path accounting —
-        # the hidden, shorter resource contributes zero path time.
-        if io_seconds >= compute_seconds and moves:
-            binding = moves[0][0].component
         else:
-            binding = unit.component
-        machine.simulator.clock.advance(elapsed, component=binding)
-        for link, nbytes in moves:
-            if nbytes > 0:
-                link.account(nbytes)
-        unit.charge(instructions, elapsed)
-        self._record_chunk(unit, chunk_started)
+            io_seconds = sum(
+                link.transfer_time(nbytes) * multiplier
+                for link, nbytes in moves if nbytes > 0
+            )
+            compute_seconds = unit.execution_time(instructions)
+            elapsed = max(io_seconds, compute_seconds)
+            # Overlapped chunks advance once by the binding side;
+            # attributing the whole advance to that side is
+            # critical-path accounting — the hidden, shorter resource
+            # contributes zero path time.
+            if io_seconds >= compute_seconds and moves:
+                binding = moves[0][0].component
+            else:
+                binding = unit.component
+            machine.simulator.clock.advance(elapsed, component=binding)
+            for link, nbytes in moves:
+                if nbytes > 0:
+                    link.account(nbytes)
+            unit.charge(instructions, elapsed)
+        if observed:
+            metrics = self.obs.metrics
+            metrics.counter(f"executor.chunks.{unit.name}").inc()
+            metrics.histogram("executor.chunk_seconds").observe(
+                self.clock.now - chunk_started
+            )
         self._ingest(
             moves, multiplier,
             tainted=tainted, key=key, target=unit.name,
             raise_on_detect=raise_on_detect,
         )
 
-    def _record_chunk(self, unit, chunk_started: float) -> None:
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter(f"executor.chunks.{unit.name}").inc()
-            metrics.histogram("executor.chunk_seconds").observe(
-                self.machine.now - chunk_started
-            )
-
-
-
-    def _run_chunk_on_csd(self, state: RunState, line: _Line, chunk: int) -> None:
+    def _run_chunk_on_csd(
+        self, state: RunState, line: _Line, chunk: int, moves
+    ) -> None:
+        """Chunk ``chunk`` of ``line`` on the CSE; ``moves`` is the line's
+        internal-path stream, built once per line."""
         tainted = False
         if line.storage_bytes > 0:
             # The chunk's streamed NAND access may hit an armed media
@@ -722,7 +745,7 @@ class PlanExecutor:
             extra = self.device.consume_media_fault()
             if extra > 0:
                 self.fault_log.record(
-                    self.machine.now, "nand-read-correctable", self.device.name,
+                    self.clock.now, "nand-read-correctable", self.device.name,
                     "ecc-corrected",
                     f"{line.statement.name}: {extra:.6f}s of ECC re-reads",
                 )
@@ -731,13 +754,8 @@ class PlanExecutor:
             # only the end-of-chunk digest check can notice.
             tainted = self.device.flash.consume_silent_corruption()
         self._chunk(
-            self.device.cse,
-            [(self.device.internal_link, line.storage_bytes)],
-            line.instructions,
-            state.multiplier,
-            key=f"line{line.index}.chunk{chunk}",
-            tainted=tainted,
-            raise_on_detect=True,
+            self.device.cse, moves, line.instructions, state.multiplier,
+            key=(line.index, chunk), tainted=tainted, raise_on_detect=True,
         )
 
     def _run_chunks_on_host(
@@ -752,7 +770,7 @@ class PlanExecutor:
         for chunk in range(first_chunk, line.statement.chunks):
             self._chunk(
                 machine.host, moves, line.instructions, state.multiplier,
-                key=f"line{line.index}.chunk{chunk}",
+                key=(line.index, chunk),
             )
             state.chunk_ledger[line.index] += 1
             machine.simulator.fire_due_events()
@@ -839,25 +857,26 @@ class PlanExecutor:
         )
         return delta < 0
 
-    def _post_status(self, statement: Statement, chunk: int, chunks: int) -> StatusUpdate:
+    def _post_status(
+        self, statement: Statement, chunk: int, chunks: int, expected_ipc: float
+    ) -> StatusUpdate:
         """Device side: report this line's execution rate (paper §III-C0b).
 
         The status-update code patched into the CSD binary measures its
         own recent rate; under contention the foreground task retires
         fewer instructions per wall cycle, so the reported IPC is the
-        expected IPC scaled by the cycles the engine actually got.
+        expected IPC (``cse.expected_ipc()``, fixed per line) scaled by
+        the cycles the engine actually got.
         """
         cse = self.device.cse
-        observed_ipc = cse.expected_ipc() * cse.availability
         update = StatusUpdate(
             line_name=statement.name,
             chunk=chunk,
-            ipc=observed_ipc,
+            ipc=expected_ipc * cse.availability,
             progress=chunk / chunks,
             high_priority_pending=cse.high_priority_pending,
         )
-        self.dispatcher.post_status(update)
-        self.dispatcher.drain_status()
+        self.dispatcher.exchange_status(update)
         return update
 
     # --- migration decision ----------------------------------------------------
@@ -894,8 +913,9 @@ class PlanExecutor:
         for later in later_csd:
             device_compute += later.compute_host * c_factor
             device_access += later.d_storage / config.bw_internal
-        availability = max(1e-3, min(1.0, inferred_availability))
-        device_projection = device_compute / availability + device_access
+        device_projection = RuntimeMonitor.reestimate_remaining_seconds(
+            device_compute, device_access, inferred_availability
+        )
         # The region's final output still crosses back to the host.
         tail = later_csd[-1] if later_csd else est
         device_projection += tail.d_out / config.bw_d2h

@@ -16,13 +16,13 @@ system must.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from ..config import SystemConfig
 from .dispatch import StatusUpdate
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MonitorDecision:
     """What the monitor concluded after an observation."""
 
@@ -37,6 +37,11 @@ class MonitorDecision:
     ipc_drift: float = 0.0
 
 
+#: The decision for an update at the full expected rate with no trigger,
+#: shared because nearly every update on a healthy device reads this.
+_STEADY = MonitorDecision(reestimate=False)
+
+
 @dataclass
 class RuntimeMonitor:
     """Tracks CSD execution rate and flags degradation."""
@@ -47,7 +52,12 @@ class RuntimeMonitor:
     #: Number of consecutive strictly decreasing updates that counts
     #: as a downward trend.
     trend_window: int = 3
-    _history: List[float] = field(default_factory=list)
+    #: Updates observed since the last reset.
+    observations: int = field(default=0, init=False)
+    #: The latest observed (clamped) IPC since the last reset.
+    last_ipc: Optional[float] = field(default=None, init=False)
+    #: Consecutive strict falls ending at the latest update.
+    _falls: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.expected_ipc <= 0:
@@ -60,54 +70,37 @@ class RuntimeMonitor:
     def observe(self, update: StatusUpdate) -> MonitorDecision:
         """Ingest one status update and decide whether to re-estimate."""
         ipc = max(0.0, update.ipc)
-        self._history.append(ipc)
-        inferred = min(1.0, ipc / self.expected_ipc) if self.expected_ipc else 1.0
-        drift = max(0.0, 1.0 - inferred)
+        # The last ``trend_window`` updates fall strictly exactly when
+        # the run of strict falls ending here is ``trend_window - 1`` long.
+        last = self.last_ipc
+        self._falls = self._falls + 1 if last is not None and ipc < last else 0
+        self.last_ipc = ipc
+        self.observations += 1
+        inferred = min(1.0, ipc / self.expected_ipc)
 
         if update.high_priority_pending:
-            return MonitorDecision(
-                reestimate=True,
-                reason="device raised a high-priority request",
-                inferred_availability=inferred,
-                ipc_drift=drift,
+            reason = "device raised a high-priority request"
+        elif ipc < self.config.ipc_degradation_threshold * self.expected_ipc:
+            reason = (
+                f"IPC {ipc:.3f} below "
+                f"{self.config.ipc_degradation_threshold:.0%} of expected "
+                f"{self.expected_ipc:.3f}"
             )
-        if ipc < self.config.ipc_degradation_threshold * self.expected_ipc:
-            return MonitorDecision(
-                reestimate=True,
-                reason=(
-                    f"IPC {ipc:.3f} below "
-                    f"{self.config.ipc_degradation_threshold:.0%} of expected "
-                    f"{self.expected_ipc:.3f}"
-                ),
-                inferred_availability=inferred,
-                ipc_drift=drift,
-            )
-        if self._is_decreasing():
-            return MonitorDecision(
-                reestimate=True,
-                reason=f"IPC decreasing over the last {self.trend_window} updates",
-                inferred_availability=inferred,
-                ipc_drift=drift,
-            )
+        elif self._falls >= self.trend_window - 1:
+            reason = f"IPC decreasing over the last {self.trend_window} updates"
+        elif inferred == 1.0:
+            return _STEADY
+        else:
+            reason = ""
         return MonitorDecision(
-            reestimate=False, inferred_availability=inferred, ipc_drift=drift
+            reestimate=bool(reason),
+            reason=reason,
+            inferred_availability=inferred,
+            ipc_drift=max(0.0, 1.0 - inferred),
         )
 
-    def _is_decreasing(self) -> bool:
-        if len(self._history) < self.trend_window:
-            return False
-        tail = self._history[-self.trend_window:]
-        return all(later < earlier for earlier, later in zip(tail, tail[1:]))
-
-    # --- re-estimation --------------------------------------------------------
-
-    # NOTE: after a device-side chunk replay the executor calls
-    # :meth:`reset` — IPC samples spanning a crash/replay boundary are
-    # fault noise, and a "decreasing trend" assembled across one must
-    # not trigger a spurious migration.
-
+    @staticmethod
     def reestimate_remaining_seconds(
-        self,
         remaining_device_compute_s: float,
         remaining_device_access_s: float,
         inferred_availability: float,
@@ -115,30 +108,18 @@ class RuntimeMonitor:
         """Project the remaining CSD time at the degraded rate.
 
         The estimated compute time stretches by the inferred
-        availability; internal data access is DMA-driven and assumed
-        unaffected by engine contention.
+        availability (clamped to [1e-3, 1]); internal data access is
+        DMA-driven and assumed unaffected by engine contention.
         """
         availability = max(1e-3, min(1.0, inferred_availability))
         return remaining_device_compute_s / availability + remaining_device_access_s
 
+    # NOTE: after a device-side chunk replay the executor calls
+    # :meth:`reset` — IPC samples spanning a crash/replay boundary are
+    # fault noise, and a "decreasing trend" assembled across one must
+    # not trigger a spurious migration.
+
     def reset(self) -> None:
-        self._history.clear()
-
-    @property
-    def observations(self) -> int:
-        return len(self._history)
-
-    @property
-    def last_ipc(self) -> Optional[float]:
-        return self._history[-1] if self._history else None
-
-    @property
-    def mean_drift(self) -> float:
-        """Mean IPC drift over the observations since the last reset."""
-        if not self._history or self.expected_ipc <= 0:
-            return 0.0
-        drifts = [
-            max(0.0, 1.0 - min(1.0, ipc / self.expected_ipc))
-            for ipc in self._history
-        ]
-        return sum(drifts) / len(drifts)
+        self.observations = 0
+        self.last_ipc = None
+        self._falls = 0

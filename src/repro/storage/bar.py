@@ -128,7 +128,7 @@ class CheckpointArea:
             scrambled = bytes(b ^ _TORN_SCRAMBLE for b in payload[tear:])
             self._slots[slot] = payload[:tear] + scrambled
             return False
-        self._slots[slot] = bytes(payload)
+        self._slots[slot] = payload
         return True
 
     def read(self, slot: int) -> Optional[bytes]:

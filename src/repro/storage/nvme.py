@@ -151,6 +151,11 @@ class CompletionQueue:
             raise DispatchError(f"delay must be positive, got {extra_s}")
         self._delay_armed_s = extra_s
 
+    @property
+    def loss_armed(self) -> bool:
+        """True when the next posted entry will be swallowed."""
+        return self._loss_armed > 0
+
     def consume_delay(self) -> float:
         """Host side: the extra wait the next reap must charge, once."""
         delay, self._delay_armed_s = self._delay_armed_s, 0.0

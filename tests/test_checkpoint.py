@@ -11,8 +11,11 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SystemConfig
+from repro.errors import CheckpointError
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.hw.topology import build_machine
 from repro.runtime.activepy import ActivePy, RunOptions
@@ -154,6 +157,88 @@ class TestCheckpointManager:
         before = machine.now
         manager.save(0, 1, (), machine.now)
         assert machine.now == before
+
+
+#: Names at the codec's edges: empty, non-ASCII, exactly 255 bytes.
+_EDGE_NAMES = ("", "é", "名前", "x" * 255, "é" * 127 + "x", "名" * 85)
+_NAMES = st.lists(
+    st.one_of(
+        st.sampled_from(_EDGE_NAMES),
+        st.text(max_size=40).filter(lambda name: len(name.encode("utf-8")) <= 0xFF),
+    ),
+    max_size=6,
+).map(tuple)
+
+
+@given(
+    saves=st.lists(
+        st.tuples(
+            st.integers(0, 2 ** 32),                        # line index
+            st.integers(0, 2 ** 32),                        # next chunk
+            _NAMES,
+            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1, max_size=6,
+    ),
+    repeat=st.booleans(),
+)
+@settings(max_examples=100, deadline=None, print_blob=True)
+def test_save_writes_exactly_the_encoded_record(saves, repeat):
+    """Every ``save`` lands ``encode_record`` of its record in the slot
+    the generation picks, and the slot decodes back to that record; a
+    repeated live-variable tuple (the encoder's cached case) too."""
+    machine = build_machine(SystemConfig())
+    manager = CheckpointManager(device=machine.csd, config=machine.config)
+    area = machine.csd.checkpoints
+    if repeat:
+        saves = saves + saves
+    for line_index, next_chunk, live_vars, sim_time in saves:
+        generation = area.next_generation
+        manager.save(line_index, next_chunk, live_vars, sim_time)
+        record = CheckpointRecord(
+            generation=generation, line_index=line_index, next_chunk=next_chunk,
+            live_vars=live_vars, sim_time=sim_time,
+        )
+        blob = area.read(generation % 2)
+        assert blob == encode_record(record)
+        assert decode_record(blob) == record
+    assert manager.saves == len(saves)
+
+
+class TestSaveRejectsBadRecords:
+    """Each ``CheckpointError`` check fires on every call, cached or not."""
+
+    @pytest.mark.parametrize("live_vars, message", [
+        (("ok", "x" * 256), "name too long"),
+        (("é" * 128,), "name too long"),
+        (("v",) * 0x10000, "too many live variables"),
+    ], ids=["256-byte-name", "256-byte-non-ascii-name", "65536-names"])
+    def test_bad_names_raise_on_every_call(self, machine, live_vars, message):
+        manager = CheckpointManager(device=machine.csd, config=machine.config)
+        area = machine.csd.checkpoints
+        for _ in range(3):
+            with pytest.raises(CheckpointError, match=message):
+                manager.save(0, 1, live_vars, 0.0)
+            # A good save in between must not make the bad tuple pass.
+            manager.save(0, 1, ("ok",), 0.0)
+        assert manager.saves == area.next_generation == 3
+
+    @pytest.mark.parametrize("line_index, next_chunk, generation", [
+        (0, -1, 0), (0, 0, -1),
+    ], ids=["negative-cursor", "negative-generation"])
+    def test_negative_counters_raise_on_every_call(
+        self, machine, line_index, next_chunk, generation
+    ):
+        manager = CheckpointManager(device=machine.csd, config=machine.config)
+        machine.csd.checkpoints.next_generation = generation
+        for _ in range(3):
+            with pytest.raises(CheckpointError, match="non-negative"):
+                manager.save(line_index, next_chunk, ("x",), 0.0)
+            with pytest.raises(CheckpointError, match="non-negative"):
+                encode_record(_record(
+                    generation=generation, next_chunk=next_chunk, live_vars=("x",),
+                ))
+        assert manager.saves == 0
 
 
 def _run_toy(config: SystemConfig, fault_plan=None):

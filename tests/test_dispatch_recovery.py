@@ -208,3 +208,43 @@ class TestStatusPathUnaffected:
         assert len(updates) == 1
         # The final completion posted before drain_status was retained.
         assert dispatcher.reap_completion(command_id).status == "ok"
+
+
+class TestStatusExchange:
+    """``exchange_status`` leaves queue, clock, counters and metrics as
+    ``post_status`` followed by ``drain_status`` does, whatever the
+    completion queue holds and whatever loss is armed."""
+
+    @staticmethod
+    def _observed(config, exchange, *, stale, loss):
+        from repro.hw.topology import build_machine
+        from repro.obs import Observability
+        from repro.runtime.dispatch import StatusUpdate
+
+        machine = build_machine(config, obs=Observability(enabled=True))
+        dispatcher, log = make_dispatcher(machine)
+        cq = machine.csd.queue_pair.cq
+        for command_id in range(stale):
+            cq.post(Completion(command_id=command_id))
+        if loss:
+            cq.arm_loss(loss)
+        update = StatusUpdate("scan", 1, 1.0, 0.5, False)
+        if exchange:
+            dispatcher.exchange_status(update)
+        else:
+            dispatcher.post_status(update)
+            dispatcher.drain_status()
+        reaped = [cq.reap().command_id for _ in range(len(cq))]
+        return (
+            reaped, cq.completions_lost, cq.loss_armed, machine.now,
+            dispatcher.status_updates, log.events,
+            machine.obs.metrics.snapshot(),
+        )
+
+    @pytest.mark.parametrize("stale", [0, 1, 3])
+    @pytest.mark.parametrize("loss", [0, 1, 2, 5])
+    def test_matches_post_then_drain(self, config, stale, loss):
+        assert (
+            self._observed(config, True, stale=stale, loss=loss)
+            == self._observed(config, False, stale=stale, loss=loss)
+        )

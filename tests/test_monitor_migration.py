@@ -1,7 +1,12 @@
 """Runtime monitor triggers and migration mechanics."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import SystemConfig
 from repro.errors import MigrationError
 from repro.runtime.dispatch import StatusUpdate
 from repro.runtime.migration import migration_cost_estimate, perform_migration
@@ -64,6 +69,70 @@ class TestMonitorTriggers:
             RuntimeMonitor(config=config, expected_ipc=0.0)
         with pytest.raises(ValueError):
             RuntimeMonitor(config=config, expected_ipc=1.0, trend_window=1)
+
+
+def _oracle_decision(history, ipc, high_priority, config, expected, window):
+    """The monitor's decision from the whole history, checked by brute force."""
+    inferred = min(1.0, ipc / expected)
+    drift = max(0.0, 1.0 - inferred)
+    tail = history[-window:]
+    falling = len(tail) == window and all(
+        later < earlier for earlier, later in zip(tail, tail[1:])
+    )
+    if high_priority:
+        reason = "device raised a high-priority request"
+    elif ipc < config.ipc_degradation_threshold * expected:
+        reason = "below"
+    elif falling:
+        reason = f"IPC decreasing over the last {window} updates"
+    else:
+        return (False, "", inferred, drift)
+    return (True, reason, inferred, drift)
+
+
+_IPCS = st.one_of(
+    st.sampled_from([-0.5, 0.0, 1.0, 1.5, 1.9, 2.0, 2.5]),  # ties and clamps
+    st.floats(min_value=-1.0, max_value=3.0, allow_nan=False),
+)
+_STEPS = st.lists(
+    st.one_of(st.just(None), st.tuples(_IPCS, st.booleans())),  # None: reset
+    max_size=40,
+)
+
+
+@given(
+    steps=_STEPS,
+    window=st.integers(2, 6),
+    threshold=st.sampled_from([0.05, 0.7]),
+)
+@settings(max_examples=200, deadline=None, print_blob=True)
+def test_trend_counter_matches_brute_force_window(steps, window, threshold):
+    """The O(1) count of strict falls gives the decision a scan of the
+    last ``trend_window`` clamped IPCs gives, across resets and ties."""
+    config = dataclasses.replace(
+        SystemConfig(), ipc_degradation_threshold=threshold
+    )
+    expected = 2.0
+    monitor = RuntimeMonitor(config=config, expected_ipc=expected, trend_window=window)
+    history = []
+    for step in steps:
+        if step is None:
+            monitor.reset()
+            history.clear()
+        else:
+            raw, high_priority = step
+            ipc = max(0.0, raw)
+            history.append(ipc)
+            decision = monitor.observe(update(raw, high_priority=high_priority))
+            want = _oracle_decision(history, ipc, high_priority, config, expected, window)
+            got = (decision.reestimate, decision.reason,
+                   decision.inferred_availability, decision.ipc_drift)
+            if want[1] == "below":
+                assert got[0] and "below" in got[1] and got[2:] == want[2:]
+            else:
+                assert got == want
+        assert monitor.observations == len(history)
+        assert monitor.last_ipc == (history[-1] if history else None)
 
 
 class TestReestimation:

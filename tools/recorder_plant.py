@@ -1,20 +1,31 @@
-"""Plant a flight-recorder slowdown and check the recorder CPU ratio sees it.
+"""Plant a slowdown in an observability write path and check a CPU ratio sees it.
 
 Run from the repository root::
 
-    PYTHONPATH=src python tools/recorder_plant.py [--spin N] [--reps R]
+    PYTHONPATH=src python tools/recorder_plant.py [--path P] [--spin N] [--reps R]
 
-``benchmarks/bench_obs.py`` records ``timeseries.recorder_cpu_ratio_1000_jobs``:
-recorder-on / recorder-off CPU seconds of the 1 000-job fleet loop, the
-median of interleaved pairs.  This script patches a busy-wait of
-``--spin`` empty loop turns into ``TimeSeries.append``, the write every
-recorded point goes through.  It first measures what share of the
-recorder's own cost the plant adds, then takes the ratio ``--reps`` times
-with and without the plant, alternating.  The plant counts as caught on
-the rule ``benchmarks/e2e`` applies to a claimed gain: the planted ratio
-is higher in at least nine of ten pairs, and its median is higher by
-more than the unplanted ratios' interquartile range.  The exit code is
-0 when it is caught and 1 otherwise.
+``benchmarks/bench_obs.py`` bounds two paired CPU ratios, each the
+median of interleaved observability-off/on passes:
+
+* ``recorder`` (default): ``recorder_cpu_ratio()``, recorder-on / off CPU
+  seconds of the 1 000-job fleet loop.  The plant goes into
+  ``TimeSeries.append``, the write every recorded point goes through.
+* ``tracer``: ``tracer_cpu_ratio()``, observability-on / off CPU seconds
+  of warm passes over the ActivePy rotation, with metrics and spans
+  live (``Observability.with_tracing``).  A pass makes about 22 000
+  counter, 4 800 histogram and 2 400 gauge lookups and records 120
+  spans, so the cost is in the metrics.  The plant goes into
+  ``MetricsRegistry.gauge``, the lookup every gauge update goes
+  through.
+
+The plant is a busy-wait of ``--spin`` empty loop turns before the
+write.  The script first measures what share of the observability
+cost the plant adds, then takes the ratio ``--reps`` times with and
+without the plant, alternating.  The plant counts as caught on the
+rule ``benchmarks/e2e`` applies to a claimed gain: the planted ratio is
+higher in at least nine of ten pairs, and its median is higher by more
+than the unplanted ratios' interquartile range.  The exit code is 0
+when it is caught and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -22,78 +33,131 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from benchmarks.bench_obs import (  # noqa: E402
+    RECORDER_CPU_RATIO_BOUND,
+    TRACER_CPU_RATIO_BOUND,
     cpu_seconds,
     recorder_cpu_ratio,
+    rotation_cpu_seconds,
+    tracer_cpu_ratio,
+    warm_rotation,
     warm_serve_store,
 )
 from repro.obs import Observability, TimeSeries  # noqa: E402
+from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
-_ORIGINAL_APPEND = TimeSeries.append
-
-#: Every order of (recorder off, on, planted), so that no arm always
-#: runs first or last while the plant is sized.
+#: Every order of (observability off, on, planted), so that no arm
+#: always runs first or last while the plant is sized.
 _ORDERS = ("FNP", "NPF", "PFN", "FPN", "PNF", "NFP")
 
 #: Off/on/planted rounds that size the plant.
 _ROUNDS = 60
 
 
-def planted_append(spin: int):
-    turns = range(spin)
+@dataclass(frozen=True)
+class PlantPath:
+    """One observability write path, the ratio that bounds it, and a
+    default plant size."""
 
-    def append(self, t, value):
-        for _ in turns:
-            pass
-        _ORIGINAL_APPEND(self, t, value)
+    cls: type
+    method: str
+    ratio: Callable[[], tuple]
+    bound: float
+    spin: int
+    #: ``arms()`` -> (off pass, on pass): each returns CPU seconds.
+    arms: Callable[[], tuple]
 
-    return append
 
-
-def plant_share(spin: int) -> float:
-    """The plant's added CPU as a share of the recorder's cost."""
+def _recorder_arms():
     store = warm_serve_store()
-    slowed = planted_append(spin)
+    return (lambda: cpu_seconds(store, None),
+            lambda: cpu_seconds(store, Observability.with_timeseries()))
+
+
+def _tracer_arms():
+    warm = warm_rotation()
+    return (lambda: rotation_cpu_seconds(warm, lambda: None),
+            lambda: rotation_cpu_seconds(warm, Observability.with_tracing))
+
+
+PATHS = {
+    "recorder": PlantPath(TimeSeries, "append", recorder_cpu_ratio,
+                          RECORDER_CPU_RATIO_BOUND, 2, _recorder_arms),
+    "tracer": PlantPath(MetricsRegistry, "gauge", tracer_cpu_ratio,
+                        TRACER_CPU_RATIO_BOUND, 2, _tracer_arms),
+}
+
+
+class _Plant:
+    """Swaps a busy-wait in front of ``path``'s write while active."""
+
+    def __init__(self, path: PlantPath, spin: int) -> None:
+        self.path = path
+        self.original = getattr(path.cls, path.method)
+        original = self.original
+        turns = range(spin)
+
+        def planted(self, *args):
+            for _ in turns:
+                pass
+            return original(self, *args)
+
+        self.planted = planted
+
+    def __enter__(self):
+        setattr(self.path.cls, self.path.method, self.planted)
+
+    def __exit__(self, *exc):
+        setattr(self.path.cls, self.path.method, self.original)
+
+
+def plant_share(path: PlantPath, spin: int) -> float:
+    """The plant's added CPU as a share of the observability cost."""
+    off, on = path.arms()
+    plant = _Plant(path, spin)
 
     def arm_seconds(arm: str) -> float:
-        TimeSeries.append = slowed if arm == "P" else _ORIGINAL_APPEND
-        try:
-            obs = None if arm == "F" else Observability.with_timeseries()
-            return cpu_seconds(store, obs)
-        finally:
-            TimeSeries.append = _ORIGINAL_APPEND
+        if arm == "F":
+            return off()
+        if arm == "N":
+            return on()
+        with plant:
+            return on()
 
-    recorder, plant = [], []
+    observing, planted = [], []
     for index in range(_ROUNDS):
         cpu = {arm: arm_seconds(arm) for arm in _ORDERS[index % len(_ORDERS)]}
-        recorder.append(cpu["N"] - cpu["F"])
-        plant.append(cpu["P"] - cpu["N"])
-    return statistics.median(plant) / statistics.median(recorder)
+        observing.append(cpu["N"] - cpu["F"])
+        planted.append(cpu["P"] - cpu["N"])
+    return statistics.median(planted) / statistics.median(observing)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--spin", type=int, default=2,
-                        help="empty loop turns added to each append (default 2)")
+    parser.add_argument("--path", choices=tuple(PATHS), default="recorder",
+                        help="which write path to plant in (default recorder)")
+    parser.add_argument("--spin", type=int,
+                        help="empty loop turns added to each write (default 2)")
     parser.add_argument("--reps", type=int, default=10,
                         help="ratio measurements per arm (default 10)")
     args = parser.parse_args()
+    path = PATHS[args.path]
+    spin = path.spin if args.spin is None else args.spin
 
-    share = plant_share(args.spin)
-    print(f"plant: {args.spin} turns per append add {share * 100:.1f}% "
-          f"of the recorder's CPU cost")
+    share = plant_share(path, spin)
+    print(f"plant: {spin} turns per {path.cls.__name__}.{path.method} add "
+          f"{share * 100:.1f}% of the observability CPU cost")
     clean, planted = [], []
     for _ in range(args.reps):
-        clean.append(recorder_cpu_ratio()[0])
-        TimeSeries.append = planted_append(args.spin)
-        try:
-            planted.append(recorder_cpu_ratio()[0])
-        finally:
-            TimeSeries.append = _ORIGINAL_APPEND
+        clean.append(path.ratio()[0])
+        with _Plant(path, spin):
+            planted.append(path.ratio()[0])
     print("unplanted ratios: " + " ".join(f"{r:.3f}" for r in clean))
     print("planted ratios:   " + " ".join(f"{r:.3f}" for r in planted))
     wins = sum(1 for before, after in zip(clean, planted) if after > before)
@@ -102,7 +166,8 @@ def main() -> int:
     caught = wins >= 0.9 * len(clean) and rise > upper - lower
     print(f"median {statistics.median(clean):.3f} -> "
           f"{statistics.median(planted):.3f} (+{rise:.3f}; unplanted IQR "
-          f"{upper - lower:.3f}, range {min(clean):.3f}-{max(clean):.3f}); "
+          f"{upper - lower:.3f}, range {min(clean):.3f}-{max(clean):.3f}; "
+          f"bench bound {path.bound}); "
           f"planted higher in {wins}/{len(clean)} pairs: "
           + ("caught" if caught else "missed"))
     return 0 if caught else 1
