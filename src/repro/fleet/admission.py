@@ -16,8 +16,9 @@ so admission decisions replay deterministically from a seed.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import FleetError
 from .traffic import JobArrival, TenantSpec
@@ -97,8 +98,19 @@ class QueuedJob:
         return self.arrival.priority
 
 
+def _seq_of(job: QueuedJob) -> int:
+    return job.seq
+
+
 class AdmissionController:
-    """Token buckets + bounded queues + overload shedding, per tenant."""
+    """Token buckets + bounded queues + overload shedding, per tenant.
+
+    Each tenant's queue is kept sorted by ``seq`` and the controller
+    counts what is queued, so neither dispatch nor shedding walks the
+    queued jobs: the next job is the least ``(-priority, seq)`` of the
+    queue heads, an overload victim is the tail of the lowest-priority
+    non-empty queue, and a requeue is a binary-search insert.
+    """
 
     def __init__(
         self,
@@ -125,6 +137,14 @@ class AdmissionController:
             )
             self._buckets[tenant.name] = TokenBucket(rate, tenant.admission_burst)
         self._queues: Dict[str, List[QueuedJob]] = {t.name: [] for t in tenants}
+        #: The same queues in tenant-name order, and in shedding order:
+        #: lowest priority first, then by name.
+        self._by_name = [self._queues[name] for name in sorted(self._queues)]
+        self._by_shed_order = [
+            self._queues[name]
+            for _, name in sorted((t.priority, t.name) for t in tenants)
+        ]
+        self._queued = 0
         self._seq = 0
 
     # --- admission --------------------------------------------------------
@@ -141,10 +161,13 @@ class AdmissionController:
             raise FleetError(f"unknown tenant {arrival.tenant!r}")
         if not self._buckets[arrival.tenant].try_take(now):
             return SHED_RATE_LIMITED
-        if len(self._queues[arrival.tenant]) >= tenant.queue_limit:
+        queue = self._queues[arrival.tenant]
+        if len(queue) >= tenant.queue_limit:
             return SHED_QUEUE_FULL
-        self._queues[arrival.tenant].append(QueuedJob(arrival=arrival, seq=self._seq))
+        # Seqs only grow, so appending keeps the queue sorted.
+        queue.append(QueuedJob(arrival=arrival, seq=self._seq))
         self._seq += 1
+        self._queued += 1
         return None
 
     def requeue(self, job: QueuedJob) -> None:
@@ -157,33 +180,30 @@ class AdmissionController:
         enforced (the job's queue slot was released when it dispatched,
         and an admitted job must never be silently un-admitted).
         """
-        self._queues[job.arrival.tenant].append(job)
+        insort(self._queues[job.arrival.tenant], job, key=_seq_of)
+        self._queued += 1
 
     # --- dispatch ---------------------------------------------------------
 
     @property
     def total_queued(self) -> int:
-        return sum(map(len, self._queues.values()))
+        return self._queued
 
     def next_job(self) -> Optional[QueuedJob]:
         """Pop the next job to dispatch: highest priority, then FIFO."""
-        best_name: Optional[str] = None
-        best_key: Optional[Tuple[int, int]] = None
-        for name in sorted(self._queues):
-            queue = self._queues[name]
-            if not queue:
-                continue
-            head = min(queue, key=lambda job: job.seq)
-            key = (-head.priority, head.seq)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_name = name
-        if best_name is None:
+        best: Optional[List[QueuedJob]] = None
+        best_key = None
+        for queue in self._by_name:
+            if queue:
+                head = queue[0]
+                key = (-head.arrival.priority, head.seq)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = queue
+        if best is None:
             return None
-        queue = self._queues[best_name]
-        head = min(queue, key=lambda job: job.seq)
-        queue.remove(head)
-        return head
+        self._queued -= 1
+        return best.pop(0)
 
     # --- graceful degradation ---------------------------------------------
 
@@ -196,25 +216,16 @@ class AdmissionController:
         is returned to the caller to be recorded as shed-with-error.
         """
         victims: List[QueuedJob] = []
-        while self.total_queued > self.overload_watermark:
-            candidates = [
-                (tenant.priority, name)
-                for name, tenant in sorted(self.tenants.items())
-                if self._queues[name]
-            ]
-            if not candidates:
-                break
-            _, victim_tenant = min(candidates)
-            queue = self._queues[victim_tenant]
-            victim = max(queue, key=lambda job: job.seq)
-            queue.remove(victim)
-            victims.append(victim)
+        while self._queued > self.overload_watermark:
+            queue = next(queue for queue in self._by_shed_order if queue)
+            victims.append(queue.pop())
+            self._queued -= 1
         return victims
 
     def drain(self) -> List[QueuedJob]:
         """Remove and return everything still queued (fleet shutdown)."""
-        drained: List[QueuedJob] = []
-        for name in sorted(self._queues):
-            drained.extend(sorted(self._queues[name], key=lambda job: job.seq))
-            self._queues[name] = []
-        return sorted(drained, key=lambda job: job.seq)
+        drained = [job for queue in self._by_name for job in queue]
+        for queue in self._by_name:
+            queue.clear()
+        self._queued = 0
+        return sorted(drained, key=_seq_of)

@@ -46,6 +46,7 @@ from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import AdmissionError, FleetError
 from ..faults.spec import FLEET_KINDS, FaultKind, FaultPlan
 from ..obs import AlertEvent, AlertRule, Observability, Span, evaluate_alerts
+from ..obs.timeseries import KIND_GAUGE, KIND_RATE, KIND_SAMPLES
 from ..sim import EventHandle, Simulator
 from .admission import (
     SHED_NO_DEVICES,
@@ -363,7 +364,7 @@ class _Device:
 
     __slots__ = (
         "name", "live", "job", "completion", "dispatched_at", "residue",
-        "util_series",
+        "util_points",
     )
 
     def __init__(self, name: str) -> None:
@@ -379,12 +380,8 @@ class _Device:
         #: Tenant whose faulted job last ran here without a scrub —
         #: only ever non-None under the planted ``no_isolation`` bug.
         self.residue: Optional[str] = None
-        #: The name of this device's flight-recorder utilisation gauge.
-        self.util_series = f"fleet.util.{name}"
-
-    @property
-    def free(self) -> bool:
-        return self.live and self.job is None
+        #: This device's ``fleet.util`` gauge points, written at run end.
+        self.util_points: List[Tuple[float, float]] = []
 
 
 class _FleetRun:
@@ -414,12 +411,17 @@ class _FleetRun:
         # so a recorder-less run does zero extra wall work — and no
         # site ever touches simulated time, so enabling the recorder
         # leaves the schedule bit-identical (bench_obs pins both).
+        # Nothing reads the recorder while the loop runs, so the sites
+        # only collect points; `record_timeline` writes each series once.
         self.rec = fleet.obs.timeseries if fleet.obs.enabled else None
         self.targets = fleet.slo_targets(tenants) if self.rec is not None else {}
-        #: Each tenant's ``fleet.e2e`` sample series, named once per run.
-        self.e2e_series = {
-            tenant.name: f"fleet.e2e.{tenant.name}" for tenant in tenants
-        } if self.rec is not None else {}
+        self.arrived_points: List[Tuple[float, float]] = []
+        self.admitted_points: List[Tuple[float, float]] = []
+        self.retry_points: List[Tuple[float, float]] = []
+        self.depth_points: List[Tuple[float, float]] = []
+        #: Dispatches made; the per-job metrics are derived at run end
+        #: from this and the outcomes (`record_metrics`).
+        self.dispatches = 0
         self.collect_trace = self.rec is not None or fleet.obs.tracing
         self.trace_spans: List[Span] = []
         self.trace_instants: List[Span] = []
@@ -428,6 +430,8 @@ class _FleetRun:
         self.first_dispatch: Dict[int, float] = {}
 
         self.sim = Simulator()
+        #: The handlers read the time here, one property instead of two.
+        self.clock = self.sim.clock
         for arrival in self.arrivals:
             self.sim.schedule_at(arrival.arrival_time, partial(self.arrive, arrival))
         specs = cfg.plan.sorted_specs()
@@ -450,18 +454,16 @@ class _FleetRun:
     # --- event handlers -----------------------------------------------------
 
     def arrive(self, arrival: JobArrival) -> None:
-        now = self.sim.now
-        self.obs.count("fleet.jobs.arrived")
+        now = self.clock.now
         if self.rec is not None:
-            self.rec.count("fleet.rate.arrived", now)
+            self.arrived_points.append((now, 1.0))
         reason = self.controller.admit(arrival, now)
         if reason is not None:
             self._terminate(arrival, STATUS_SHED, reason=reason,
                             error=AdmissionError.__name__)
         else:
-            self.obs.count("fleet.jobs.admitted")
             if self.rec is not None:
-                self.rec.count("fleet.rate.admitted", now)
+                self.admitted_points.append((now, 1.0))
             for victim in self.controller.shed_overload():
                 self._shed(victim, SHED_OVERLOAD, AdmissionError(
                     f"fleet backlog exceeded the overload watermark "
@@ -496,9 +498,9 @@ class _FleetRun:
             inner_faults=len(inner_plan) if inner_plan else 0,
             signature=signature,
         )
-        now = self.sim.now
+        now = self.clock.now
         if self.rec is not None:
-            self.rec.gauge(device.util_series, now, 0.0)
+            device.util_points.append((now, 0.0))
         if self.collect_trace:
             # Built positionally, args already in sorted key order.
             self.trace_spans.append(Span(
@@ -515,12 +517,12 @@ class _FleetRun:
     def device_lost(self, device: _Device) -> None:
         if not device.live:
             return
-        now = self.sim.now
+        now = self.clock.now
         device.live = False
         self.device_events.append((now, device.name, "lost"))
         self.obs.count("fleet.device_lost")
         if self.rec is not None:
-            self.rec.gauge(device.util_series, now, 0.0)
+            device.util_points.append((now, 0.0))
         self._instant("device lost", device.name)
         if device.job is not None:
             self._fail_over(device)
@@ -531,7 +533,7 @@ class _FleetRun:
             return
         device.live = True
         device.residue = None  # a rejoin is a clean boot
-        self.device_events.append((self.sim.now, device.name, "rejoined"))
+        self.device_events.append((self.clock.now, device.name, "rejoined"))
         self.obs.count("fleet.device_rejoined")
         self._instant("device rejoined", device.name)
         self._settle()
@@ -539,7 +541,7 @@ class _FleetRun:
     def retry_ready(self, job: QueuedJob) -> None:
         self.controller.requeue(job)
         if self.rec is not None:
-            self.rec.count("fleet.rate.retries", self.sim.now)
+            self.retry_points.append((self.clock.now, 1.0))
         self._instant(f"retry job {job.arrival.job_id}", "fleet")
         self._settle()
 
@@ -561,36 +563,40 @@ class _FleetRun:
     def _settle(self) -> None:
         """End every event that acted: place queued jobs, sample the backlog.
 
-        Placement finds work only after an event that freed a device or
-        queued a job; after any other event it stops at once.
+        Placement hands the next queued job to each free device in name
+        order.  Dispatching frees no device, so one pass over the
+        devices does it, and it stops as soon as no job is queued.
         """
-        now = self.sim.now
-        while True:
-            device = next((d for d in self.placement_order if d.free), None)
-            job = self.controller.next_job() if device is not None else None
-            if job is None:
-                break
-            arrival = job.arrival
-            self.first_dispatch.setdefault(arrival.job_id, now)
-            inner_plan = self._inner_plan(job)
-            profile = self.profiles.profile(arrival.workload, inner_plan)
-            device.job = job
-            device.dispatched_at = now
-            remaining = max(0.0, profile.service_seconds - job.resume_offset_s)
-            self.obs.count("fleet.dispatches")
-            if self.rec is not None:
-                self.rec.gauge(device.util_series, now, 1.0)
-            device.completion = self.sim.schedule_at(
-                now + remaining, partial(self.job_done, device, profile, inner_plan)
-            )
+        now = self.clock.now
+        controller = self.controller
+        if controller.total_queued:
+            for device in self.placement_order:
+                if device.job is None and device.live:
+                    self._dispatch(device, controller.next_job(), now)
+                    if not controller.total_queued:
+                        break
         if self.rec is not None:
-            self.rec.gauge(
-                "fleet.queue_depth", now, float(self.controller.total_queued)
-            )
+            self.depth_points.append((now, float(controller.total_queued)))
+
+    def _dispatch(self, device: _Device, job: QueuedJob, now: float) -> None:
+        """Start ``job`` on ``device`` and schedule its completion."""
+        arrival = job.arrival
+        self.first_dispatch.setdefault(arrival.job_id, now)
+        inner_plan = self._inner_plan(job)
+        profile = self.profiles.profile(arrival.workload, inner_plan)
+        device.job = job
+        device.dispatched_at = now
+        remaining = max(0.0, profile.service_seconds - job.resume_offset_s)
+        self.dispatches += 1
+        if self.rec is not None:
+            device.util_points.append((now, 1.0))
+        device.completion = self.sim.schedule_at(
+            now + remaining, partial(self.job_done, device, profile, inner_plan)
+        )
 
     def _inner_plan(self, job: QueuedJob) -> Optional[FaultPlan]:
         """The inner fault plan of a job dispatched in its tenant's window."""
-        now = self.sim.now
+        now = self.clock.now
         for index, spec in enumerate(self.tenant_windows):
             if (
                 spec.target == job.arrival.tenant
@@ -613,7 +619,7 @@ class _FleetRun:
         assert job is not None and device.completion is not None
         device.completion.cancel()
         device.job = device.completion = None
-        now = self.sim.now
+        now = self.clock.now
         if self.collect_trace:
             self.trace_spans.append(Span(
                 f"{job.arrival.workload}#{job.arrival.job_id} (interrupted)",
@@ -662,7 +668,7 @@ class _FleetRun:
                 f"job {job_id} terminated twice — "
                 f"{self.outcomes[job_id].status} then {status}"
             )
-        now = self.sim.now
+        now = self.clock.now
         outcome = JobOutcome(
             job_id=job_id,
             tenant=arrival.tenant,
@@ -677,54 +683,106 @@ class _FleetRun:
             **fields,
         )
         self.outcomes[job_id] = outcome
-        self.obs.count(f"fleet.jobs.{status}")
-        rec = self.rec
         if status == STATUS_SHED:
-            self.obs.count(f"fleet.shed.{outcome.reason}")
-            if rec is not None:
-                rec.count("fleet.rate.shed", now)
             self._instant(f"shed job {job_id} [{outcome.reason}]", "fleet")
+
+    def record_metrics(self) -> None:
+        """Write the per-job metrics in one pass over the outcomes.
+
+        The same updates the loop would have made job by job: counters
+        of arrivals, admissions, dispatches, statuses and shed reasons
+        (a counter of ``n`` ones is ``float(n)`` exactly), and the
+        end-to-end and queue-wait histograms, observed in termination
+        order so their sums add up in the same order.  An instrument no
+        job touched is not created.
+        """
+        obs = self.obs
+        if not obs.enabled:
             return
-        self.obs.observe("fleet.end_to_end_s", outcome.end_to_end_s)
-        if outcome.queue_wait_s is not None:
-            self.obs.observe("fleet.queue_wait_s", outcome.queue_wait_s)
-        if rec is not None:
-            rec.count("fleet.rate.finished", now)
-            rec.observe(self.e2e_series[outcome.tenant], now, outcome.end_to_end_s)
+        metrics = obs.metrics
+        statuses: Dict[str, int] = {}
+        reasons: Dict[str, int] = {}
+        admitted = 0
+        end_to_ends: List[float] = []
+        queue_waits: List[float] = []
+        for outcome in self.outcomes.values():
+            status = outcome.status
+            statuses[status] = statuses.get(status, 0) + 1
+            admitted += outcome.admitted
+            if status == STATUS_SHED:
+                reasons[outcome.reason] = reasons.get(outcome.reason, 0) + 1
+                continue
+            end_to_ends.append(outcome.end_to_end_s)
+            if outcome.first_dispatch_time is not None:
+                queue_waits.append(outcome.queue_wait_s)
+        counts = {
+            "fleet.jobs.arrived": len(self.outcomes),
+            "fleet.jobs.admitted": admitted,
+            "fleet.dispatches": self.dispatches,
+            **{f"fleet.jobs.{status}": n for status, n in statuses.items()},
+            **{f"fleet.shed.{reason}": n for reason, n in reasons.items()},
+        }
+        for name, count in counts.items():
+            if count:
+                metrics.counter(name).inc(float(count))
+        for name, values in (("fleet.end_to_end_s", end_to_ends),
+                             ("fleet.queue_wait_s", queue_waits)):
+            if values:
+                histogram = metrics.histogram(name)
+                for value in values:
+                    histogram.observe(value)
 
-    def record_slo_windows(self) -> None:
-        """Derive each tenant's sliding-window SLO series from its jobs.
+    def record_timeline(self) -> None:
+        """Write every flight-recorder series of the run, each in one call.
 
-        One pass over the finished jobs in termination order.  Each
-        point is what a query of the tenant's ``fleet.e2e`` ring would
-        have returned at that job's finish: the p50 and p99 of the
-        window and its burn rate, the share of the window over the
-        tenant's target as a multiple of :data:`SLO_ERROR_BUDGET`.
+        The loop collected the gauge and rate points; the finished and
+        shed rates, each tenant's ``fleet.e2e`` samples and its
+        sliding-window SLO series come from the outcomes, in
+        termination order.  Each SLO point is what a query of the
+        tenant's ``fleet.e2e`` ring would have returned at that job's
+        finish: the p50 and p99 of the window and its burn rate, the
+        share of the window over the tenant's target as a multiple of
+        :data:`SLO_ERROR_BUDGET`.
         """
         rec = self.rec
         assert rec is not None
+        for device in self.placement_order:
+            rec.record(f"fleet.util.{device.name}", KIND_GAUGE, device.util_points)
+        rec.record("fleet.queue_depth", KIND_GAUGE, self.depth_points)
         finished: Dict[str, List[Tuple[float, float]]] = {
             tenant.name: [] for tenant in self.tenants
         }
+        finished_at: List[Tuple[float, float]] = []
+        shed_at: List[Tuple[float, float]] = []
         for outcome in self.outcomes.values():
-            if outcome.status != STATUS_SHED:
+            if outcome.status == STATUS_SHED:
+                shed_at.append((outcome.finish_time, 1.0))
+            else:
+                finished_at.append((outcome.finish_time, 1.0))
                 finished[outcome.tenant].append(
                     (outcome.finish_time, outcome.end_to_end_s)
                 )
+        for name, points in (
+            ("fleet.rate.arrived", self.arrived_points),
+            ("fleet.rate.admitted", self.admitted_points),
+            ("fleet.rate.retries", self.retry_points),
+            ("fleet.rate.shed", shed_at),
+            ("fleet.rate.finished", finished_at),
+        ):
+            rec.record(name, KIND_RATE, points)
         for tenant, samples in finished.items():
-            p50 = f"fleet.slo_window.{tenant}.e2e_p50_s"
-            p99 = f"fleet.slo_window.{tenant}.e2e_p99_s"
-            burn = f"fleet.burn.{tenant}"
-            for now, low, high, over in rec.sliding_windows(
-                samples, self.targets[tenant]
-            ):
-                rec.gauge(p50, now, low)
-                rec.gauge(p99, now, high)
-                rec.gauge(burn, now, over / SLO_ERROR_BUDGET)
+            rec.record(f"fleet.e2e.{tenant}", KIND_SAMPLES, samples)
+            windows = list(rec.sliding_windows(samples, self.targets[tenant]))
+            rec.record(f"fleet.slo_window.{tenant}.e2e_p50_s", KIND_GAUGE,
+                       [(now, p50) for now, p50, _, _ in windows])
+            rec.record(f"fleet.slo_window.{tenant}.e2e_p99_s", KIND_GAUGE,
+                       [(now, p99) for now, _, p99, _ in windows])
+            rec.record(f"fleet.burn.{tenant}", KIND_GAUGE,
+                       [(now, over / SLO_ERROR_BUDGET) for now, _, _, over in windows])
 
     def _instant(self, name: str, resource: str) -> None:
         if self.collect_trace:
-            now = self.sim.now
+            now = self.clock.now
             self.trace_instants.append(
                 Span(name, "fleet-event", resource, now, now)
             )
@@ -839,9 +897,10 @@ class Fleet:
     # --- reporting ----------------------------------------------------------
 
     def _build_report(self, run: _FleetRun) -> FleetReport:
+        run.record_metrics()
         alerts: Tuple[AlertEvent, ...] = ()
         if run.rec is not None:
-            run.record_slo_windows()
+            run.record_timeline()
             run.rec.finalize(run.sim.now)
             alerts = evaluate_alerts(
                 run.rec, self.alert_rules(run.tenants, run.targets)

@@ -96,12 +96,14 @@ class ProfileStore:
         self, workload_name: str, plan: Optional[FaultPlan] = None
     ) -> JobProfile:
         """The measured profile of ``workload_name`` under ``plan``."""
-        if workload_name not in workload_names():
-            raise FleetError(f"unknown workload {workload_name!r}")
         key = (workload_name, self._plan_key(plan))
-        if key not in self._profiles:
-            self._profiles[key] = self._measure(workload_name, plan)
-        return self._profiles[key]
+        profile = self._profiles.get(key)
+        if profile is None:
+            # Only a known name is ever cached, so a hit needs no check.
+            if workload_name not in workload_names():
+                raise FleetError(f"unknown workload {workload_name!r}")
+            profile = self._profiles[key] = self._measure(workload_name, plan)
+        return profile
 
     def baseline(self, workload_name: str) -> JobProfile:
         """The fault-free profile — the signature every tenant is owed."""

@@ -245,21 +245,6 @@ class Observability:
         if self.enabled:
             self.metrics.histogram(name).observe(value)
 
-    def ts_gauge(self, name: str, t: float, value: float) -> None:
-        """Record a flight-recorder gauge point; no-op with no recorder."""
-        if self.enabled and self.timeseries is not None:
-            self.timeseries.gauge(name, t, value)
-
-    def ts_count(self, name: str, t: float, amount: float = 1.0) -> None:
-        """Add to a flight-recorder rate window; no-op with no recorder."""
-        if self.enabled and self.timeseries is not None:
-            self.timeseries.count(name, t, amount)
-
-    def ts_observe(self, name: str, t: float, value: float) -> None:
-        """Record a flight-recorder sample; no-op with no recorder."""
-        if self.enabled and self.timeseries is not None:
-            self.timeseries.observe(name, t, value)
-
     def record_span(
         self,
         name: str,

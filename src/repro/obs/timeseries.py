@@ -114,20 +114,36 @@ class TimeSeries:
         self.points: Deque[Tuple[float, float]] = deque(maxlen=capacity)
 
     def append(self, t: float, value: float) -> None:
-        if not math.isfinite(t):
-            raise _non_finite_time(self.name, t)
-        points = self.points
-        if points:
-            last_t = points[-1][0]
-            if t < last_t:
-                raise ObservabilityError(
-                    f"series {self.name!r}: point at t={t} arrived after "
-                    f"t={last_t} — simulated time never runs backwards"
-                )
-            if t == last_t and self.kind == KIND_GAUGE:
-                points[-1] = (t, float(value))
-                return
-        points.append((float(t), float(value)))
+        self.extend(((float(t), float(value)),))
+
+    def extend(self, points: Sequence[Tuple[float, float]]) -> None:
+        """Append ``points`` in order, checking each as it lands.
+
+        The one write every point of the series goes through, one at a
+        time (:meth:`append`) or a whole batch at once.  ``points`` are
+        ``(t, value)`` tuples of floats, and the ring keeps them as
+        given.
+        """
+        ring = self.points
+        append = ring.append
+        isfinite = math.isfinite
+        overwrite = self.kind == KIND_GAUGE
+        last_t = ring[-1][0] if ring else -math.inf
+        for point in points:
+            t = point[0]
+            if not isfinite(t):
+                raise _non_finite_time(self.name, t)
+            if t <= last_t:
+                if t < last_t:
+                    raise ObservabilityError(
+                        f"series {self.name!r}: point at t={t} arrived after "
+                        f"t={last_t} — simulated time never runs backwards"
+                    )
+                if overwrite:
+                    ring[-1] = point
+                    continue
+            append(point)
+            last_t = t
 
     def times(self) -> List[float]:
         return [t for t, _ in self.points]
@@ -243,11 +259,11 @@ class FlightRecorder:
 
     def gauge(self, name: str, t: float, value: float) -> None:
         """Record the level ``value`` at simulated instant ``t``."""
-        self._get_or_create(name, KIND_GAUGE).append(t, value)
+        self.record(name, KIND_GAUGE, ((float(t), float(value)),))
 
     def observe(self, name: str, t: float, value: float) -> None:
         """Record one raw sample (e.g. a latency) at instant ``t``."""
-        self._get_or_create(name, KIND_SAMPLES).append(t, value)
+        self.record(name, KIND_SAMPLES, ((float(t), float(value)),))
 
     def count(self, name: str, t: float, amount: float = 1.0) -> None:
         """Add ``amount`` events at instant ``t`` to a windowed rate.
@@ -257,44 +273,85 @@ class FlightRecorder:
         it, and any fully-empty windows in between emit explicit zeros
         (at most ``capacity``, which is all the ring can hold anyway).
         """
-        if amount < 0:
-            raise ObservabilityError(
-                f"rate series {name!r} increment must be non-negative, "
-                f"got {amount}"
-            )
-        if not math.isfinite(t):
-            raise _non_finite_time(name, t)
-        series = self._get_or_create(name, KIND_RATE)
-        index = int(t // self.window_s)
+        self.record(name, KIND_RATE, ((t, amount),))
+
+    def record(
+        self, name: str, kind: str, points: Sequence[Tuple[float, float]]
+    ) -> None:
+        """Record ``points`` on the ``kind`` series ``name``, in order.
+
+        The write behind :meth:`gauge`, :meth:`observe` and
+        :meth:`count`: a caller that collects a series' points may
+        write them in one call, with the same checks and the same
+        result as one call per point.  Points are ``(t, value)`` tuples
+        of floats; a gauge or sample point is stored as given, and a
+        rate point's value is its increment.  An empty batch records
+        nothing.
+        """
+        if not points:
+            return
+        if kind == KIND_RATE:
+            self._count(name, points)
+        else:
+            self._get_or_create(name, kind).extend(points)
+
+    def _count(self, name: str, points: Sequence[Tuple[float, float]]) -> None:
+        """Add rate increments, closing each window time moves past."""
+        # A window opens with its series, on the first valid point.
         window = self._open_windows.get(name)
         if window is None:
-            window = self._open_windows[name] = _RateWindow(index)
-        elif index > window.index:
-            self._flush(series, window, upto_index=index)
-            window.index = index
-            window.total = 0.0
-        elif index < window.index:
-            raise ObservabilityError(
-                f"rate series {name!r}: increment at t={t} lands before "
-                f"the open window — simulated time never runs backwards"
-            )
-        window.total += amount
-
-    def _flush(
-        self, series: TimeSeries, window: _RateWindow, upto_index: int
-    ) -> None:
-        """Emit the open window's point plus zeros up to ``upto_index``."""
-        series.append(
-            (window.index + 1) * self.window_s, window.total / self.window_s
-        )
-        # Zero-fill the gap so quiet stretches read as zero rate.  The
-        # ring only keeps `capacity` points, so cap the fill there.
-        first_zero = window.index + 1
-        last_zero = upto_index - 1
-        if last_zero - first_zero + 1 > self.capacity:
-            first_zero = last_zero - self.capacity + 1
-        for index in range(first_zero, last_zero + 1):
-            series.append((index + 1) * self.window_s, 0.0)
+            series, open_index, total = None, None, 0.0
+        else:
+            series = self._series[name]
+            open_index, total = window.index, window.total
+        window_s = self.window_s
+        capacity = self.capacity
+        isfinite = math.isfinite
+        # The points of the windows the batch closes, written together.
+        closed: List[Tuple[float, float]] = []
+        try:
+            for t, amount in points:
+                if amount < 0:
+                    raise ObservabilityError(
+                        f"rate series {name!r} increment must be non-negative, "
+                        f"got {amount}"
+                    )
+                if not isfinite(t):
+                    raise _non_finite_time(name, t)
+                index = int(t // window_s)
+                if index != open_index:
+                    if open_index is None:
+                        series = self._get_or_create(name, KIND_RATE)
+                        window = self._open_windows[name] = _RateWindow(index)
+                    elif index < open_index:
+                        raise ObservabilityError(
+                            f"rate series {name!r}: increment at t={t} lands "
+                            f"before the open window — simulated time never "
+                            f"runs backwards"
+                        )
+                    else:
+                        # Close the open window at its end, in events/s.
+                        closed.append(
+                            ((open_index + 1) * window_s, total / window_s)
+                        )
+                        if index > open_index + 1:
+                            # Zero-fill the gap so quiet stretches read
+                            # as zero rate.  The ring only keeps
+                            # `capacity` points, so cap the fill there.
+                            first = max(open_index + 1, index - capacity)
+                            closed.extend(
+                                ((zero + 1) * window_s, 0.0)
+                                for zero in range(first, index)
+                            )
+                        total = 0.0
+                    open_index = index
+                total += amount
+        finally:
+            if window is not None:
+                window.index = open_index
+                window.total = total
+            if closed:
+                series.extend(closed)
 
     def finalize(self, now: float) -> None:
         """Flush every open rate window so partial windows are visible.
@@ -303,10 +360,12 @@ class FlightRecorder:
         simulated timestamp.  Idempotent enough for reporting: a flushed
         window restarts at ``now``'s window with a zero total.
         """
+        window_s = self.window_s
         for name in sorted(self._open_windows):
             window = self._open_windows[name]
-            series = self._series[name]
-            self._flush(series, window, upto_index=window.index + 1)
+            self._series[name].extend((
+                ((window.index + 1) * window_s, window.total / window_s),
+            ))
             window.index = int(now // self.window_s) + 1
             window.total = 0.0
 

@@ -1,6 +1,8 @@
 """Admission control: token buckets, bounded queues, typed shedding."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FleetError
 from repro.fleet import (
@@ -154,3 +156,130 @@ class TestDrain:
     def test_queued_job_priority_property(self):
         job = QueuedJob(arrival=_arrival(9, priority=7), seq=0)
         assert job.priority == 7
+
+
+class _LinearScanModel:
+    """The controller written the slow, obvious way: unsorted queues,
+    a linear ``min`` over every queued job to dispatch and a linear
+    ``max`` to pick an overload victim."""
+
+    def __init__(self, tenants, watermark):
+        self.tenants = {t.name: t for t in tenants}
+        self.buckets = {
+            t.name: TokenBucket(t.admission_rate, t.admission_burst)
+            for t in tenants
+        }
+        self.queues = {t.name: [] for t in tenants}
+        self.watermark = watermark
+        self.seq = 0
+
+    @property
+    def total_queued(self):
+        return sum(len(queue) for queue in self.queues.values())
+
+    def admit(self, arrival, now):
+        if not self.buckets[arrival.tenant].try_take(now):
+            return SHED_RATE_LIMITED
+        queue = self.queues[arrival.tenant]
+        if len(queue) >= self.tenants[arrival.tenant].queue_limit:
+            return SHED_QUEUE_FULL
+        queue.append(QueuedJob(arrival=arrival, seq=self.seq))
+        self.seq += 1
+        return None
+
+    def requeue(self, job):
+        self.queues[job.arrival.tenant].append(job)
+
+    def next_job(self):
+        queued = [job for queue in self.queues.values() for job in queue]
+        if not queued:
+            return None
+        job = min(queued, key=lambda job: (-job.priority, job.seq))
+        self.queues[job.arrival.tenant].remove(job)
+        return job
+
+    def shed_overload(self):
+        victims = []
+        while self.total_queued > self.watermark:
+            _, name = min(
+                (self.tenants[name].priority, name)
+                for name, queue in self.queues.items() if queue
+            )
+            victim = max(self.queues[name], key=lambda job: job.seq)
+            self.queues[name].remove(victim)
+            victims.append(victim)
+        return victims
+
+    def drain(self):
+        drained = [job for queue in self.queues.values() for job in queue]
+        for queue in self.queues.values():
+            queue.clear()
+        return sorted(drained, key=lambda job: job.seq)
+
+
+def _ids(jobs):
+    return [(job.arrival.job_id, job.seq) for job in jobs]
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("admit"), st.integers(0, 3),
+              st.sampled_from([0.0, 0.0, 0.1, 0.5, 2.0])),
+    st.tuples(st.just("requeue"), st.integers(0, 7)),
+    st.tuples(st.just("next")),
+    st.tuples(st.just("next")),
+    st.tuples(st.just("shed")),
+    st.tuples(st.just("drain")),
+)
+
+
+class TestAgainstLinearScanModel:
+    """Every operation returns what the linear-scan model returns."""
+
+    @settings(max_examples=200, deadline=None, print_blob=True)
+    @given(
+        priorities=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        queue_limit=st.integers(1, 4),
+        burst=st.integers(1, 4),
+        watermark=st.integers(1, 4),
+        ops=st.lists(_OPS, max_size=60),
+    )
+    def test_same_jobs_in_the_same_order(
+        self, priorities, queue_limit, burst, watermark, ops,
+    ):
+        tenants = tuple(
+            TenantSpec(name=f"t{index}", rate_jobs_per_s=1.0,
+                       admission_rate=2.0, admission_burst=burst,
+                       priority=priority, queue_limit=queue_limit)
+            for index, priority in enumerate(priorities)
+        )
+        controller = AdmissionController(tenants, overload_watermark=watermark)
+        model = _LinearScanModel(tenants, watermark)
+        # Dispatched jobs a failover may requeue, as (controller, model) pairs.
+        running = []
+        now = 0.0
+        next_id = 0
+        for op in ops:
+            if op[0] == "admit":
+                tenant = tenants[op[1] % len(tenants)]
+                now += op[2]
+                arrival = _arrival(next_id, tenant=tenant.name,
+                                   priority=tenant.priority, at=now)
+                next_id += 1
+                assert controller.admit(arrival, now) == model.admit(arrival, now)
+            elif op[0] == "requeue":
+                if running:
+                    job, twin = running.pop(op[1] % len(running))
+                    controller.requeue(job)
+                    model.requeue(twin)
+            elif op[0] == "next":
+                job, twin = controller.next_job(), model.next_job()
+                if twin is None:
+                    assert job is None
+                else:
+                    assert _ids([job]) == _ids([twin])
+                    running.append((job, twin))
+            elif op[0] == "shed":
+                assert _ids(controller.shed_overload()) == _ids(model.shed_overload())
+            else:
+                assert _ids(controller.drain()) == _ids(model.drain())
+            assert controller.total_queued == model.total_queued

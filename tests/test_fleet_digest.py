@@ -51,6 +51,15 @@ PINNED_RING_DIGEST = (
 )
 
 
+#: sha256 over ``json.dumps(report.to_jsonable(), sort_keys=True)`` for
+#: the ``serve`` run with no handle passed (``obs=None``): the fleet's own
+#: metrics-only handle, no recorder and no trace.  The job metrics are
+#: part of the report, so this pins them on the recorder-off path.
+PINNED_RECORDER_OFF_DIGEST = (
+    "a4101b056266612e31ede172040f9791f41bd9b741ed8ecb31bb85cff8e05873"
+)
+
+
 def _loss(target, at_time, duration_s=0.0):
     return FaultSpec(kind=FaultKind.DEVICE_LOST_MID_JOB, target=target,
                      at_time=at_time, duration_s=duration_s)
@@ -131,6 +140,17 @@ def ring_runs(tmp_path_factory):
         return [_run(serve, **recorder) for _, recorder in RECORDERS]
 
 
+@pytest.fixture(scope="module")
+def recorder_off_run(tmp_path_factory):
+    """The ``serve`` run's report with no observability handle passed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_PROFCACHE", "1")
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("profcache")))
+        serve = CONFIGS[0][1]
+        store = ProfileStore(system_config=serve.system_config, scale=serve.scale)
+        return Fleet(serve, profiles=store, obs=None).run()
+
+
 class TestFleetDigest:
     def test_report_and_trace_are_pinned(self, runs):
         cold, _ = runs
@@ -164,3 +184,14 @@ class TestRingDigest:
             assert len(wrapped[name]["points"]) == 32
             assert len(whole[name]["points"]) > 32
         assert ring_runs[1].makespan_s < 1000.0
+
+
+class TestRecorderOffDigest:
+    def test_metrics_only_report_is_pinned(self, recorder_off_run):
+        payload = recorder_off_run.to_jsonable()
+        assert "timeline" not in payload
+        assert payload["metrics"]["counters"]["fleet.dispatches"] > 1000
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == PINNED_RECORDER_OFF_DIGEST

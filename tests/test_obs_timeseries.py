@@ -335,6 +335,94 @@ class TestAlerts:
         assert len(events) == episodes
 
 
+#: The point-by-point write of each series kind.
+_POINT_WRITE = {"gauge": "gauge", "samples": "observe", "rate": "count"}
+
+
+@st.composite
+def _series_points(draw):
+    """A kind and its ``(t, value)`` points at finite, non-decreasing ``t``.
+
+    Steps of 0 repeat an instant (a gauge overwrites it); steps of 40 s
+    leave 160 quiet 0.25 s rate windows, more than a small ring holds.
+    """
+    kind = draw(st.sampled_from(sorted(_POINT_WRITE)))
+    values = (
+        st.floats(0.0, 100.0) if kind == "rate" else st.floats(-1e3, 1e3)
+    )
+    t = draw(st.floats(0.0, 2.0))
+    points = []
+    for step in draw(st.lists(
+        st.sampled_from([0.0, 0.0, 0.05, 0.25, 0.7, 3.0, 40.0]),
+        min_size=1, max_size=40,
+    )):
+        t += step
+        points.append((t, draw(values)))
+    return kind, points
+
+
+class TestBatchMatchesPointWrites:
+    """``FlightRecorder.record`` against one ``gauge``/``observe``/``count``
+    call per point: same series, same errors, same state after an error."""
+
+    @settings(max_examples=150, deadline=None, print_blob=True)
+    @given(
+        series=st.lists(_series_points(), min_size=1, max_size=3),
+        capacity=st.sampled_from([1, 2, 3, 5, 8, 4096]),
+        cuts=st.lists(st.integers(1, 40), max_size=4),
+    )
+    def test_any_batching_gives_the_same_recorder(self, series, capacity, cuts):
+        pointwise = FlightRecorder(capacity=capacity)
+        batched = FlightRecorder(capacity=capacity)
+        for index, (kind, points) in enumerate(series):
+            name = f"s{index}"
+            write = getattr(pointwise, _POINT_WRITE[kind])
+            for t, value in points:
+                write(name, t, value)
+            bounds = sorted({0, len(points), *(c for c in cuts if c < len(points))})
+            for lo, hi in zip(bounds, bounds[1:]):
+                batched.record(name, kind, points[lo:hi])
+        end = max(t for _, points in series for t, _ in points)
+        pointwise.finalize(end)
+        batched.finalize(end)
+        assert batched.to_jsonable() == pointwise.to_jsonable()
+
+    @settings(max_examples=150, deadline=None, print_blob=True)
+    @given(
+        series=_series_points(),
+        bad=st.sampled_from(["backwards", "nan", "inf", "-inf"]),
+        where=st.integers(0, 40),
+        capacity=st.sampled_from([1, 3, 4096]),
+    )
+    def test_a_bad_time_fails_alike(self, series, bad, where, capacity):
+        kind, points = series
+        where = min(where, len(points))
+        if bad == "backwards":
+            if where == 0:
+                where = 1
+            # A whole second back is an earlier 0.25 s rate window too.
+            t = points[where - 1][0] - 1.0
+        else:
+            t = float(bad)
+        points = [*points[:where], (t, 1.0), *points[where:]]
+        pointwise = FlightRecorder(capacity=capacity)
+        batched = FlightRecorder(capacity=capacity)
+        write = getattr(pointwise, _POINT_WRITE[kind])
+        with pytest.raises(ObservabilityError) as point_error:
+            for point_t, value in points:
+                write("s", point_t, value)
+        with pytest.raises(ObservabilityError) as batch_error:
+            batched.record("s", kind, points)
+        assert str(batch_error.value) == str(point_error.value)
+        assert batched.to_jsonable() == pointwise.to_jsonable()
+
+    def test_empty_batch_records_nothing(self):
+        recorder = FlightRecorder()
+        for kind in _POINT_WRITE:
+            recorder.record(kind, kind, [])
+        assert recorder.names() == []
+
+
 class TestObservabilityWiring:
     def test_with_timeseries_attaches_recorder(self):
         obs = Observability.with_timeseries(window_s=0.5)
@@ -343,32 +431,27 @@ class TestObservabilityWiring:
         assert not Observability().recording
         assert not Observability.disabled().recording
 
-    def test_ts_helpers_record_when_enabled(self):
+    def test_handle_recorder_takes_every_kind(self):
         obs = Observability.with_timeseries()
-        obs.ts_gauge("g", 0.0, 1.0)
-        obs.ts_count("c", 0.0)
-        obs.ts_observe("o", 0.0, 2.0)
+        obs.timeseries.gauge("g", 0.0, 1.0)
+        obs.timeseries.count("c", 0.0)
+        obs.timeseries.observe("o", 0.0, 2.0)
         assert obs.timeseries.names() == ["c", "g", "o"]
 
-    def test_ts_helpers_no_op_without_recorder(self):
-        for obs in (Observability(), Observability.disabled()):
-            obs.ts_gauge("g", 0.0, 1.0)
-            obs.ts_count("c", 0.0)
-            obs.ts_observe("o", 0.0, 2.0)
-            assert obs.timeseries is None or not obs.timeseries.names()
-
     def test_disabled_handle_with_recorder_stays_silent(self):
+        # Call sites guard on ``recording``, which a disabled handle
+        # never reports, recorder or not.
         obs = Observability(
             enabled=False, timeseries=FlightRecorder()
         )
-        obs.ts_gauge("g", 0.0, 1.0)
-        assert obs.timeseries.names() == []
+        assert not obs.recording
 
     def test_adopt_redirects_recorder(self):
         mine = Observability.with_timeseries()
         machine_side = Observability()
         machine_side.adopt(mine)
-        machine_side.ts_gauge("g", 0.0, 1.0)
+        assert machine_side.recording
+        machine_side.timeseries.gauge("g", 0.0, 1.0)
         assert mine.timeseries.names() == ["g"]
 
     def test_ensure_timeseries_is_idempotent(self):

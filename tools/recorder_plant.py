@@ -9,7 +9,9 @@ median of interleaved observability-off/on passes:
 
 * ``recorder`` (default): ``recorder_cpu_ratio()``, recorder-on / off CPU
   seconds of the 1 000-job fleet loop.  The plant goes into
-  ``TimeSeries.append``, the write every recorded point goes through.
+  ``FlightRecorder.record``, the write every recorded point goes
+  through.  The fleet writes each series there in one batch at run
+  end, so a write here is one point of the batch.
 * ``tracer``: ``tracer_cpu_ratio()``, observability-on / off CPU seconds
   of warm passes over the ActivePy rotation, with metrics and spans
   live (``Observability.with_tracing``).  A pass makes about 22 000
@@ -18,10 +20,10 @@ median of interleaved observability-off/on passes:
   ``MetricsRegistry.gauge``, the lookup every gauge update goes
   through.
 
-The plant is a busy-wait of ``--spin`` empty loop turns before the
-write.  The script first measures what share of the observability
-cost the plant adds, then takes the ratio ``--reps`` times with and
-without the plant, alternating.  The plant counts as caught on the
+The plant is a busy-wait of ``--spin`` empty loop turns per write,
+run before the write.  The script first measures what share of the
+observability cost the plant adds, then takes the ratio ``--reps``
+times with and without the plant, alternating.  The plant counts as caught on the
 rule ``benchmarks/e2e`` applies to a claimed gain: the planted ratio is
 higher in at least nine of ten pairs, and its median is higher by more
 than the unplanted ratios' interquartile range.  The exit code is 0
@@ -49,7 +51,7 @@ from benchmarks.bench_obs import (  # noqa: E402
     warm_rotation,
     warm_serve_store,
 )
-from repro.obs import Observability, TimeSeries  # noqa: E402
+from repro.obs import FlightRecorder, Observability  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
 #: Every order of (observability off, on, planted), so that no arm
@@ -72,6 +74,8 @@ class PlantPath:
     spin: int
     #: ``arms()`` -> (off pass, on pass): each returns CPU seconds.
     arms: Callable[[], tuple]
+    #: ``writes(args)`` -> how many writes one call of ``method`` makes.
+    writes: Callable[[tuple], int] = lambda args: 1
 
 
 def _recorder_arms():
@@ -87,8 +91,9 @@ def _tracer_arms():
 
 
 PATHS = {
-    "recorder": PlantPath(TimeSeries, "append", recorder_cpu_ratio,
-                          RECORDER_CPU_RATIO_BOUND, 2, _recorder_arms),
+    "recorder": PlantPath(FlightRecorder, "record", recorder_cpu_ratio,
+                          RECORDER_CPU_RATIO_BOUND, 5, _recorder_arms,
+                          writes=lambda args: len(args[2])),
     "tracer": PlantPath(MetricsRegistry, "gauge", tracer_cpu_ratio,
                         TRACER_CPU_RATIO_BOUND, 2, _tracer_arms),
 }
@@ -101,10 +106,10 @@ class _Plant:
         self.path = path
         self.original = getattr(path.cls, path.method)
         original = self.original
-        turns = range(spin)
+        writes = path.writes
 
         def planted(self, *args):
-            for _ in turns:
+            for _ in range(spin * writes(args)):
                 pass
             return original(self, *args)
 
@@ -143,7 +148,8 @@ def main() -> int:
     parser.add_argument("--path", choices=tuple(PATHS), default="recorder",
                         help="which write path to plant in (default recorder)")
     parser.add_argument("--spin", type=int,
-                        help="empty loop turns added to each write (default 2)")
+                        help="empty loop turns added to each write "
+                             "(default 5 for recorder, 2 for tracer)")
     parser.add_argument("--reps", type=int, default=10,
                         help="ratio measurements per arm (default 10)")
     args = parser.parse_args()
@@ -151,7 +157,7 @@ def main() -> int:
     spin = path.spin if args.spin is None else args.spin
 
     share = plant_share(path, spin)
-    print(f"plant: {spin} turns per {path.cls.__name__}.{path.method} add "
+    print(f"plant: {spin} turns per write in {path.cls.__name__}.{path.method} add "
           f"{share * 100:.1f}% of the observability CPU cost")
     clean, planted = [], []
     for _ in range(args.reps):
