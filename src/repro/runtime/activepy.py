@@ -334,19 +334,15 @@ class ActivePy:
         """
         report: Optional[SearchReport] = None
         if cache is not None and cache_key is not None:
-            payload = cache.get_plan(cache_key)
-            if payload is not None:
-                try:
-                    report = SearchReport.from_jsonable(payload)
-                    report.cache_hit = True
-                except PlanningError:
-                    report = None
+            report = cache.get_plan(cache_key)
+            if report is not None:
+                report.cache_hit = True
         if report is None:
             report = search_plan(
                 program, dataset, estimates, self.config, greedy=greedy_plan,
             )
             if cache is not None and cache_key is not None:
-                cache.put_plan(cache_key, report.to_jsonable())
+                cache.put_plan(cache_key, report)
         if handle.enabled:
             report.publish(handle)
         return report

@@ -29,6 +29,12 @@ Writes are atomic (tempfile + ``os.replace``), so concurrent writers —
 e.g. :mod:`repro.parallel` campaign workers — race benignly: the key is
 content-addressed, every writer writes the same bytes.
 
+A warm hit pays its serialisation once per distinct input per process:
+a key's canonical JSON and SHA-256 run once per distinct fingerprint
+tree (:func:`fingerprint_run`), and an entry is parsed and
+checksum-verified once per distinct file content
+(:meth:`ProfileCache._read`).  Both memos are bounded.
+
 The cached :class:`~repro.runtime.sampling.SamplingReport` round-trips
 floats through JSON ``repr`` exactly, so a cache hit is **bit-identical**
 to a fresh profile: same ``sampling_seconds``, same fitted curves, same
@@ -60,6 +66,7 @@ from .sampling import LineFits, SampleSeries, SamplingPhase, SamplingReport
 
 if TYPE_CHECKING:
     from ..obs import Observability
+    from .plansearch import SearchReport
 
 __all__ = [
     "FINGERPRINT_ATTR",
@@ -83,6 +90,10 @@ _COST_PROBES = (1.0, 2.0, 17.0, 1024.0, 31337.0)
 
 #: Recursion guard for closure-cell fingerprinting.
 _MAX_DEPTH = 8
+
+#: Entries each memo keeps: the process's keys per fingerprint tree,
+#: and each :class:`ProfileCache`'s verified entries.
+_MEMO_LIMIT = 64
 
 #: A generated function whose closure holds values the fingerprinter
 #: refuses (code objects, module globals) sets this attribute to a
@@ -266,6 +277,52 @@ def _statement_token(statement: Statement) -> Dict[str, Any]:
     }
 
 
+#: ``(program name, dataset name, *config token) -> (tree, key)``: the
+#: last fingerprint tree seen per handle and its key.
+_KEYS: Dict[Tuple[Any, ...], Tuple[Dict[str, Any], str]] = {}
+
+
+def _plain_leaves(program: Program, dataset: Dataset) -> bool:
+    """Whether every value the tree holds un-``repr``-ed is a ``str`` or ``int``.
+
+    ``==`` equates ``1``, ``1.0``, ``True`` and ``np.int64(1)``, which
+    JSON spells differently or refuses, so only a tree whose raw leaves
+    are exactly ``str`` or ``int`` may be served a memoized key.
+    """
+    leaves = [program.name, dataset.name, dataset.n_records, dataset.full_records]
+    for statement in program:
+        leaves += (statement.name, statement.chunks, *statement.live_vars)
+    return all(type(leaf) is str or type(leaf) is int for leaf in leaves)
+
+
+def _fingerprint_tree(
+    program: Program, dataset: Dataset, config: SystemConfig
+) -> Dict[str, Any]:
+    """The token tree a run's key hashes; raises when it cannot be built."""
+    import dataclasses
+
+    return {
+        "schema": _SCHEMA_VERSION,
+        "repro_version": _repro_version(),
+        "engine": _engine_digest(),
+        "program": {
+            "name": program.name,
+            "statements": [_statement_token(s) for s in program],
+        },
+        "dataset": {
+            "name": dataset.name,
+            "n_records": dataset.n_records,
+            "record_bytes": repr(dataset.record_bytes),
+            "full_records": dataset.full_records,
+            "builder": _callable_token(dataset.builder),
+        },
+        "config": {
+            field.name: repr(getattr(config, field.name))
+            for field in dataclasses.fields(config)
+        },
+    }
+
+
 def fingerprint_run(
     program: Program, dataset: Dataset, config: SystemConfig
 ) -> Optional[str]:
@@ -274,34 +331,38 @@ def fingerprint_run(
     ``None`` means *uncacheable*: some ingredient (an exotic kernel
     object, an opaque closure cell) cannot be fingerprinted reliably,
     so the run must always profile fresh.
-    """
-    import dataclasses
 
+    The token tree is built on every call, so cost probes, closure
+    cells and defaults are always read live.  Its canonical JSON and
+    SHA-256 run once per distinct tree: a tree ``==`` the memoized one
+    for its handle gets the memoized key.
+    """
     try:
-        fingerprint = {
-            "schema": _SCHEMA_VERSION,
-            "repro_version": _repro_version(),
-            "engine": _engine_digest(),
-            "program": {
-                "name": program.name,
-                "statements": [_statement_token(s) for s in program],
-            },
-            "dataset": {
-                "name": dataset.name,
-                "n_records": dataset.n_records,
-                "record_bytes": repr(dataset.record_bytes),
-                "full_records": dataset.full_records,
-                "builder": _callable_token(dataset.builder),
-            },
-            "config": {
-                field.name: repr(getattr(config, field.name))
-                for field in dataclasses.fields(config)
-            },
-        }
-        canonical = json.dumps(fingerprint, sort_keys=True, allow_nan=False)
+        tree = _fingerprint_tree(program, dataset, config)
     except (_Unfingerprintable, TypeError, ValueError):
         return None
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    handle = None
+    if _plain_leaves(program, dataset):
+        handle = (program.name, dataset.name, *tree["config"].values())
+        memo = _KEYS.get(handle)
+        if memo is not None and memo[0] == tree:
+            return memo[1]
+    try:
+        canonical = json.dumps(tree, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError):
+        return None
+    key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if handle is not None:
+        _remember(_KEYS, handle, (tree, key))
+    return key
+
+
+def _remember(memo: Dict[Any, Any], handle: Any, value: Any) -> None:
+    """Store ``value`` under ``handle``, evicting the oldest past the limit."""
+    memo.pop(handle, None)
+    if len(memo) >= _MEMO_LIMIT:
+        del memo[next(iter(memo))]
+    memo[handle] = value
 
 
 # --- SamplingReport (de)serialisation --------------------------------------
@@ -410,6 +471,10 @@ class ProfileCache:
     Counters (``hits``/``misses``/``invalidations``/``uncacheable``)
     accumulate per instance; :class:`~repro.runtime.activepy.ActivePy`
     republishes their deltas through ``repro.obs``.
+
+    Each entry is parsed and checksum-verified once per instance per
+    distinct file content: a read whose bytes equal the last verified
+    bytes of that path decodes the remembered payload.
     """
 
     def __init__(self, root: Optional[Path] = None) -> None:
@@ -422,6 +487,8 @@ class ProfileCache:
         self.uncacheable = 0
         self.plan_hits = 0
         self.plan_misses = 0
+        #: ``path -> (key, file bytes, payload)`` of verified entries.
+        self._verified: Dict[Path, Tuple[str, bytes, Dict[str, Any]]] = {}
 
     # --- key --------------------------------------------------------------
 
@@ -454,29 +521,38 @@ class ProfileCache:
         self.misses += report is None
         return report
 
-    def get_plan(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached plan-search payload for ``key``, or ``None``.
+    def get_plan(self, key: str) -> Optional["SearchReport"]:
+        """The cached :class:`~repro.runtime.plansearch.SearchReport`, or ``None``.
 
         ``key`` is the run's sampling fingerprint, so anything that
         invalidates a profile invalidates its plan.  Plan entries share
-        the profile entries' envelope and damage policy.  The payload is
-        the JSON view of a :class:`~repro.runtime.plansearch.SearchReport`.
+        the profile entries' envelope and damage policy; one that does
+        not decode to a report is damage too.
         """
-        payload = self._read(self._plan_path(key), key, dict)
-        self.plan_hits += payload is not None
-        self.plan_misses += payload is None
-        return payload
+        from .plansearch import SearchReport
+
+        report = self._read(self._plan_path(key), key, SearchReport.from_jsonable)
+        self.plan_hits += report is not None
+        self.plan_misses += report is None
+        return report
 
     def _read(self, path: Path, key: str, decode: Callable[[Dict[str, Any]], Any]):
         """The decoded payload of the entry at ``path``, or ``None``.
 
         The envelope must carry this schema, ``key`` and the payload's
-        checksum.  Anything unusable (unreadable, corrupted, copied,
-        truncated, edited) is dropped with a warning and counted as an
-        invalidation, never served.
+        checksum, and the payload must decode.  Anything unusable
+        (unreadable, corrupted, copied, truncated, edited) is dropped
+        with a warning and counted as an invalidation, never served.
+        The file is read on every call; bytes equal to the ones last
+        verified for ``path`` skip the parse and the checksum, and
+        ``decode`` still builds fresh objects from the kept payload.
         """
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
+            data = path.read_bytes()
+            verified = self._verified.get(path)
+            if verified is not None and verified[0] == key and verified[1] == data:
+                return decode(verified[2])
+            envelope = json.loads(data.decode("utf-8"))
             if envelope.get("schema_version") != _SCHEMA_VERSION:
                 raise ValueError(
                     f"schema {envelope.get('schema_version')!r} != "
@@ -487,7 +563,9 @@ class ProfileCache:
             payload = envelope["payload"]
             if envelope.get("checksum") != _checksum(payload):
                 raise ValueError("checksum mismatch (truncated or edited)")
-            return decode(payload)
+            value = decode(payload)
+            _remember(self._verified, path, (key, data, payload))
+            return value
         except FileNotFoundError:
             return None
         except Exception as exc:  # noqa: BLE001 — any damage means recompute
@@ -515,9 +593,11 @@ class ProfileCache:
         """
         return self._write(self._path(key), key, _report_to_jsonable, report)
 
-    def put_plan(self, key: str, payload: Dict[str, Any]) -> bool:
-        """Persist a plan-search payload under ``key``; atomic, best-effort."""
-        return self._write(self._plan_path(key), key, dict, payload)
+    def put_plan(self, key: str, report: "SearchReport") -> bool:
+        """Persist a plan-search report under ``key``; atomic, best-effort."""
+        from .plansearch import SearchReport
+
+        return self._write(self._plan_path(key), key, SearchReport.to_jsonable, report)
 
     def _write(
         self, path: Path, key: str, encode: Callable[[Any], Dict[str, Any]],
@@ -558,6 +638,7 @@ class ProfileCache:
 
     def clear(self) -> int:
         """Delete every cached entry; returns how many were removed."""
+        self._verified.clear()
         removed = 0
         for subdir in ("profiles", "plans"):
             directory = self.root / subdir

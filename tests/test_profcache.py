@@ -5,12 +5,17 @@ import hashlib
 import importlib.util
 import json
 import multiprocessing
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.obs import Observability
+from repro.lang.program import Program, Statement, per_record
 from repro.runtime import profcache
 from repro.runtime.activepy import ActivePy, RunOptions
 from repro.runtime.fitting import ComplexityCurve, FittedCurve
@@ -240,6 +245,92 @@ class TestSourceMemo:
         assert keys[0] == keys[2]
 
 
+#: A module global a cost callable reads; the key follows it through
+#: the cost probes.
+_RATE = [1.0]
+
+
+def _rate_cost(n):
+    return _RATE[0] * n
+
+
+def _closing_kernel(history, table, weights):
+    def kernel(p):
+        history.append(len(table))
+        return {"y": p["x"] * float(weights[0])}
+
+    return kernel
+
+
+def _independent_key(program, dataset, config) -> str:
+    """The key recipe with the key memo bypassed."""
+    tree = profcache._fingerprint_tree(program, dataset, config)
+    canonical = json.dumps(tree, sort_keys=True, allow_nan=False)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.sampled_from([0.0, 1.0])),
+    st.tuples(st.just("pop"), st.none()),
+    st.tuples(st.just("table"), st.sampled_from([("a", 0.0), ("a", 1.0), ("b", 1.0)])),
+    st.tuples(st.just("weights"), st.sampled_from([0.0, 1.0])),
+    st.tuples(st.just("rate"), st.sampled_from([1.0, 2.0])),
+    st.tuples(st.just("amount"), st.sampled_from([0.5, 1.0, 2.0])),
+    # ``==`` equates 1, 1.0 and True; the key must not.
+    st.tuples(st.just("chunks"), st.sampled_from([1, 2, True, 2.0])),
+), min_size=1, max_size=12)
+
+
+class TestKeyMemo:
+    """A memoized key is served only for a tree equal to its own."""
+
+    @settings(max_examples=60, deadline=None, print_blob=True)
+    @given(steps=_STEPS)
+    def test_every_key_matches_the_recipe(self, steps):
+        history, table, weights = [], {}, np.zeros(3)
+        kernel = _closing_kernel(history, table, weights)
+        amount, chunks = 1.0, 1
+        dataset = make_toy_dataset()
+        _RATE[0] = 1.0
+        # The first key is the starting state's, so the memo always
+        # holds a tree the steps then differ from.
+        for op, value in [(None, None)] + steps:
+            if op == "append":
+                history.append(value)
+            elif op == "pop" and history:
+                history.pop()
+            elif op == "table":
+                table[value[0]] = value[1]
+            elif op == "weights":
+                weights[1] = value
+            elif op == "rate":
+                _RATE[0] = value
+            elif op == "amount":
+                amount = value
+            elif op == "chunks":
+                chunks = value
+            program = Program("memo", [Statement(
+                "scan", kernel,
+                instructions=per_record(amount),
+                output_bytes=_rate_cost,
+                storage_bytes=per_record(64.0),
+                chunks=chunks,
+            )])
+            key = profcache.fingerprint_run(program, dataset, DEFAULT_CONFIG)
+            assert key == _independent_key(program, dataset, DEFAULT_CONFIG)
+
+    def test_memo_is_bounded(self):
+        dataset = make_toy_dataset()
+        for amount in range(2 * profcache._MEMO_LIMIT):
+            program = Program(f"bound{amount}", [Statement(
+                "scan", _k_double,
+                instructions=per_record(float(amount)),
+                output_bytes=per_record(4.0),
+            )])
+            assert profcache.fingerprint_run(program, dataset, DEFAULT_CONFIG)
+        assert len(profcache._KEYS) <= profcache._MEMO_LIMIT
+
+
 class TestRoundTrip:
     def test_warm_run_hits_and_matches(self, cache):
         program, dataset = make_toy_program(), make_toy_dataset()
@@ -318,6 +409,118 @@ class TestCorruption:
         with pytest.warns(RuntimeWarning):
             report = ActivePy(profile_cache=cache).run(program, dataset)
         assert report.sampling_cache_status == "miss"
+
+
+def _plan_path(cache, key):
+    return cache.root / "plans" / f"{key}.json"
+
+
+class TestPlanEntries:
+    def test_undecodable_plan_is_a_miss_and_an_invalidation(self, cache):
+        workload = get_workload("tpch_q6", scale=SCALE)
+        runtime = ActivePy(plan_mode="search", profile_cache=cache)
+        runtime.run(workload.program, workload.dataset)
+        key = cache.key_for(workload.program, workload.dataset, DEFAULT_CONFIG)
+        path = _plan_path(cache, key)
+        envelope = json.loads(path.read_text(encoding="utf-8"))
+        # A whole envelope with a valid checksum around a payload that
+        # is not a search report.
+        del envelope["payload"]["plan"]
+        envelope["checksum"] = profcache._checksum(envelope["payload"])
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+        before = cache.stats()
+        with pytest.warns(RuntimeWarning, match="profile cache"):
+            report = runtime.run(workload.program, workload.dataset)
+        after = cache.stats()
+        assert after["plan_hits"] == before["plan_hits"]
+        assert after["plan_misses"] == before["plan_misses"] + 1
+        assert after["invalidations"] == before["invalidations"] + 1
+        assert not report.search.cache_hit
+        # The search re-ran and rewrote the entry: the next run hits.
+        assert runtime.run(workload.program, workload.dataset).search.cache_hit
+
+
+def _damage_in_place(path: Path, marker: bytes, alphabet: str) -> None:
+    """Change the byte after ``marker``, keeping the size and mtime."""
+    stat = path.stat()
+    data = bytearray(path.read_bytes())
+    at = data.index(marker) + len(marker)
+    old = chr(data[at])
+    data[at] = ord(alphabet[(alphabet.index(old) + 1) % len(alphabet)])
+    path.write_bytes(bytes(data))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert path.stat().st_mtime_ns == stat.st_mtime_ns
+
+
+class TestMemoizedHit:
+    """A warm hit skips the parse and the checksum; damage is still caught."""
+
+    def _warm(self, cache):
+        program, dataset = make_toy_program(), make_toy_dataset()
+        runtime = ActivePy(profile_cache=cache)
+        runtime.run(program, dataset)
+        first_hit = runtime.run(program, dataset)
+        assert first_hit.sampling_cache_status == "hit"
+        key = cache.key_for(program, dataset, DEFAULT_CONFIG)
+        return runtime, program, dataset, key
+
+    def test_memoized_hit_skips_the_checksum(self, cache, monkeypatch):
+        runtime, program, dataset, _ = self._warm(cache)
+        calls = []
+        checksum = profcache._checksum
+
+        def counting(payload):
+            calls.append(payload)
+            return checksum(payload)
+
+        monkeypatch.setattr(profcache, "_checksum", counting)
+        assert runtime.run(program, dataset).sampling_cache_status == "hit"
+        assert calls == []
+
+    @pytest.mark.parametrize("marker, alphabet", [
+        (b'"sampling_seconds": ', "0123456789"),
+        (b'"checksum": "', "0123456789abcdef"),
+        (b'"schema_version": ', "0123456789"),
+    ], ids=["payload-byte", "checksum", "schema"])
+    def test_damage_after_a_memoized_hit_is_caught(self, cache, marker, alphabet):
+        runtime, program, dataset, key = self._warm(cache)
+        assert runtime.run(program, dataset).sampling_cache_status == "hit"
+        _damage_in_place(cache.root / "profiles" / f"{key}.json", marker, alphabet)
+        before = cache.invalidations
+        with pytest.warns(RuntimeWarning, match="profile cache"):
+            report = runtime.run(program, dataset)
+        assert report.sampling_cache_status == "miss"
+        assert cache.invalidations == before + 1
+        assert runtime.run(program, dataset).sampling_cache_status == "hit"
+
+    def test_consecutive_hits_share_no_mutable_state(self, cache):
+        runtime, program, dataset, key = self._warm(cache)
+        first = runtime.run(program, dataset)
+        first.sampling.series[0].n_values[0] = -1
+        second = runtime.run(program, dataset)
+        assert second.sampling == ProfileCache(cache.root).get(key)
+
+    def test_consecutive_plan_hits_share_no_mutable_state(self, cache):
+        workload = get_workload("tpch_q6", scale=SCALE)
+        runtime = ActivePy(plan_mode="search", profile_cache=cache)
+        for _ in range(2):
+            runtime.run(workload.program, workload.dataset)
+        key = cache.key_for(workload.program, workload.dataset, DEFAULT_CONFIG)
+        first = cache.get_plan(key)
+        first.plan.assignments[0] = "nowhere"
+        assert cache.get_plan(key) == ProfileCache(cache.root).get_plan(key)
+
+    def test_memo_is_bounded_and_cleared(self, cache):
+        report = _variant_report(1)
+        for index in range(profcache._MEMO_LIMIT + 8):
+            key = f"{index:064x}"
+            assert cache.put(key, report)
+            assert cache.get(key) == report
+        assert len(cache._verified) <= profcache._MEMO_LIMIT
+        cache.clear()
+        assert cache._verified == {}
+        assert cache.get(key) is None
 
 
 def _variant_report(variant: int) -> SamplingReport:
