@@ -214,7 +214,9 @@ def _cmd_fleet_run(args) -> int:
     )
     obs = None
     if args.timeline or args.trace_out is not None:
-        obs = Observability.with_timeseries(window_s=args.window)
+        obs = Observability.with_timeseries(
+            window_s=args.window, tracing=args.trace_out is not None,
+        )
     report = Fleet(config, obs=obs).run()
     print(report.render())
     if args.timeline:

@@ -39,13 +39,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import AdmissionError, FleetError
 from ..faults.spec import FLEET_KINDS, FaultKind, FaultPlan
-from ..obs import AlertEvent, AlertRule, Observability, Span, evaluate_alerts
+from ..obs import (
+    AlertEvent, AlertRule, FlightRecorder, Observability, Span, evaluate_alerts,
+)
 from ..obs.timeseries import KIND_GAUGE, KIND_RATE, KIND_SAMPLES
 from ..sim import EventHandle, Simulator
 from .admission import (
@@ -274,31 +276,48 @@ class FleetReport:
     #: Inner ActivePy runs actually executed (profile cache misses).
     profile_runs: int
     metrics: Dict[str, Any] = field(default_factory=dict, repr=False)
-    #: Flight-recorder dump (``FlightRecorder.to_jsonable()``) when the
-    #: run carried one; empty otherwise.
-    timeline: Dict[str, Any] = field(default_factory=dict, repr=False)
+    #: A copy of the run's flight recorder as it stood at run end, when
+    #: the run carried one; None otherwise.
+    recorder: Optional[FlightRecorder] = field(
+        default=None, repr=False, compare=False,
+    )
     #: Alerts the default SLO rules raised over the recorded series.
     alerts: Tuple[AlertEvent, ...] = ()
     #: Per-tenant end-to-end SLO targets the alerts were judged against.
     slo_targets: Dict[str, float] = field(default_factory=dict, repr=False)
-    #: Chrome-trace raw material, collected only when a recorder or
-    #: tracer was attached: completed/interrupted dispatches as spans on
+    #: Chrome-trace raw material, collected only when a tracer was
+    #: attached: completed/interrupted dispatches as spans on
     #: their device and failover/retry/shed/device-loss moments as
     #: zero-length ``fleet-event`` spans (rendered as instants).
     trace_spans: Tuple[Span, ...] = field(default=(), repr=False)
     trace_instants: Tuple[Span, ...] = field(default=(), repr=False)
 
+    @cached_property
+    def timeline(self) -> Dict[str, Any]:
+        """The recorder's dump (``FlightRecorder.to_jsonable()``) when
+        the run carried one; empty otherwise.  Built on first use, so a
+        run whose report is never dumped does not pay for it."""
+        return self.recorder.to_jsonable() if self.recorder is not None else {}
+
+    @cached_property
+    def _status_counts(self) -> Dict[str, int]:
+        """Outcomes per status, counted in one pass on first use."""
+        counts: Dict[str, int] = {}
+        for outcome in self.outcomes:
+            counts[outcome.status] = counts.get(outcome.status, 0) + 1
+        return counts
+
     @property
     def completed(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == STATUS_COMPLETED)
+        return self._status_counts.get(STATUS_COMPLETED, 0)
 
     @property
     def degraded(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == STATUS_DEGRADED)
+        return self._status_counts.get(STATUS_DEGRADED, 0)
 
     @property
     def shed(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == STATUS_SHED)
+        return self._status_counts.get(STATUS_SHED, 0)
 
     def slo_for(self, tenant: str) -> SloSnapshot:
         for snapshot in self.slos:
@@ -422,7 +441,7 @@ class _FleetRun:
         #: Dispatches made; the per-job metrics are derived at run end
         #: from this and the outcomes (`record_metrics`).
         self.dispatches = 0
-        self.collect_trace = self.rec is not None or fleet.obs.tracing
+        self.collect_trace = fleet.obs.tracing
         self.trace_spans: List[Span] = []
         self.trace_instants: List[Span] = []
         self.outcomes: Dict[int, JobOutcome] = {}
@@ -728,9 +747,7 @@ class _FleetRun:
         for name, values in (("fleet.end_to_end_s", end_to_ends),
                              ("fleet.queue_wait_s", queue_waits)):
             if values:
-                histogram = metrics.histogram(name)
-                for value in values:
-                    histogram.observe(value)
+                metrics.histogram(name).observe_many(values)
 
     def record_timeline(self) -> None:
         """Write every flight-recorder series of the run, each in one call.
@@ -772,13 +789,12 @@ class _FleetRun:
             rec.record(name, KIND_RATE, points)
         for tenant, samples in finished.items():
             rec.record(f"fleet.e2e.{tenant}", KIND_SAMPLES, samples)
-            windows = list(rec.sliding_windows(samples, self.targets[tenant]))
-            rec.record(f"fleet.slo_window.{tenant}.e2e_p50_s", KIND_GAUGE,
-                       [(now, p50) for now, p50, _, _ in windows])
-            rec.record(f"fleet.slo_window.{tenant}.e2e_p99_s", KIND_GAUGE,
-                       [(now, p99) for now, _, p99, _ in windows])
-            rec.record(f"fleet.burn.{tenant}", KIND_GAUGE,
-                       [(now, over / SLO_ERROR_BUDGET) for now, _, _, over in windows])
+            p50s, p99s, burns = rec.sliding_windows(
+                samples, self.targets[tenant], SLO_ERROR_BUDGET,
+            )
+            rec.record(f"fleet.slo_window.{tenant}.e2e_p50_s", KIND_GAUGE, p50s)
+            rec.record(f"fleet.slo_window.{tenant}.e2e_p99_s", KIND_GAUGE, p99s)
+            rec.record(f"fleet.burn.{tenant}", KIND_GAUGE, burns)
 
     def _instant(self, name: str, resource: str) -> None:
         if self.collect_trace:
@@ -910,36 +926,55 @@ class Fleet:
                 self.obs.count("obs.alerts.fired")
                 self.obs.count(f"obs.alerts.{event.rule}")
         arrivals = run.arrivals
-        missing = [a.job_id for a in arrivals if a.job_id not in run.outcomes]
-        if missing:
+        try:
+            ordered = tuple(run.outcomes[a.job_id] for a in arrivals)
+        except KeyError:
+            missing = [a.job_id for a in arrivals if a.job_id not in run.outcomes]
             raise FleetError(
                 f"fleet run ended with job(s) {missing} unaccounted for — "
                 f"the termination guarantee is broken in the scheduler itself"
-            )
-        ordered = tuple(run.outcomes[a.job_id] for a in arrivals)
+            ) from None
+        # One pass in arrival order: each tenant's counts (arrived,
+        # admitted, then one per status) and its queue-wait and
+        # end-to-end samples.
+        column = {STATUS_COMPLETED: 2, STATUS_DEGRADED: 3, STATUS_SHED: 4}
+        counts = {tenant.name: [0, 0, 0, 0, 0] for tenant in run.tenants}
+        samples: Dict[str, Tuple[List[float], List[float]]] = {
+            tenant.name: ([], []) for tenant in run.tenants
+        }
         shed_by_reason: Dict[str, int] = {}
+        last_terminal = -math.inf
         for outcome in ordered:
-            if outcome.status == STATUS_SHED:
+            status = outcome.status
+            row = counts[outcome.tenant]
+            row[0] += 1
+            row[1] += outcome.admitted
+            row[column[status]] += 1
+            if status == STATUS_SHED:
                 shed_by_reason[outcome.reason] = (
                     shed_by_reason.get(outcome.reason, 0) + 1
                 )
+            else:
+                queue_waits, end_to_ends = samples[outcome.tenant]
+                if outcome.first_dispatch_time is not None:
+                    queue_waits.append(outcome.queue_wait_s)
+                end_to_ends.append(outcome.end_to_end_s)
+            if outcome.finish_time > last_terminal:
+                last_terminal = outcome.finish_time
         slos = []
         for tenant in run.tenants:
-            mine = [o for o in ordered if o.tenant == tenant.name]
-            finished = [o for o in mine if o.status != STATUS_SHED]
+            arrived, admitted, completed, degraded, shed = counts[tenant.name]
+            queue_waits, end_to_ends = samples[tenant.name]
             snapshot = SloSnapshot.from_samples(
                 tenant=tenant.name,
                 priority=tenant.priority,
-                arrived=len(mine),
-                admitted=sum(1 for o in mine if o.admitted),
-                completed=sum(1 for o in mine if o.status == STATUS_COMPLETED),
-                degraded=sum(1 for o in mine if o.status == STATUS_DEGRADED),
-                shed=sum(1 for o in mine if o.status == STATUS_SHED),
-                queue_waits=[
-                    o.queue_wait_s for o in finished
-                    if o.queue_wait_s is not None
-                ],
-                end_to_ends=[o.end_to_end_s for o in finished],
+                arrived=arrived,
+                admitted=admitted,
+                completed=completed,
+                degraded=degraded,
+                shed=shed,
+                queue_waits=queue_waits,
+                end_to_ends=end_to_ends,
             )
             slos.append(snapshot)
             self.obs.gauge(
@@ -950,9 +985,8 @@ class Fleet:
                 f"fleet.slo.{tenant.name}.end_to_end_p99_s",
                 snapshot.end_to_end_p99_s,
             )
-        last_terminal = max(o.finish_time for o in ordered)
         makespan = max(last_terminal - arrivals[0].arrival_time, 0.0)
-        finished_jobs = sum(1 for o in ordered if o.status != STATUS_SHED)
+        finished_jobs = len(ordered) - sum(shed_by_reason.values())
         throughput = finished_jobs / makespan if makespan > 0 else 0.0
         self.obs.gauge("fleet.makespan_s", makespan)
         self.obs.gauge("fleet.throughput_jobs_per_s", throughput)
@@ -969,7 +1003,7 @@ class Fleet:
             device_events=tuple(run.device_events),
             profile_runs=self.profiles.runs,
             metrics=self.obs.snapshot() if self.obs.enabled else {},
-            timeline=run.rec.to_jsonable() if run.rec is not None else {},
+            recorder=run.rec.copy() if run.rec is not None else None,
             alerts=alerts,
             slo_targets=dict(run.targets),
             trace_spans=tuple(run.trace_spans),

@@ -115,14 +115,14 @@ def to_fleet_chrome_trace(report) -> Dict[str, object]:
     One track per CSD, sorted by name, then the synthetic ``fleet``
     track for fleet-scoped instants (sheds, retries).  Raises
     :class:`FleetError` when the report carries no trace material —
-    the run had neither a flight recorder nor a tracer attached.
+    the run had no tracer attached.
     """
     spans, instants = report.trace_spans, report.trace_instants
     if not spans and not instants:
         raise FleetError(
             "this fleet report carries no trace material; run the fleet "
-            "with Observability.with_timeseries() (or with_tracing()) "
-            "to collect spans"
+            "with Observability.with_tracing() (or "
+            "with_timeseries(tracing=True)) to collect spans"
         )
     devices = {span.resource for span in spans}
     devices.update(instant.resource for instant in instants)

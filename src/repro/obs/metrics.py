@@ -119,6 +119,35 @@ class Histogram:
         self.sum += value
         self.count += 1
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Tally every value of ``values``, as one :meth:`observe` each.
+
+        The same counts, ``count`` and ``sum`` bits: ``sum`` adds the
+        values one by one in order.  A finite running sum means every
+        value is finite, so the buckets are counted once over the sorted
+        batch (``bisect_right`` per bound is the count ``<=`` it).
+        Otherwise some value is not finite, or the sum overflowed, and
+        the batch is observed value by value, so an error raises the
+        same message and leaves the same state.
+        """
+        total = self.sum
+        for value in values:
+            total += value
+        if not math.isfinite(total):
+            for value in values:
+                self.observe(value)
+            return
+        ordered = sorted(values)
+        counts = self.counts
+        below = 0
+        for index, bound in enumerate(self.buckets):
+            upto = bisect.bisect_right(ordered, bound)
+            counts[index] += upto - below
+            below = upto
+        counts[-1] += len(ordered) - below
+        self.sum = total
+        self.count += len(ordered)
+
     def to_jsonable(self) -> Dict[str, object]:
         return {
             "buckets": list(self.buckets),

@@ -36,11 +36,11 @@ sustained breach is one alert, not one per point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from ..errors import ObservabilityError
@@ -165,6 +165,19 @@ class TimeSeries:
             "kind": self.kind,
             "points": list(map(list, self.points)),
         }
+
+
+def _rank(size: int, q: float) -> Tuple[int, int, float]:
+    """Where the ``q``-th percentile of ``size`` ascending values lies.
+
+    ``(lower, upper, fraction)``, by the arithmetic of
+    :func:`repro.fleet.slo.percentile`: the percentile is
+    ``ordered[lower]`` when ``lower == upper``, else ``ordered[lower] +
+    (ordered[upper] - ordered[lower]) * fraction``.
+    """
+    rank = (size - 1) * (q / 100.0)
+    lower = math.floor(rank)
+    return lower, math.ceil(rank), rank - lower
 
 
 def _non_finite_time(name: str, t: float) -> ObservabilityError:
@@ -406,42 +419,77 @@ class FlightRecorder:
         return percentile(samples, q) if samples else 0.0
 
     def sliding_windows(
-        self, samples: Sequence[Tuple[float, float]], target: float
-    ) -> Iterator[Tuple[float, float, float, float]]:
+        self,
+        samples: Sequence[Tuple[float, float]],
+        target: float,
+        budget: float,
+    ) -> Tuple[List[Tuple[float, float]], ...]:
         """Every window a sample series would have held, in one pass.
 
-        ``samples`` are ``(t, value)`` pairs in non-decreasing ``t``, as
-        :meth:`observe` would receive them.  Sample ``i``'s window is
-        what :meth:`window_values` would return just after it was
-        observed, queried at its own ``t``: the samples up to ``i``
-        inside the horizon ``[t - sample_horizon_s, t]``, capped to the
-        newest ``capacity`` the ring keeps.  Yields ``(t, p50, p99,
-        over)`` per sample, ``over`` being the window's share of values
-        above ``target``.  The horizon's start only moves forward, so
-        one pointer finds every window, and each window is sorted once
-        for all three.  Nothing is recorded.
+        ``samples`` are ``(t, value)`` pairs of finite floats in
+        non-decreasing ``t``, as :meth:`observe` would receive them.
+        Sample ``i``'s window is what :meth:`window_values` would return
+        just after it was observed, queried at its own ``t``: the
+        samples up to ``i`` inside the horizon ``[t - sample_horizon_s,
+        t]``, capped to the newest ``capacity`` the ring keeps.  Returns
+        three gauge point lists, one ``(t, ...)`` point per sample: the
+        window's p50, its p99 (each equal to
+        :func:`repro.fleet.slo.percentile`) and its burn, the share of
+        its values above ``target`` divided by ``budget``.  Both ends of
+        the window only move forward, so one sorted list follows it:
+        each sample is inserted after its equals and each expired one
+        removed as the first of its equals, which keeps the list
+        exactly ``sorted()`` of the window.  Nothing is recorded.
         """
-        from ..fleet.slo import _interpolate
-
-        times = [t for t, _ in samples]
-        values = [float(value) for _, value in samples]
         horizon_s = self.sample_horizon_s
         capacity = self.capacity
-        start = 0
+        times = [t for t, _ in samples]
+        values = [float(value) for _, value in samples]
+        ordered: List[float] = []
+        cuts: Dict[int, Tuple[Tuple[int, int, float], ...]] = {}
+        p50s: List[Tuple[float, float]] = []
+        p99s: List[Tuple[float, float]] = []
+        burns: List[Tuple[float, float]] = []
+        start = first = 0
         for end, now in enumerate(times, start=1):
+            insort(ordered, values[end - 1])
             horizon_start = now - horizon_s
             while times[start] < horizon_start:
                 start += 1
-            ordered = sorted(values[max(start, end - capacity):end])
-            over = len(ordered) - bisect_right(ordered, target)
-            yield (
-                now,
-                _interpolate(ordered, 50.0),
-                _interpolate(ordered, 99.0),
-                over / len(ordered),
-            )
+            while first < start or first < end - capacity:
+                del ordered[bisect_left(ordered, values[first])]
+                first += 1
+            size = end - first
+            cut = cuts.get(size)
+            if cut is None:
+                cut = cuts[size] = (_rank(size, 50.0), _rank(size, 99.0))
+            (lo50, hi50, at50), (lo99, hi99, at99) = cut
+            low = ordered[lo50]
+            p50s.append((now, low if lo50 == hi50
+                         else low + (ordered[hi50] - low) * at50))
+            low = ordered[lo99]
+            p99s.append((now, low if lo99 == hi99
+                         else low + (ordered[hi99] - low) * at99))
+            over = size - bisect_right(ordered, target)
+            burns.append((now, over / size / budget))
+        return p50s, p99s, burns
 
     # --- reporting ----------------------------------------------------------
+
+    def copy(self) -> "FlightRecorder":
+        """An independent recorder holding every series as it stands now.
+
+        Points are immutable tuples, so the copy shares them: only the
+        rings and the open rate windows are new.
+        """
+        twin = FlightRecorder(self.window_s, self.capacity, self.sample_horizon_s)
+        for name, series in self._series.items():
+            ring = twin._series[name] = TimeSeries(name, series.kind, self.capacity)
+            ring.points = series.points.copy()
+        for name, window in self._open_windows.items():
+            open_window = twin._open_windows[name] = _RateWindow(window.index)
+            open_window.total = window.total
+        return twin
 
     def to_jsonable(self) -> Dict[str, object]:
         """Deterministic JSON-ready view: series in sorted-name order."""

@@ -1,13 +1,13 @@
 """Pin what a fleet run reports and traces, byte for byte.
 
 One sha256 over the JSON report and the Chrome trace of six fleet
-runs with the flight recorder on.  Together they reach every branch of
-the scheduler: placement and completion, failover with backoff and
-checkpoint resume, a device rejoin, the three shed reasons the event
-loop raises (retry budget, no live device, overload) and tenant fault
-windows with the planted ``no_isolation`` residue off and on.  A
-change to the event loop that moves any outcome, timeline point, metric
-or trace event moves the digest.
+runs with the flight recorder and the tracer on.  Together they reach
+every branch of the scheduler: placement and completion, failover with
+backoff and checkpoint resume, a device rejoin, the three shed reasons
+the event loop raises (retry budget, no live device, overload) and
+tenant fault windows with the planted ``no_isolation`` residue off and
+on.  A change to the event loop that moves any outcome, timeline point,
+metric or trace event moves the digest.
 """
 
 import dataclasses
@@ -106,7 +106,9 @@ CONFIGS = (
 
 def _run(config, **recorder):
     store = ProfileStore(system_config=config.system_config, scale=config.scale)
-    obs = Observability.with_timeseries(**recorder)
+    # Tracing on: the digests cover the Chrome trace, and a recorded run
+    # collects spans only when a tracer is attached.
+    obs = Observability.with_timeseries(tracing=True, **recorder)
     return Fleet(config, profiles=store, obs=obs).run()
 
 

@@ -52,8 +52,8 @@ def _config(**overrides):
     return FleetConfig(**fields)
 
 
-def _recorded(store, **overrides):
-    obs = Observability.with_timeseries()
+def _recorded(store, tracing=False, **overrides):
+    obs = Observability.with_timeseries(tracing=tracing)
     return Fleet(_config(**overrides), profiles=store, obs=obs).run(), obs
 
 
@@ -120,6 +120,19 @@ class TestTimelineSeries:
             assert f"fleet.slo_window.{tenant}.e2e_p99_s" in names
             assert f"fleet.burn.{tenant}" in names
         assert report.timeline["series"].keys() == set(names)
+
+    def test_timeline_is_the_recorder_at_run_end(self, store):
+        """The report's dump is built on first use, from a copy of the
+        recorder taken at run end: later writes to the live recorder
+        do not reach it."""
+        report, obs = _recorded(store)
+        at_end = obs.timeseries.to_jsonable()
+        assert report.recorder is not obs.timeseries
+        obs.timeseries.gauge("fleet.queue_depth", report.makespan_s + 1.0, 9.0)
+        obs.timeseries.observe("later", 0.0, 1.0)
+        assert report.timeline == at_end
+        assert report.timeline is report.timeline
+        assert report.to_jsonable()["timeline"] == at_end
 
     def test_utilization_is_zero_or_one(self, store):
         _, obs = _recorded(store)
@@ -189,8 +202,9 @@ class TestSloWindowsMatchReplay:
             kind=FaultKind.DEVICE_LOST_MID_JOB, target="csd",
             at_time=loss_at, duration_s=0.5,
         ),))
+        # Tracing on: the job spans give the finish order.
         obs = Observability.with_timeseries(
-            capacity=capacity, sample_horizon_s=sample_horizon_s,
+            capacity=capacity, sample_horizon_s=sample_horizon_s, tracing=True,
         )
         report = Fleet(_config(
             device_count=device_count, tenants=default_tenants(tenant_count),
@@ -286,7 +300,7 @@ class TestSloTargetsAndAlerts:
 
 class TestFleetChromeTrace:
     def test_trace_validates_and_has_instants(self, store, tmp_path):
-        report, _ = _recorded(store, plan=_LOSS_PLAN)
+        report, _ = _recorded(store, tracing=True, plan=_LOSS_PLAN)
         path = tmp_path / "fleet_trace.json"
         trace = write_fleet_chrome_trace(report, str(path))
         assert validate_chrome_trace(trace) == []
@@ -298,7 +312,7 @@ class TestFleetChromeTrace:
         assert any(e["name"] == "device lost" for e in instants)
 
     def test_tracks_are_per_device_plus_fleet(self, store):
-        report, _ = _recorded(store, plan=_LOSS_PLAN)
+        report, _ = _recorded(store, tracing=True, plan=_LOSS_PLAN)
         trace = to_fleet_chrome_trace(report)
         names = [
             event["args"]["name"] for event in trace["traceEvents"]
@@ -307,7 +321,7 @@ class TestFleetChromeTrace:
         assert names == ["csd", "csd1", "fleet"]
 
     def test_every_finished_job_has_a_span(self, store):
-        report, _ = _recorded(store)
+        report, _ = _recorded(store, tracing=True)
         trace = to_fleet_chrome_trace(report)
         spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         finished = [o for o in report.outcomes if o.status != "shed"]
@@ -318,6 +332,18 @@ class TestFleetChromeTrace:
         plain = Fleet(_config(), profiles=store).run()
         with pytest.raises(FleetError):
             to_fleet_chrome_trace(plain)
+
+    def test_recorder_without_tracer_collects_no_spans(self, store):
+        report, _ = _recorded(store, plan=_LOSS_PLAN)
+        assert report.timeline["series"]
+        assert report.trace_spans == ()
+        assert report.trace_instants == ()
+        with pytest.raises(FleetError, match=(
+            r"no trace material; run the fleet with "
+            r"Observability\.with_tracing\(\) "
+            r"\(or with_timeseries\(tracing=True\)\) to collect spans"
+        )):
+            to_fleet_chrome_trace(report)
 
     def test_tracer_only_handle_also_collects(self, store):
         obs = Observability.with_tracing()

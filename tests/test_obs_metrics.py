@@ -1,6 +1,8 @@
 """The metrics registry, and the zero-simulated-overhead contract."""
 
 import math
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,92 @@ class TestHistogram:
         )
         assert histogram.counts[expected] == 1
         assert sum(histogram.counts) == 1
+
+
+def _state(histogram):
+    """A histogram's whole state, ``sum`` by its bits."""
+    return (
+        list(histogram.counts),
+        struct.pack("<d", histogram.sum),
+        histogram.count,
+    )
+
+
+@st.composite
+def _batches(draw):
+    """A bucket vector, values already observed, and a batch to add.
+
+    The values mix exact bucket bounds and their neighbours, signed
+    zeros, huge magnitudes (whose sums overflow) and arbitrary floats.
+    """
+    buckets = draw(st.one_of(
+        st.just(DEFAULT_TIME_BUCKETS_S),
+        st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=6, unique=True,
+        ).map(lambda bounds: tuple(sorted(bounds))),
+    ))
+    edges = [
+        near for bound in buckets
+        for near in (bound, math.nextafter(bound, -math.inf),
+                     math.nextafter(bound, math.inf))
+    ]
+    value = st.one_of(
+        st.sampled_from(edges),
+        st.sampled_from([0.0, -0.0, 1e308, -1e308, sys.float_info.max]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    return (
+        buckets,
+        draw(st.lists(value, max_size=4)),
+        draw(st.lists(value, max_size=40)),
+    )
+
+
+class TestObserveMany:
+    """A batch write against one ``observe`` per value."""
+
+    @settings(max_examples=300, deadline=None, print_blob=True)
+    @given(batch=_batches())
+    def test_batch_equals_one_observe_per_value(self, batch):
+        buckets, before, values = batch
+        one_by_one, batched = Histogram("h", buckets), Histogram("h", buckets)
+        for value in before:
+            one_by_one.observe(value)
+            batched.observe(value)
+        for value in values:
+            one_by_one.observe(value)
+        batched.observe_many(values)
+        assert _state(batched) == _state(one_by_one)
+
+    @settings(max_examples=300, deadline=None, print_blob=True)
+    @given(
+        batch=_batches(),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        where=st.integers(0, 40),
+    )
+    def test_a_non_finite_value_fails_alike(self, batch, bad, where):
+        buckets, before, values = batch
+        values = list(values)
+        values.insert(min(where, len(values)), bad)
+        one_by_one, batched = Histogram("h", buckets), Histogram("h", buckets)
+        for value in before:
+            one_by_one.observe(value)
+            batched.observe(value)
+        with pytest.raises(ObservabilityError) as expected:
+            for value in values:
+                one_by_one.observe(value)
+        with pytest.raises(ObservabilityError) as raised:
+            batched.observe_many(values)
+        assert str(raised.value) == str(expected.value)
+        assert _state(batched) == _state(one_by_one)
+
+    def test_empty_batch_changes_nothing(self):
+        histogram = Histogram("h")
+        histogram.observe(0.5)
+        state = _state(histogram)
+        histogram.observe_many([])
+        assert _state(histogram) == state
 
 
 class TestRegistry:

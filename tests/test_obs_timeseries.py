@@ -1,5 +1,6 @@
 """The flight recorder: series semantics, alerts, and the Observability wiring."""
 
+import math
 from collections import deque
 
 import pytest
@@ -231,6 +232,60 @@ class TestWindowQueries:
         # The ten points in the horizon plus the one older point that
         # ends the scan.
         assert series.points.examined <= 11
+
+
+class TestSlidingWindows:
+    """``FlightRecorder.sliding_windows`` against a replay of each sample.
+
+    The oracle observes the samples one by one into a fresh recorder
+    and, after each, reads the window at the sample's own time: its p50
+    and p99 by :func:`repro.fleet.percentile` and its share of values
+    above ``target`` over ``budget``.  Signed zeros and ties are in the
+    mix, and each value is compared with its sign.
+    """
+
+    @settings(max_examples=300, deadline=None, print_blob=True)
+    @given(
+        capacity=st.integers(1, 12),
+        steps=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, 1e300])
+            | st.floats(-1e6, 1e6), min_size=40, max_size=40,
+        ),
+        horizon_steps=st.integers(1, 16),
+        target=st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+        budget=st.sampled_from([1.0, 0.01, 0.3]),
+    )
+    def test_every_window_matches_the_replay(
+        self, capacity, steps, values, horizon_steps, target, budget
+    ):
+        recorder = FlightRecorder(
+            capacity=capacity, sample_horizon_s=horizon_steps * 0.25
+        )
+        samples, t = [], 0.0
+        for step, value in zip(steps, values):
+            t += step * 0.25  # a zero step is a tie
+            samples.append((t, value))
+        replay = FlightRecorder(
+            capacity=capacity, sample_horizon_s=horizon_steps * 0.25
+        )
+        expected = ([], [], [])
+        for t, value in samples:
+            replay.observe("s", t, value)
+            window = replay.window_values("s", t)
+            over = sum(1 for v in window if v > target)
+            expected[0].append((t, percentile(window, 50.0)))
+            expected[1].append((t, percentile(window, 99.0)))
+            expected[2].append((t, over / len(window) / budget))
+
+        def signed(points):
+            return [(t, v, math.copysign(1.0, v)) for t, v in points]
+
+        got = recorder.sliding_windows(samples, target, budget)
+        assert [signed(points) for points in got] == [
+            signed(points) for points in expected
+        ]
+        assert "s" not in recorder  # nothing is recorded
 
 
 class TestSparkline:
