@@ -93,10 +93,10 @@ class ComputeUnit:
         # Which attribution bucket this unit's execution time lands in:
         # the host CPU is "host", every in-device engine is "cse".
         self.component = "host" if name == "host" else "cse"
-        # Metric names precomputed so the hot path never formats strings.
-        self._m_busy = f"compute.{name}.busy_seconds"
-        self._m_instr = f"compute.{name}.instructions"
-        self._m_tasks = f"compute.{name}.tasks"
+        # Write-behind cells, so the hot path never looks a metric up.
+        self._busy_cell = self.obs.counter_cell(f"compute.{name}.busy_seconds")
+        self._instr_cell = self.obs.counter_cell(f"compute.{name}.instructions")
+        self._tasks_cell = self.obs.counter_cell(f"compute.{name}.tasks")
         self._m_avail = f"compute.{name}.availability"
 
     # --- availability --------------------------------------------------
@@ -168,10 +168,9 @@ class ComputeUnit:
 
     def _record_work(self, instructions: float, elapsed: float) -> None:
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter(self._m_busy).inc(elapsed)
-            metrics.counter(self._m_instr).inc(instructions)
-            metrics.counter(self._m_tasks).inc()
+            self._busy_cell.append(elapsed)
+            self._instr_cell.append(instructions)
+            self._tasks_cell.append(1.0)
 
     def expected_ipc(self) -> float:
         """IPC the unit would show when fully available."""

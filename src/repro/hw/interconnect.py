@@ -53,10 +53,10 @@ class Link:
         # Attribution bucket for time spent on this link: host-visible
         # links are "pcie"; the CSD-internal bus is built with "nand".
         self.component = component
-        # Metric names precomputed so the hot path never formats strings.
-        self._m_bytes = f"link.{name}.bytes"
-        self._m_transfers = f"link.{name}.transfers"
-        self._m_messages = f"link.{name}.messages"
+        # Write-behind cells, so the hot path never looks a metric up.
+        self._bytes_cell = self.obs.counter_cell(f"link.{name}.bytes")
+        self._transfers_cell = self.obs.counter_cell(f"link.{name}.transfers")
+        self._messages_cell = self.obs.counter_cell(f"link.{name}.messages")
         self._m_degradation = f"link.{name}.degradation"
 
     # --- degradation (fault injection) ---------------------------------
@@ -157,17 +157,16 @@ class Link:
 
     def _record_traffic(self, nbytes: float) -> None:
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter(self._m_bytes).inc(nbytes)
+            self._bytes_cell.append(nbytes)
             if nbytes > 0:
-                metrics.counter(self._m_transfers).inc()
+                self._transfers_cell.append(1.0)
 
     def message(self) -> float:
         """Send a minimal control message (doorbell, status update)."""
         self.clock.advance(self.latency_s, component=self.component)
         self.transfers += 1
         if self.obs.enabled:
-            self.obs.metrics.counter(self._m_messages).inc()
+            self._messages_cell.append(1.0)
         return self.latency_s
 
     def reset_stats(self) -> None:

@@ -53,6 +53,9 @@ __all__ = ["CLEAN_DIGEST", "IntegrityChecker", "IntegrityError"]
 #: recovered run match its fault-free baseline bit-for-bit.
 CLEAN_DIGEST = format(zlib.crc32(b""), "08x")
 
+#: The counter every digest check adds its bytes to.
+VERIFIED_BYTES = "integrity.verified_bytes"
+
 
 class IntegrityChecker:
     """Per-execution digest ledger and verifier cost model.
@@ -86,6 +89,11 @@ class IntegrityChecker:
         self.clock = clock
         self.fault_log = fault_log if fault_log is not None else FaultLog()
         self.obs = obs
+        # The handle's one cell for this name: the executor's checker,
+        # the checkpoint manager's and migration all append to it.
+        self._verified_cell = (
+            obs.counter_cell(VERIFIED_BYTES) if obs is not None else None
+        )
         self.enabled = bool(config.integrity_enabled)
         self.verify = bool(config.integrity_verify)
         self.detected = 0
@@ -113,7 +121,7 @@ class IntegrityChecker:
         self.verified_bytes += nbytes
         self.verify_seconds += seconds
         if self.obs is not None and self.obs.enabled:
-            self.obs.metrics.counter("integrity.verified_bytes").inc(nbytes)
+            self._verified_cell.append(nbytes)
         return seconds
 
     # --- detection bookkeeping --------------------------------------------

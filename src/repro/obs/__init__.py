@@ -28,12 +28,20 @@ The handle is deliberately mutable: when a caller passes its own
 machine, the machine's existing handle :meth:`~Observability.adopt`\\ s
 the caller's sinks, so references components captured at build time
 start feeding the caller's registry without rebuilding the machine.
+
+Metrics written once per device chunk go through write-behind *cells*
+instead of the registry: a cell is a list of pending writes the handle
+owns, one per metric name, and :meth:`Observability.flush` publishes
+every cell into the registry in write order.  The registry is current
+after :meth:`~Observability.snapshot`, after
+:meth:`~Observability.adopt` and at the end of every
+:meth:`ActivePy.run`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ObservabilityError
 from .attribution import (
@@ -102,9 +110,15 @@ class Observability:
     """A shared handle bundling a metrics registry and optional tracer.
 
     Attributes are mutable on purpose — ``adopt`` redirects them — so
-    components must always reach instruments *through* the handle
-    (``obs.metrics.counter(...)``), never cache instrument objects
-    across calls.
+    components must never cache registry instruments across calls:
+    reach them through the handle (``obs.metrics.counter(...)``).  The
+    handle's write-behind cells (:meth:`counter_cell`,
+    :meth:`gauge_cell`, :meth:`histogram_cell`) are the exception: a
+    cell belongs to the handle, not to a registry, so a component may
+    keep it for its lifetime and append to it behind an ``enabled``
+    check.  Every writer of a name shares its one cell, so the writes
+    publish in the order they were made; a name written through a cell
+    must not also be written into the registry directly.
     """
 
     def __init__(
@@ -121,6 +135,9 @@ class Observability:
         self.attribution = attribution
         self.timeseries = timeseries
         self.clock = None  # bound by build_machine to the sim clock
+        # Write-behind cells: (kind, name) -> writes not yet published.
+        self._cells: Dict[Tuple[str, str], List[float]] = {}
+        self._buckets: Dict[str, Sequence[float]] = {}
 
     # --- constructors ------------------------------------------------------
 
@@ -215,10 +232,14 @@ class Observability:
         After adoption every component holding *this* handle records
         into ``other``'s registry and tracer.  The clock binding is
         pushed the other way so ``other`` can open spans against the
-        machine's simulated clock.
+        machine's simulated clock.  Both handles flush first, so every
+        write made before the redirect lands in the registry it was
+        made for, ahead of any write made after it.
         """
         if other is self:
             return
+        self.flush()
+        other.flush()
         self.enabled = other.enabled
         self.metrics = other.metrics
         self.tracer = other.tracer
@@ -230,6 +251,56 @@ class Observability:
             self.clock.set_attributor(
                 self.attribution if self.attributing else None
             )
+
+    # --- write-behind cells --------------------------------------------------
+
+    def counter_cell(self, name: str) -> List[float]:
+        """The cell of counter ``name``: append each increment to it."""
+        return self._cells.setdefault(("counter", name), [])
+
+    def gauge_cell(self, name: str) -> List[float]:
+        """The cell of gauge ``name``: append each value; the last stays."""
+        return self._cells.setdefault(("gauge", name), [])
+
+    def histogram_cell(
+        self, name: str, buckets: Optional[Sequence[float]] = None
+    ) -> List[float]:
+        """The cell of histogram ``name``: append each observation.
+
+        ``buckets`` apply when the flush creates the histogram, as for
+        :meth:`MetricsRegistry.histogram`.
+        """
+        if buckets is not None:
+            self._buckets.setdefault(name, buckets)
+        return self._cells.setdefault(("histogram", name), [])
+
+    @property
+    def pending(self) -> int:
+        """How many cell writes the next :meth:`flush` publishes."""
+        return sum(map(len, self._cells.values()))
+
+    def flush(self) -> None:
+        """Publish every cell's pending writes into the registry.
+
+        Each cell publishes as one batch that equals its writes made one
+        by one (:meth:`Counter.inc_many`, :meth:`Gauge.set_many`,
+        :meth:`Histogram.observe_many`): the same values, the same
+        errors.  An instrument is created here, on its first write, so
+        a cell never written leaves no zero behind.
+        """
+        metrics = self.metrics
+        for (kind, name), cell in self._cells.items():
+            if not cell:
+                continue
+            try:
+                if kind == "counter":
+                    metrics.counter(name).inc_many(cell)
+                elif kind == "gauge":
+                    metrics.gauge(name).set_many(cell)
+                else:
+                    metrics.histogram(name, self._buckets.get(name)).observe_many(cell)
+            finally:
+                cell.clear()
 
     # --- no-op-when-disabled recording helpers -----------------------------
 
@@ -301,7 +372,8 @@ class Observability:
         return build_attribution_report(self.attribution, since=since)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Deterministic JSON-ready view of all metrics."""
+        """Deterministic JSON-ready view of all metrics, cells flushed."""
+        self.flush()
         return self.metrics.snapshot()
 
 

@@ -16,7 +16,9 @@ it is enabled or not.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ObservabilityError
@@ -55,6 +57,23 @@ class Counter:
             )
         self.value += amount
 
+    def inc_many(self, amounts: Sequence[float]) -> None:
+        """Add every amount of ``amounts``, as one :meth:`inc` each.
+
+        The same ``value`` bits: the amounts are added one by one, in
+        order, onto the current value.  A finite total over non-negative
+        amounts means every amount was valid.  Otherwise some amount is
+        negative or not finite, or the total overflowed, and the batch
+        is added amount by amount, so an error raises the same message
+        and leaves the same value.
+        """
+        total = functools.reduce(operator.add, amounts, self.value)
+        if math.isfinite(total) and min(amounts, default=0.0) >= 0:
+            self.value = total
+            return
+        for amount in amounts:
+            self.inc(amount)
+
 
 class Gauge:
     """The latest value of some instantaneous level."""
@@ -71,6 +90,19 @@ class Gauge:
                 f"gauge {self.name!r} value must be finite, got {value}"
             )
         self.value = float(value)
+
+    def set_many(self, values: Sequence[float]) -> None:
+        """Set every value of ``values``, as one :meth:`set` each.
+
+        The last value stays.  A finite sum means every value is finite;
+        otherwise the batch is set value by value, so an error raises
+        the same message and leaves the same value.
+        """
+        if values and math.isfinite(sum(values)):
+            self.value = float(values[-1])
+            return
+        for value in values:
+            self.set(value)
 
 
 class Histogram:

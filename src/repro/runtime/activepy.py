@@ -215,6 +215,18 @@ class ActivePy:
             # machine's handle by reference, so point that handle at
             # the caller's sinks instead of rebuilding the hardware.
             machine.obs.adopt(opts.obs)
+        try:
+            return self._run_on(machine, program, dataset, opts)
+        finally:
+            # Publish the run's write-behind metric cells, also when the
+            # run raised: a caller snapshots what it did up to the raise.
+            machine.obs.flush()
+
+    def _run_on(
+        self, machine: Machine, program: Program, dataset: Dataset,
+        opts: RunOptions,
+    ) -> ActivePyReport:
+        """The body of :meth:`run` on a resolved machine."""
         handle = machine.obs
         if opts.trace:
             # Tracing implies an enabled handle: the report's spans are

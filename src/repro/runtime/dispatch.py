@@ -58,7 +58,8 @@ class CallQueueDispatcher:
         self.fault_log = fault_log if fault_log is not None else FaultLog()
         self.obs = machine.obs
         self._m_sq_depth = f"nvme.{self.device.name}.sq_depth"
-        self._m_cq_depth = f"nvme.{self.device.name}.cq_depth"
+        self._status_cell = self.obs.counter_cell("dispatch.status_updates")
+        self._cq_depth_cell = self.obs.gauge_cell(f"nvme.{self.device.name}.cq_depth")
         self.invocations = 0
         self.status_updates = 0
         self.retries = 0
@@ -300,8 +301,8 @@ class CallQueueDispatcher:
         self.machine.d2h_link.message()
         self.status_updates += 1
         if self.obs.enabled:
-            self.obs.metrics.counter("dispatch.status_updates").inc()
-            self.obs.metrics.gauge(self._m_cq_depth).set(cq_depth)
+            self._status_cell.append(1.0)
+            self._cq_depth_cell.append(cq_depth)
 
     def drain_status(self) -> List[StatusUpdate]:
         """Host side: collect all pending status updates."""

@@ -231,6 +231,12 @@ class PlanExecutor:
             device=self.device, config=machine.config, fault_log=self.fault_log
         )
         self.obs = machine.obs
+        self._chunk_cells = {
+            unit: self.obs.counter_cell(f"executor.chunks.{unit.name}")
+            for unit in (machine.host, self.device.cse)
+        }
+        self._chunk_seconds_cell = self.obs.histogram_cell("executor.chunk_seconds")
+        self._drift_cell = self.obs.histogram_cell("monitor.ipc_drift", _DRIFT_BUCKETS)
         #: ``machine.now`` reads through the simulator to this clock.
         self.clock = machine.simulator.clock
         self.integrity = IntegrityChecker(
@@ -510,9 +516,7 @@ class PlanExecutor:
                 # Drift of observed vs planner-predicted IPC per status
                 # update, so migration triggers can be audited against
                 # the estimate after the fact.
-                self.obs.metrics.histogram(
-                    "monitor.ipc_drift", buckets=_DRIFT_BUCKETS
-                ).observe(decision.ipc_drift)
+                self._drift_cell.append(decision.ipc_drift)
             if not (self.migration_enabled and decision.reestimate):
                 continue
             event = self._consider_migration(
@@ -721,11 +725,8 @@ class PlanExecutor:
                     link.account(nbytes)
             unit.charge(instructions, elapsed)
         if observed:
-            metrics = self.obs.metrics
-            metrics.counter(f"executor.chunks.{unit.name}").inc()
-            metrics.histogram("executor.chunk_seconds").observe(
-                self.clock.now - chunk_started
-            )
+            self._chunk_cells[unit].append(1.0)
+            self._chunk_seconds_cell.append(self.clock.now - chunk_started)
         self._ingest(
             moves, multiplier,
             tainted=tainted, key=key, target=unit.name,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from ..config import SystemConfig
 from ..errors import MigrationError
 from ..hw.topology import Machine
+from ..integrity import VERIFIED_BYTES
 
 #: Modelled size of a task's scalar locals (loop indices, accumulators).
 _LOCALS_BYTES = 64 * 1024
@@ -109,9 +110,7 @@ def perform_migration(
             component="integrity",
         )
         if machine.obs.enabled:
-            machine.obs.metrics.counter("integrity.verified_bytes").inc(
-                _LOCALS_BYTES
-            )
+            machine.obs.counter_cell(VERIFIED_BYTES).append(_LOCALS_BYTES)
     cost = machine.simulator.now - start
     if machine.obs.enabled:
         machine.obs.metrics.counter("migration.count").inc()

@@ -23,7 +23,7 @@ keeps every downstream ratio identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -88,11 +88,14 @@ class LineProfiler:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self._noise_rng = np.random.default_rng(config.profiler_noise_seed)
+        # Built on the first draw: a noise-free profiler never needs it.
+        self._noise_rng: Optional[np.random.Generator] = None
 
     def _jitter(self) -> float:
         if self.config.profiler_noise <= 0:
             return 1.0
+        if self._noise_rng is None:
+            self._noise_rng = np.random.default_rng(self.config.profiler_noise_seed)
         factor = 1.0 + self._noise_rng.normal(0.0, self.config.profiler_noise)
         return max(0.1, factor)
 

@@ -238,7 +238,7 @@ class TestStatusExchange:
         return (
             reaped, cq.completions_lost, cq.loss_armed, machine.now,
             dispatcher.status_updates, log.events,
-            machine.obs.metrics.snapshot(),
+            machine.obs.snapshot(),
         )
 
     @pytest.mark.parametrize("stale", [0, 1, 3])

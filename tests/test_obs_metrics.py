@@ -1,6 +1,8 @@
 """The metrics registry, and the zero-simulated-overhead contract."""
 
+import dataclasses
 import math
+import re
 import struct
 import sys
 
@@ -8,9 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import DEFAULT_CONFIG
 from repro.errors import ObservabilityError
+from repro.hw.compute import ComputeUnit
+from repro.hw.topology import build_machine
+from repro.integrity import IntegrityChecker
 from repro.obs import (
     DEFAULT_TIME_BUCKETS_S,
+    Counter,
+    Gauge,
     Histogram,
     MetricsRegistry,
     Observability,
@@ -200,6 +208,186 @@ class TestObserveMany:
         state = _state(histogram)
         histogram.observe_many([])
         assert _state(histogram) == state
+
+
+#: Values whose running sums overflow, signed zeros and plain floats.
+_AMOUNTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e308, sys.float_info.max]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestIncMany:
+    """A batch of increments against one ``inc`` per amount."""
+
+    @settings(max_examples=300, deadline=None, print_blob=True)
+    @given(before=st.lists(_AMOUNTS, max_size=4), amounts=st.lists(_AMOUNTS, max_size=40))
+    def test_batch_equals_one_inc_per_amount(self, before, amounts):
+        one_by_one, batched = Counter("c"), Counter("c")
+        for amount in before:
+            one_by_one.inc(amount)
+            batched.inc(amount)
+        for amount in amounts:
+            one_by_one.inc(amount)
+        batched.inc_many(amounts)
+        assert struct.pack("<d", batched.value) == struct.pack("<d", one_by_one.value)
+
+    @settings(max_examples=300, deadline=None, print_blob=True)
+    @given(
+        amounts=st.lists(_AMOUNTS, max_size=40),
+        bad=st.sampled_from([-1.0, -1e-300, math.nan, math.inf, -math.inf]),
+        where=st.integers(0, 40),
+    )
+    def test_a_bad_amount_fails_alike(self, amounts, bad, where):
+        amounts = list(amounts)
+        amounts.insert(min(where, len(amounts)), bad)
+        one_by_one, batched = Counter("c"), Counter("c")
+        with pytest.raises(ObservabilityError) as expected:
+            for amount in amounts:
+                one_by_one.inc(amount)
+        with pytest.raises(ObservabilityError) as raised:
+            batched.inc_many(amounts)
+        assert str(raised.value) == str(expected.value)
+        assert struct.pack("<d", batched.value) == struct.pack("<d", one_by_one.value)
+
+
+class TestSetMany:
+    """A batch of gauge values against one ``set`` per value."""
+
+    @settings(max_examples=200, deadline=None, print_blob=True)
+    @given(
+        values=st.lists(st.one_of(
+            st.integers(-10, 10),
+            st.sampled_from([1e308, -1e308, -0.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ), max_size=20),
+        bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+        where=st.integers(0, 20),
+    )
+    def test_batch_equals_one_set_per_value(self, values, bad, where):
+        values = list(values)
+        if bad is not None:
+            values.insert(min(where, len(values)), bad)
+        one_by_one, batched = Gauge("g"), Gauge("g")
+        one_by_one.set(0.5)
+        batched.set(0.5)
+        try:
+            for value in values:
+                one_by_one.set(value)
+        except ObservabilityError as exc:
+            with pytest.raises(ObservabilityError, match=re.escape(str(exc))):
+                batched.set_many(values)
+        else:
+            batched.set_many(values)
+        assert struct.pack("<d", batched.value) == struct.pack("<d", one_by_one.value)
+
+
+class _PerCallCell:
+    """A cell that writes through at once, as every write did before
+    write-behind cells."""
+
+    def __init__(self, write):
+        self.append = write
+
+
+class _PerCallObservability(Observability):
+    """Every cell write goes straight into the registry: the oracle."""
+
+    def counter_cell(self, name):
+        return _PerCallCell(lambda value: self.metrics.counter(name).inc(value))
+
+    def gauge_cell(self, name):
+        return _PerCallCell(lambda value: self.metrics.gauge(name).set(value))
+
+    def histogram_cell(self, name, buckets=None):
+        return _PerCallCell(
+            lambda value: self.metrics.histogram(name, buckets).observe(value)
+        )
+
+
+class TestCells:
+    """Write-behind cells publish what one write at a time would have."""
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("counter", -1.0), ("counter", math.nan),
+        ("counter", math.inf), ("counter", -math.inf),
+        ("gauge", math.nan), ("gauge", math.inf), ("gauge", -math.inf),
+        ("histogram", math.nan), ("histogram", math.inf),
+        ("histogram", -math.inf),
+    ])
+    def test_a_bad_write_raises_by_the_next_snapshot(self, kind, bad):
+        values = [0.25, 3.0, bad, 1.0]
+        direct = MetricsRegistry()
+        instrument = getattr(direct, kind)("m")
+        write = {"counter": "inc", "gauge": "set", "histogram": "observe"}[kind]
+        with pytest.raises(ObservabilityError) as expected:
+            for value in values:
+                getattr(instrument, write)(value)
+        obs = Observability()
+        getattr(obs, f"{kind}_cell")("m").extend(values)
+        with pytest.raises(ObservabilityError) as raised:
+            obs.snapshot()
+        assert str(raised.value) == str(expected.value)
+        # The writes before the bad one are published; nothing stays pending.
+        assert obs.pending == 0
+        assert obs.metrics.snapshot() == direct.snapshot()
+
+    def test_a_bad_write_in_a_run_raises_by_its_end(self, monkeypatch):
+        record_work = ComputeUnit._record_work
+        calls = []
+
+        def bad_third(unit, instructions, elapsed):
+            calls.append(unit.name)
+            if len(calls) == 3:
+                instructions = -1.0
+            record_work(unit, instructions, elapsed)
+
+        monkeypatch.setattr(ComputeUnit, "_record_work", bad_third)
+        workload = get_workload("tpch_q6", scale=_SCALE)
+        with pytest.raises(ObservabilityError, match=(
+            r"counter 'compute\.\w+\.instructions' increment must be finite "
+            r"and non-negative, got -1\.0"
+        )):
+            ActivePy().run(workload.program, workload.dataset,
+                           options=RunOptions(obs=Observability()))
+
+    @pytest.mark.parametrize("raise_at", [1, 4, 11, 29])
+    def test_a_run_raising_mid_chunk_publishes_every_earlier_write(
+        self, monkeypatch, raise_at
+    ):
+        # ``charge_verify`` runs inside a chunk, after the chunk's
+        # compute, link and executor writes and its own verified bytes.
+        charge_verify = IntegrityChecker.charge_verify
+        config = dataclasses.replace(DEFAULT_CONFIG, integrity_enabled=True)
+        workload = get_workload("blackscholes", scale=_SCALE)
+
+        def snapshot_of(obs):
+            calls = []
+
+            def raising(checker, nbytes):
+                seconds = charge_verify(checker, nbytes)
+                calls.append(nbytes)
+                if len(calls) == raise_at:
+                    raise RuntimeError("mid-chunk")
+                return seconds
+
+            with monkeypatch.context() as patch:
+                patch.setattr(IntegrityChecker, "charge_verify", raising)
+                with pytest.raises(RuntimeError, match="mid-chunk"):
+                    ActivePy(config).run(
+                        workload.program, workload.dataset,
+                        machine=build_machine(config, obs=obs),
+                        options=RunOptions(
+                            obs=obs, progress_triggers=((0.5, 0.1),),
+                        ),
+                    )
+            return obs.metrics.snapshot()
+
+        # Warm the profile cache, so both runs count one profcache hit.
+        ActivePy(config).run(workload.program, workload.dataset)
+        published = snapshot_of(Observability())
+        assert "integrity.verified_bytes" in published["counters"]
+        assert published == snapshot_of(_PerCallObservability())
 
 
 class TestRegistry:

@@ -75,6 +75,25 @@ class TestLineProfiler:
             r.compute_seconds + r.data_access_seconds for r in records
         ))
 
+    def test_noisy_timings_follow_the_seeded_draws(self, toy_program, toy_dataset):
+        # One default_rng(profiler_noise_seed) stream per profiler: each
+        # line draws its compute jitter, then its data-access jitter.
+        sample = toy_dataset.sample(2**-10)
+        quiet = LineProfiler(SystemConfig()).profile(toy_program, sample)
+        profiler = LineProfiler(
+            SystemConfig(profiler_noise=0.2, profiler_noise_seed=11)
+        )
+        draws = iter(np.random.default_rng(11).normal(0.0, 0.2, size=4 * len(quiet)))
+        for _ in range(2):
+            noisy = profiler.profile(toy_program, sample)
+            for clean, jittered in zip(quiet, noisy):
+                assert jittered.compute_seconds == (
+                    clean.compute_seconds * max(0.1, 1.0 + next(draws))
+                )
+                assert jittered.data_access_seconds == (
+                    clean.data_access_seconds * max(0.1, 1.0 + next(draws))
+                )
+
 
 class TestSamplingPhase:
     def test_runs_all_four_factors(self, config, toy_program, toy_dataset):

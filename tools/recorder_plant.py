@@ -14,11 +14,12 @@ median of interleaved observability-off/on passes:
   end, so a write here is one point of the batch.
 * ``tracer``: ``tracer_cpu_ratio()``, observability-on / off CPU seconds
   of warm passes over the ActivePy rotation, with metrics and spans
-  live (``Observability.with_tracing``).  A pass makes about 22 000
-  counter, 4 800 histogram and 2 400 gauge lookups and records 120
-  spans, so the cost is in the metrics.  The plant goes into
-  ``MetricsRegistry.gauge``, the lookup every gauge update goes
-  through.
+  live (``Observability.with_tracing``).  An arm (40 warm runs) makes
+  about 58 000 metric writes and 1 500 registry lookups, so the cost
+  is in the metrics.  Almost every write is an append to one of the
+  handle's write-behind cells, and ``Observability.flush`` publishes
+  them into the registry at the end of each run.  The plant goes into
+  ``flush``, sized by the writes it publishes.
 
 The plant is a busy-wait of ``--spin`` empty loop turns per write,
 run before the write.  The script first measures what share of the
@@ -52,7 +53,6 @@ from benchmarks.bench_obs import (  # noqa: E402
     warm_serve_store,
 )
 from repro.obs import FlightRecorder, Observability  # noqa: E402
-from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
 #: Every order of (observability off, on, planted), so that no arm
 #: always runs first or last while the plant is sized.
@@ -74,8 +74,9 @@ class PlantPath:
     spin: int
     #: ``arms()`` -> (off pass, on pass): each returns CPU seconds.
     arms: Callable[[], tuple]
-    #: ``writes(args)`` -> how many writes one call of ``method`` makes.
-    writes: Callable[[tuple], int] = lambda args: 1
+    #: ``writes(instance, args)`` -> how many writes one call of
+    #: ``method`` makes.
+    writes: Callable[[object, tuple], int] = lambda instance, args: 1
 
 
 def _recorder_arms():
@@ -93,9 +94,10 @@ def _tracer_arms():
 PATHS = {
     "recorder": PlantPath(FlightRecorder, "record", recorder_cpu_ratio,
                           RECORDER_CPU_RATIO_BOUND, 5, _recorder_arms,
-                          writes=lambda args: len(args[2])),
-    "tracer": PlantPath(MetricsRegistry, "gauge", tracer_cpu_ratio,
-                        TRACER_CPU_RATIO_BOUND, 2, _tracer_arms),
+                          writes=lambda recorder, args: len(args[2])),
+    "tracer": PlantPath(Observability, "flush", tracer_cpu_ratio,
+                        TRACER_CPU_RATIO_BOUND, 2, _tracer_arms,
+                        writes=lambda obs, args: obs.pending),
 }
 
 
@@ -109,7 +111,7 @@ class _Plant:
         writes = path.writes
 
         def planted(self, *args):
-            for _ in range(spin * writes(args)):
+            for _ in range(spin * writes(self, args)):
                 pass
             return original(self, *args)
 
