@@ -18,6 +18,9 @@ Two deterministic claims the perf gate pins:
 Search wall time over the full rotation is also recorded and gated
 with a generous band: the search must stay interactive-planning cheap
 (milliseconds per workload), not grow into a second sampling phase.
+The rotation's total ``steps_simulated`` is gated too, exactly: the
+branch-and-bound measures 96 of the 122 steps an unpruned pass would,
+and losing the bound would show up as a rise.
 """
 
 import time
@@ -102,6 +105,11 @@ def test_search_never_worse_and_wins_on_csr(benchmark):
                 "winning_workloads": strict_wins,
             },
             "wall": {"rotation_search_wall_seconds": wall_total},
+            "steps": {
+                "rotation_steps_simulated": sum(
+                    row["steps_simulated"] for row in per_workload.values()
+                ),
+            },
         },
         meta={"workloads": list(per_workload), "scale": 1.0},
     )

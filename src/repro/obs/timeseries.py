@@ -193,7 +193,9 @@ class _RateWindow:
 
     __slots__ = ("index", "total")
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: float) -> None:
+        #: The window's index, ``t // window_s``: an integral float, or
+        #: an int after :meth:`FlightRecorder.finalize`.
         self.index = index
         self.total = 0.0
 
@@ -331,7 +333,11 @@ class FlightRecorder:
                     )
                 if not isfinite(t):
                     raise _non_finite_time(name, t)
-                index = int(t // window_s)
+                # The window index as the integral float ``t // window_s``:
+                # ``int()`` of it is the exact index, and comparing a
+                # float with an int is exact, so only arithmetic on an
+                # index (below) goes through ``int()``.
+                index = t // window_s
                 if index != open_index:
                     if open_index is None:
                         series = self._get_or_create(name, KIND_RATE)
@@ -344,17 +350,19 @@ class FlightRecorder:
                         )
                     else:
                         # Close the open window at its end, in events/s.
+                        # Beyond 2**53 ``open_index + 1.0`` would round.
+                        closed_index, next_index = int(open_index), int(index)
                         closed.append(
-                            ((open_index + 1) * window_s, total / window_s)
+                            ((closed_index + 1) * window_s, total / window_s)
                         )
-                        if index > open_index + 1:
+                        if next_index > closed_index + 1:
                             # Zero-fill the gap so quiet stretches read
                             # as zero rate.  The ring only keeps
                             # `capacity` points, so cap the fill there.
-                            first = max(open_index + 1, index - capacity)
+                            first = max(closed_index + 1, next_index - capacity)
                             closed.extend(
                                 ((zero + 1) * window_s, 0.0)
-                                for zero in range(first, index)
+                                for zero in range(first, next_index)
                             )
                         total = 0.0
                     open_index = index
@@ -377,7 +385,7 @@ class FlightRecorder:
         for name in sorted(self._open_windows):
             window = self._open_windows[name]
             self._series[name].extend((
-                ((window.index + 1) * window_s, window.total / window_s),
+                ((int(window.index) + 1) * window_s, window.total / window_s),
             ))
             window.index = int(now // self.window_s) + 1
             window.total = 0.0

@@ -156,6 +156,10 @@ GATED_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
         GatedMetric(
             "wall.rotation_search_wall_seconds", "max", rel_tol=1.5, abs_tol=5.0
         ),
+        # Speculative steps the search measures over the rotation: the
+        # branch-and-bound skips steps that can neither win nor tie, and
+        # a lost bound shows up here as a rise.
+        GatedMetric("steps.rotation_steps_simulated", "max"),
     ),
     # Wall-clock ratios, not simulated seconds: noisy by nature, hence
     # the wide bands.  A fraction that *grows* past the slack means the

@@ -46,8 +46,11 @@ _HEAD = struct.Struct("!4sQQdH")  # magic, generation, line_index, sim_time, nva
 _TAIL = struct.Struct("!Q")       # next_chunk cursor
 _CRC = struct.Struct("!I")
 
+#: Largest value of a record's 64-bit fields.
+_U64 = 0xFFFFFFFFFFFFFFFF
+
 #: Sentinel line index for "no line executing" records.
-NO_LINE = 0xFFFFFFFFFFFFFFFF
+NO_LINE = _U64
 
 
 @dataclass(frozen=True)
@@ -86,18 +89,23 @@ def _names_layout(live_vars: Tuple[str, ...]) -> Tuple[struct.Struct, bytes]:
     return struct.Struct(f"{_HEAD.format}{len(names)}s{_TAIL.format[1:]}"), names
 
 
-def _encode(
+def _check_counters(generation: int, line_index: int, next_chunk: int) -> None:
+    if generation < 0 or next_chunk < 0:
+        raise CheckpointError("generation and next_chunk must be non-negative")
+    if not (0 <= line_index <= _U64 and generation <= _U64 and next_chunk <= _U64):
+        raise CheckpointError("line index, generation and cursor must fit in 64 bits")
+
+
+def _pack(
+    body: struct.Struct,
     generation: int,
     line_index: int,
     next_chunk: int,
-    live_vars: Sequence[str],
+    live_vars: Tuple[str, ...],
+    names: bytes,
     sim_time: float,
 ) -> bytes:
-    """The one record encoder, behind :func:`encode_record` and ``save``."""
-    if generation < 0 or next_chunk < 0:
-        raise CheckpointError("generation and next_chunk must be non-negative")
-    live_vars = tuple(live_vars)
-    body, names = _names_layout(live_vars)
+    """The record image of checked fields; the CRC covers every prior byte."""
     payload = body.pack(
         _MAGIC, generation, line_index, sim_time, len(live_vars), names, next_chunk,
     )
@@ -106,9 +114,12 @@ def _encode(
 
 def encode_record(record: CheckpointRecord) -> bytes:
     """Serialize a record; the trailing CRC covers every prior byte."""
-    return _encode(
-        record.generation, record.line_index, record.next_chunk,
-        record.live_vars, record.sim_time,
+    _check_counters(record.generation, record.line_index, record.next_chunk)
+    live_vars = tuple(record.live_vars)
+    body, names = _names_layout(live_vars)
+    return _pack(
+        body, record.generation, record.line_index, record.next_chunk,
+        live_vars, names, record.sim_time,
     )
 
 
@@ -186,6 +197,9 @@ class CheckpointManager:
             fault_log=self.fault_log,
             obs=self.obs,
         )
+        #: The last live-variable tuple saved and its record layout.
+        self._live_vars: Tuple[str, ...] = ()
+        self._names: Tuple[struct.Struct, bytes] = _names_layout(())
         self.saves = 0
         self.restores = 0
         #: Restores served by the older generation (torn newest slot).
@@ -213,9 +227,25 @@ class CheckpointManager:
         area = self.area
         generation = area.next_generation
         slot = generation % 2 if config.checkpoint_double_buffer else 0
-        blob = _encode(generation, line_index, next_chunk, live_vars, sim_time)
-        # ``tear_offset``, read off the blob: all but cursor and CRC.
-        clean = area.write(slot, blob, len(blob) - _TAIL.size - _CRC.size)
+        _check_counters(generation, line_index, next_chunk)
+        if live_vars is not self._live_vars:
+            # The executor passes one tuple per line: look its layout up
+            # once.  A bad tuple is never remembered, so it raises on
+            # every call.
+            live_vars = tuple(live_vars)
+            self._names = _names_layout(live_vars)
+            self._live_vars = live_vars
+        body, names = self._names
+        size = body.size + _CRC.size
+        # Write-behind: the image is packed only if something reads it.
+        # ``tear_offset`` is all but cursor and CRC.
+        clean = area.write_deferred(
+            slot,
+            lambda: _pack(
+                body, generation, line_index, next_chunk, live_vars, names, sim_time
+            ),
+            size, size - _TAIL.size - _CRC.size,
+        )
         area.next_generation = generation + 1
         self.saves += 1
         cost = config.checkpoint_write_cost_s

@@ -320,17 +320,23 @@ class CallQueueDispatcher:
         return updates
 
     def exchange_status(self, update: StatusUpdate) -> None:
-        """One status round trip: :meth:`post_status`, then :meth:`drain_status`.
+        """One status round trip: :meth:`post_status`, then :meth:`drain_status`."""
+        if not self.exchange_idle_status():
+            self.post_status(update)
+            self.drain_status()
+
+    def exchange_idle_status(self) -> bool:
+        """The round trip of a status update without its ring entry, if idle.
 
         When the completion queue is empty and no loss is armed, the
         posted entry would be the ring's only one and the drain would
         take it straight back out, so the ring is left alone: the
         message, the counters and the depth gauge are the round trip's
-        only effects.  Otherwise the entry goes through the ring.
+        only effects, and the update itself need not exist.  Returns
+        False, doing nothing, when the entry must go through the ring.
         """
         cq = self.queue_pair.cq
         if cq.is_empty and not cq.loss_armed:
             self._status_sent(1)
-            return
-        self.post_status(update)
-        self.drain_status()
+            return True
+        return False

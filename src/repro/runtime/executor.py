@@ -508,9 +508,13 @@ class PlanExecutor:
                 and state.csd_instr_done / state.total_csd_instr >= triggers[-1][0]
             ):
                 cse.set_availability(triggers.pop()[1])
-            update = self._post_status(statement, chunk, chunks, expected_ipc)
             if monitor is None:
+                # Nothing reads the update unless it must go through
+                # the ring.
+                if not self.dispatcher.exchange_idle_status():
+                    self._post_status(statement, chunk, chunks, expected_ipc)
                 continue
+            update = self._post_status(statement, chunk, chunks, expected_ipc)
             decision = monitor.observe(update)
             if self.obs.enabled:
                 # Drift of observed vs planner-predicted IPC per status

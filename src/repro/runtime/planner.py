@@ -19,7 +19,7 @@ would pay the narrow interconnect on every boundary.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 from ..config import SystemConfig
@@ -95,7 +95,9 @@ class Plan:
             "t_host": self.t_host,
             "t_csd": self.t_csd,
             "origin": self.origin,
-            "estimates": [asdict(e) for e in self.estimates],
+            # ``dataclasses.asdict`` without its deep copy: every field
+            # of a frozen estimate is a scalar.
+            "estimates": [vars(e).copy() for e in self.estimates],
         }
 
     @classmethod

@@ -603,16 +603,22 @@ class ProfileCache:
         self, path: Path, key: str, encode: Callable[[Any], Dict[str, Any]],
         value: Any,
     ) -> bool:
-        """Write ``encode(value)`` in the envelope :meth:`_read` checks."""
+        """Write ``encode(value)`` in the envelope :meth:`_read` checks.
+
+        The payload is serialised once: its canonical JSON is both the
+        checksum's input and, spliced in, the envelope's ``payload``
+        field, byte for byte what ``json.dumps`` of the whole envelope
+        with sorted keys writes.
+        """
         try:
-            payload = encode(value)
-            text = json.dumps({
-                "schema_version": _SCHEMA_VERSION,
-                "repro_version": _repro_version(),
-                "key": key,
-                "checksum": _checksum(payload),
-                "payload": payload,
-            }, sort_keys=True, allow_nan=False)
+            canonical = json.dumps(encode(value), sort_keys=True, allow_nan=False)
+            checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            text = (
+                f'{{"checksum": "{checksum}", "key": {json.dumps(key)}, '
+                f'"payload": {canonical}, '
+                f'"repro_version": {json.dumps(_repro_version())}, '
+                f'"schema_version": {json.dumps(_SCHEMA_VERSION)}}}'
+            )
         except (TypeError, ValueError):
             return False
         try:
@@ -621,8 +627,12 @@ class ProfileCache:
                 prefix=f".{key[:16]}.", suffix=".tmp", dir=path.parent
             )
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                try:
+                    data = memoryview(text.encode("utf-8"))
+                    while data:
+                        data = data[os.write(fd, data):]
+                finally:
+                    os.close(fd)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:

@@ -9,7 +9,7 @@ location without additional commands or protocols" (§III-C0d).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from ..errors import StorageError
 from ..memory.address_space import MemoryRegion, SharedAddressSpace
@@ -53,7 +53,8 @@ class CheckpointArea:
             region.allocator.allocate(CHECKPOINT_SLOT_BYTES).address
             for _ in range(2)
         )
-        self._slots: list[Optional[bytes]] = [None, None]
+        #: Each slot's record image, or the encoder of one not yet read.
+        self._slots: list[Union[None, bytes, Callable[[], bytes]]] = [None, None]
         #: Device-side monotone record version; survives runs on the
         #: same machine so stale records are never mistaken for new.
         self.next_generation = 0
@@ -91,7 +92,7 @@ class CheckpointArea:
         for slot in (newest, 1 - newest):
             if rotted >= count:
                 break
-            blob = self._slots[slot]
+            blob = self.read(slot)
             if not blob:
                 continue
             keep = max(0, len(blob) - _BITROT_TAIL_BYTES)
@@ -113,13 +114,7 @@ class CheckpointArea:
         use it only for accounting — the *runtime* never sees this
         flag, it must discover the tear through CRC validation).
         """
-        if slot not in (0, 1):
-            raise StorageError(f"checkpoint slot must be 0 or 1, got {slot}")
-        if len(payload) > CHECKPOINT_SLOT_BYTES:
-            raise StorageError(
-                f"checkpoint record of {len(payload)} bytes exceeds the "
-                f"{CHECKPOINT_SLOT_BYTES}-byte slot"
-            )
+        self._check_write(slot, len(payload))
         self.writes += 1
         if self._torn_armed > 0:
             self._torn_armed -= 1
@@ -131,10 +126,39 @@ class CheckpointArea:
         self._slots[slot] = payload
         return True
 
+    def write_deferred(
+        self, slot: int, encode: Callable[[], bytes], size: int, tear_offset: int
+    ) -> bool:
+        """:meth:`write` of the ``size``-byte image ``encode()`` returns.
+
+        Most records are overwritten unread two writes later, so the
+        image is encoded only when something needs its bytes: a read,
+        bitrot, or a torn write (which lands part of it now).
+        """
+        if self._torn_armed > 0:
+            return self.write(slot, encode(), tear_offset)
+        self._check_write(slot, size)
+        self.writes += 1
+        self._slots[slot] = encode
+        return True
+
+    @staticmethod
+    def _check_write(slot: int, size: int) -> None:
+        if slot not in (0, 1):
+            raise StorageError(f"checkpoint slot must be 0 or 1, got {slot}")
+        if size > CHECKPOINT_SLOT_BYTES:
+            raise StorageError(
+                f"checkpoint record of {size} bytes exceeds the "
+                f"{CHECKPOINT_SLOT_BYTES}-byte slot"
+            )
+
     def read(self, slot: int) -> Optional[bytes]:
         if slot not in (0, 1):
             raise StorageError(f"checkpoint slot must be 0 or 1, got {slot}")
-        return self._slots[slot]
+        blob = self._slots[slot]
+        if callable(blob):
+            blob = self._slots[slot] = blob()
+        return blob
 
 
 class BarWindow:

@@ -205,6 +205,71 @@ def test_save_writes_exactly_the_encoded_record(saves, repeat):
     assert manager.saves == len(saves)
 
 
+@given(
+    events=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("save"),
+                st.integers(0, 2 ** 32),                    # line index
+                st.integers(0, 2 ** 32),                    # next chunk
+                _NAMES,
+                st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            ),
+            st.tuples(st.just("tear"), st.integers(1, 3)),
+            st.tuples(st.just("rot"), st.integers(1, 2)),
+            st.tuples(st.just("read"), st.sampled_from([0, 1])),
+        ),
+        min_size=1, max_size=12,
+    ),
+)
+@settings(max_examples=150, deadline=None, print_blob=True)
+def test_slot_bytes_follow_encode_record_through_tears_and_bitrot(events):
+    """Whenever a slot is read — straight after a save or much later,
+    after a torn write or bitrot — it holds what an area that stored
+    ``encode_record``'s bytes eagerly would hold."""
+    from repro.storage.bar import _BITROT_SCRAMBLE, _BITROT_TAIL_BYTES, _TORN_SCRAMBLE
+
+    machine = build_machine(SystemConfig())
+    manager = CheckpointManager(device=machine.csd, config=machine.config)
+    area = machine.csd.checkpoints
+    expected = [None, None]
+    torn_armed = 0
+    for event in events:
+        kind = event[0]
+        if kind == "save":
+            _, line_index, next_chunk, live_vars, sim_time = event
+            record = CheckpointRecord(
+                generation=area.next_generation, line_index=line_index,
+                next_chunk=next_chunk, live_vars=live_vars, sim_time=sim_time,
+            )
+            blob = encode_record(record)
+            if torn_armed:
+                torn_armed -= 1
+                tear = tear_offset(record)
+                blob = blob[:tear] + bytes(b ^ _TORN_SCRAMBLE for b in blob[tear:])
+            expected[record.generation % 2] = blob
+            manager.save(line_index, next_chunk, live_vars, sim_time)
+        elif kind == "tear":
+            area.arm_torn_write(event[1])
+            torn_armed += event[1]
+        elif kind == "rot":
+            newest = (area.next_generation - 1) % 2
+            rotted = 0
+            for slot in (newest, 1 - newest):
+                if rotted < event[1] and expected[slot]:
+                    blob = expected[slot]
+                    keep = max(0, len(blob) - _BITROT_TAIL_BYTES)
+                    expected[slot] = blob[:keep] + bytes(
+                        b ^ _BITROT_SCRAMBLE for b in blob[keep:]
+                    )
+                    rotted += 1
+            assert area.rot_committed(event[1]) == rotted
+        else:
+            assert area.read(event[1]) == expected[event[1]]
+    assert [area.read(0), area.read(1)] == expected
+    assert area.writes == manager.saves == sum(1 for event in events if event[0] == "save")
+
+
 class TestSaveRejectsBadRecords:
     """Each ``CheckpointError`` check fires on every call, cached or not."""
 
@@ -222,6 +287,22 @@ class TestSaveRejectsBadRecords:
             # A good save in between must not make the bad tuple pass.
             manager.save(0, 1, ("ok",), 0.0)
         assert manager.saves == area.next_generation == 3
+
+    @pytest.mark.parametrize("line_index, next_chunk", [
+        (-1, 0), (2 ** 64, 0), (0, 2 ** 64),
+    ], ids=["negative-line", "line-over-64-bits", "cursor-over-64-bits"])
+    def test_out_of_range_fields_raise_on_every_call(
+        self, machine, line_index, next_chunk
+    ):
+        # The record image is packed only when read, so a field that
+        # cannot be packed must be refused at save, not at the read.
+        manager = CheckpointManager(device=machine.csd, config=machine.config)
+        for _ in range(3):
+            with pytest.raises(CheckpointError, match="64 bits"):
+                manager.save(line_index, next_chunk, ("x",), 0.0)
+            with pytest.raises(CheckpointError, match="64 bits"):
+                encode_record(_record(line_index=line_index, next_chunk=next_chunk))
+        assert manager.saves == machine.csd.checkpoints.writes == 0
 
     @pytest.mark.parametrize("line_index, next_chunk, generation", [
         (0, -1, 0), (0, 0, -1),

@@ -229,7 +229,12 @@ class TestStatusExchange:
         if loss:
             cq.arm_loss(loss)
         update = StatusUpdate("scan", 1, 1.0, 0.5, False)
-        if exchange:
+        if exchange == "idle":
+            # The executor's round trip when nothing reads the update:
+            # no update is built unless the ring needs one.
+            if not dispatcher.exchange_idle_status():
+                dispatcher.exchange_status(update)
+        elif exchange:
             dispatcher.exchange_status(update)
         else:
             dispatcher.post_status(update)
@@ -246,5 +251,13 @@ class TestStatusExchange:
     def test_matches_post_then_drain(self, config, stale, loss):
         assert (
             self._observed(config, True, stale=stale, loss=loss)
+            == self._observed(config, False, stale=stale, loss=loss)
+        )
+
+    @pytest.mark.parametrize("stale", [0, 1, 3])
+    @pytest.mark.parametrize("loss", [0, 1, 2, 5])
+    def test_idle_exchange_matches_post_then_drain(self, config, stale, loss):
+        assert (
+            self._observed(config, "idle", stale=stale, loss=loss)
             == self._observed(config, False, stale=stale, loss=loss)
         )

@@ -13,7 +13,12 @@ snapshot of five cases:
 * the ten-program rotation at scale 1/4 with ``Observability()``;
 * one ``Observability.with_tracing()`` handle shared by twenty greedy
   and plan-search runs, snapshotted after each run;
-* a pre-built machine adopting a caller's handle for two runs.
+* a pre-built machine adopting a caller's handle for two runs;
+* migrating ``tpch_q14`` runs sized so that ``integrity.verified_bytes``
+  crosses 2**26 among fractional executor adds that land after the
+  checkpoint restore's and the migration's integer adds: there the adds
+  do not commute in floating point, so the pin sees the order in which
+  the three writers' adds land, not only their sum.
 
 A change to how a metric is written, created or summed moves the
 digest: a counter summed in another order, an instrument created before
@@ -56,11 +61,15 @@ PINNED = {
     "rotation": (
         "7a845a14d8d75b0e813b0b8dbfad897461ef773ae88658a4f1a5456c8234f1df"
     ),
+    # Its search runs publish the steps the bounded plan search measured.
     "shared_handle": (
-        "a4f63a0b9f3fd7ed1366ab65aca0070ace208514cbbab17ed0d03969d1f6ca98"
+        "0c105de9176ee632dde0bfd2ff40d94b6bc15696bc9babe096e41c87223b6809"
     ),
     "adopted": (
         "05d47e607c0b463bcbd1a1a2f7629fb7ed8a571ca2b0c76ca74873b10072d330"
+    ),
+    "verified_bytes_order": (
+        "62fcd87d5e54fa4522a754927ab20358672437bf41236cbbae776a4d0644f8b4"
     ),
 }
 
@@ -155,12 +164,32 @@ def _adopted():
     return snapshots
 
 
+#: ``tpch_q14`` scales at which the verified-bytes total crosses 2**26
+#: during the fractional adds that follow the migration.
+ORDER_SCALES = (0.00945, 0.00955)
+
+
+def _verified_bytes_order():
+    snapshots = []
+    for scale in ORDER_SCALES:
+        workload = get_workload("tpch_q14", scale=scale)
+        for obs in (Observability.disabled(), Observability()):
+            report = ActivePy(INTEGRITY).run(
+                workload.program, workload.dataset,
+                options=RunOptions(obs=obs, progress_triggers=((0.25, 0.1),)),
+            )
+        assert report.result.migrations
+        snapshots.append(obs.snapshot())
+    return snapshots
+
+
 CASES = {
     "chaos": _chaos,
     "migrating": _migrating,
     "rotation": _rotation,
     "shared_handle": _shared_handle,
     "adopted": _adopted,
+    "verified_bytes_order": _verified_bytes_order,
 }
 
 
@@ -187,3 +216,5 @@ def test_the_cases_reach_every_writer(snapshots):
     assert counted("shared_handle", "migration.count") > 0
     assert counted("shared_handle", "plansearch.cache_hit") > 0
     assert counted("adopted", "executor.chunks.csd") > 0
+    assert counted("verified_bytes_order", "checkpoint.restores") == len(ORDER_SCALES)
+    assert counted("verified_bytes_order", "migration.count") == len(ORDER_SCALES)

@@ -478,6 +478,75 @@ class TestBatchMatchesPointWrites:
         assert recorder.names() == []
 
 
+def _oracle_rate_windows(points, window_s, capacity):
+    """Rate windows by integer index ``int(t // window_s)``: the closed
+    windows' points, the last ``capacity`` of them, and the open
+    window's ``(index, total)``."""
+    closed, open_index, total = [], None, 0.0
+    for t, amount in points:
+        index = int(t // window_s)
+        if open_index is not None and index != open_index:
+            closed.append(((open_index + 1) * window_s, total / window_s))
+            first = max(open_index + 1, index - capacity)
+            closed.extend(((zero + 1) * window_s, 0.0) for zero in range(first, index))
+            total = 0.0
+        open_index = index
+        total += amount
+    return closed[-capacity:], (open_index, total)
+
+
+@st.composite
+def _rate_times(draw):
+    """A window width and non-decreasing times at its edges: exact
+    window boundaries and their float neighbours, ``-0.0``, and times
+    whose window index is at or beyond 2**53."""
+    window_s = draw(st.sampled_from([0.25, 0.1, 1.0, 3.0, 1e-3]))
+    edge = st.one_of(
+        st.integers(-2, 50).map(lambda n: n * window_s),
+        st.integers(2 ** 52, 2 ** 62).map(lambda n: n * window_s),
+        st.integers(0, 2 ** 62).map(float),
+    )
+    near_edge = st.tuples(edge, st.sampled_from([-1, 0, 0, 1])).map(
+        lambda pair: math.nextafter(pair[0], math.copysign(math.inf, pair[1]))
+        if pair[1] else pair[0]
+    )
+    times = draw(st.lists(
+        st.one_of(near_edge, st.just(-0.0), st.just(0.0),
+                  st.floats(0.0, 2.0 ** 80, allow_nan=False)),
+        min_size=1, max_size=30,
+    ))
+    return window_s, sorted(times)
+
+
+class TestRateWindowIndex:
+    """The recorder's float window index against ``int(t // window_s)``."""
+
+    @settings(max_examples=300, deadline=None, print_blob=True)
+    @given(
+        case=_rate_times(),
+        amounts=st.lists(st.sampled_from([0.0, 1.0, 0.5, 3.0]), min_size=30, max_size=30),
+        capacity=st.sampled_from([1, 3, 4096]),
+        cut=st.integers(0, 30),
+    )
+    def test_matches_integer_index(self, case, amounts, capacity, cut):
+        window_s, times = case
+        points = list(zip(times, amounts))
+        recorder = FlightRecorder(window_s=window_s, capacity=capacity)
+        recorder.record("r", "rate", points[:cut])
+        recorder.record("r", "rate", points[cut:])
+        closed, (open_index, total) = _oracle_rate_windows(points, window_s, capacity)
+        stored = list(recorder.series("r")) if "r" in recorder else []
+        assert stored == closed
+        window = recorder._open_windows["r"]
+        assert int(window.index) == open_index
+        assert window.total == total
+        # The partial window flushes at the index's end, exactly.
+        recorder.finalize(times[-1])
+        assert list(recorder.series("r"))[-1] == (
+            (open_index + 1) * window_s, total / window_s,
+        )
+
+
 class TestObservabilityWiring:
     def test_with_timeseries_attaches_recorder(self):
         obs = Observability.with_timeseries(window_s=0.5)

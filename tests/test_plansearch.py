@@ -28,7 +28,7 @@ from repro.runtime.plansearch import (
 )
 from repro.runtime.profcache import ProfileCache
 from repro.runtime.sampling import SamplingPhase
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 
 #: Small enough for fast tests; the §V CSR effect is scale-invariant
 #: (sample prefixes stay "sample-shaped" at any population size), so
@@ -91,6 +91,23 @@ def _walk(steps, assignments):
 def _brute_force(steps, k, locations):
     return min(
         _walk(steps, a) for a in itertools.product(locations, repeat=k)
+    )
+
+
+def _unbounded_dp(steps, k, locations):
+    """The Viterbi pass measuring every step: ``(makespan, assignments)``,
+    ties broken by the assignment tuple at every state."""
+    best = {HOST: (0.0, ())}
+    for index in range(k):
+        best = {
+            location: min(
+                (elapsed + steps[(index, location, prev)], prefix + (location,))
+                for prev, (elapsed, prefix) in best.items()
+            )
+            for location in locations
+        }
+    return min(
+        (_walk(steps, prefix), prefix) for elapsed, prefix in best.values()
     )
 
 
@@ -193,10 +210,12 @@ class TestSearchVsGreedy:
 
     def test_metrics_populated(self, pagerank):
         # Steps are measured lazily: line 0 is only ever fed from the
-        # host, so 2 + 4(k-1) line steps plus the final readback.
+        # host, so at most 2 + 4(k-1) line steps plus the final
+        # readback.  The bound skips 4 of those 15 on pagerank.
         workload, estimates = pagerank
         report = _search(workload, estimates)
-        assert report.steps_simulated == 4 * len(workload.program) - 1
+        assert report.steps_simulated == 11
+        assert report.steps_simulated < 4 * len(workload.program) - 1
         assert report.wall_seconds > 0.0
 
 
@@ -271,6 +290,28 @@ class _TableMachine:
         return self.table[key]
 
 
+def _table_search(table, k, config, greedy):
+    """``search_plan`` over a step table; returns the report and the
+    keys it measured, in order."""
+    machine = _TableMachine(table)
+    # search_plan only takes len() of the program and estimates once
+    # the speculative machine is replaced.
+    with mock.patch.object(
+        plansearch, "_SpeculativeMachine", lambda *args: machine
+    ):
+        report = search_plan([None] * k, None, [None] * k, config, greedy=greedy)
+    return report, machine.measured
+
+
+def _outcome(report):
+    """Everything a search report says, its host wall time aside."""
+    return (
+        report.plan.assignments, report.plan.t_host, report.plan.t_csd,
+        report.plan.origin, report.greedy_plan.assignments,
+        report.makespan_s, report.greedy_makespan_s, report.steps_simulated,
+    )
+
+
 #: Few distinct values, so ties are common, and non-dyadic ones, so the
 #: float sums round.
 _STEP_VALUES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0])
@@ -280,7 +321,7 @@ class TestOracleProperties:
     """The DP against independent brute-force oracles."""
 
     @given(data=st.data(), k=st.integers(1, 7), csd_enabled=st.booleans())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, print_blob=True)
     def test_dp_equals_brute_force_on_random_step_tables(
         self, data, k, csd_enabled
     ):
@@ -297,27 +338,39 @@ class TestOracleProperties:
             st.lists(st.sampled_from(locations), min_size=k, max_size=k)
         )
         greedy = Plan(assignments=greedy_assignments, t_host=0.0, t_csd=0.0)
-        machine = _TableMachine(table)
-        # search_plan only takes len() of the program and estimates
-        # once the speculative machine is replaced.
-        with mock.patch.object(
-            plansearch, "_SpeculativeMachine", lambda *args: machine
-        ):
-            report = search_plan(
-                [None] * k, None, [None] * k, config, greedy=greedy
-            )
+        report, measured = _table_search(table, k, config, greedy)
 
         brute = _brute_force(table, k, locations)
         assert report.makespan_s == brute
         assert _walk(table, report.plan.assignments) == brute
         assert report.greedy_makespan_s == _walk(table, greedy_assignments)
+        assert report.plan.t_host == _walk(table, [HOST] * k)
         if report.greedy_makespan_s == brute:
             assert report.plan.assignments == greedy_assignments
         else:
             assert report.makespan_s < report.greedy_makespan_s
-        # Each step is measured at most once, only where the DP reaches.
-        assert len(machine.measured) == len(set(machine.measured))
-        assert report.steps_simulated == (4 * k - 1 if csd_enabled else k)
+            # The bound skips no candidate that could tie: the plan is
+            # the one a pass measuring every step picks.
+            assert (brute, tuple(report.plan.assignments)) == _unbounded_dp(
+                table, k, locations
+            )
+        # Each step is measured at most once, only where the DP reaches
+        # and the bound does not cut it off.
+        assert len(measured) == len(set(measured))
+        assert report.steps_simulated == len(measured)
+        if csd_enabled:
+            assert report.steps_simulated <= 4 * k - 1
+        else:
+            assert report.steps_simulated == k
+        # A step the search skipped cannot matter: zeroing every one of
+        # them (the cheapest a step can be) changes nothing it reports.
+        zeroed = {
+            key: seconds if key in measured else 0.0
+            for key, seconds in table.items()
+        }
+        again, measured_again = _table_search(zeroed, k, config, greedy)
+        assert measured_again == measured
+        assert _outcome(again) == _outcome(report)
 
     @given(
         # Within SystemConfig's own limits: the CSE is no faster than
@@ -350,6 +403,62 @@ class TestOracleProperties:
         assert report.makespan_s == _brute_force(steps, k, _locations(config))
 
 
+def _reachable_keys(k, config):
+    """The 4k-1 steps a search may measure (k with the CSD off): line 0
+    is only fed from the host, and the readback follows a CSD line."""
+    if not config.csd_enabled:
+        return [(index, HOST, HOST) for index in range(k)]
+    keys = [(0, HOST, HOST), (0, CSD, HOST)]
+    keys += [
+        (index, location, value_location)
+        for index in range(1, k)
+        for location in (HOST, CSD)
+        for value_location in (HOST, CSD)
+    ]
+    return keys + [(_FINAL, HOST, CSD)]
+
+
+def _assert_steps_ignore_history(workload, config):
+    """Each step measured alone on a fresh speculative machine equals,
+    bit for bit, the same step inside a full sweep on one machine, run
+    forwards and backwards."""
+    keys = _reachable_keys(len(workload.program), config)
+    spec = _SpeculativeMachine(workload.program, workload.dataset, config)
+    forwards = {key: spec.step_seconds(key) for key in keys}
+    backwards = {key: spec.step_seconds(key) for key in reversed(keys)}
+    for key in keys:
+        alone = _SpeculativeMachine(
+            workload.program, workload.dataset, config
+        ).step_seconds(key)
+        assert alone == forwards[key] == backwards[key], (workload.name, key)
+
+
+class TestStepsIgnoreHistory:
+    """The bound skips steps, so no step may depend on which steps ran
+    before it on the shared speculative machine."""
+
+    @pytest.mark.parametrize("csd_enabled", [True, False])
+    @pytest.mark.parametrize("name", workload_names())
+    def test_rotation_at_quarter_scale(self, name, csd_enabled):
+        config = dataclasses.replace(DEFAULT_CONFIG, csd_enabled=csd_enabled)
+        _assert_steps_ignore_history(get_workload(name, scale=0.25), config)
+
+    @given(
+        bw_host_storage=st.floats(0.2e9, 8e9),
+        bw_internal=st.floats(1e9, 10e9),
+        cse_ips=st.floats(0.5e9, DEFAULT_CONFIG.host_ips),
+        cse_cores=st.integers(1, 8),
+        overlap_io_compute=st.booleans(),
+        integrity_enabled=st.booleans(),
+        checkpoint_enabled=st.booleans(),
+        name=st.sampled_from(["pagerank", "tpch_q6", "mixedgemm"]),
+    )
+    @settings(max_examples=12, deadline=None, print_blob=True)
+    def test_random_configs(self, name, **overrides):
+        config = dataclasses.replace(DEFAULT_CONFIG, **overrides)
+        _assert_steps_ignore_history(get_workload(name, scale=SCALE), config)
+
+
 class TestActivePyIntegration:
     def test_search_mode_end_to_end(self):
         workload = get_workload("pagerank", scale=SCALE)
@@ -378,9 +487,7 @@ class TestActivePyIntegration:
         assert explanation.search_diff["changed_lines"]
         assert "search beat greedy" in explanation.render()
         counters = obs.snapshot()["counters"]
-        assert counters["plansearch.steps_simulated"] == (
-            4 * len(workload.program) - 1
-        )
+        assert counters["plansearch.steps_simulated"] == 11
         assert "plansearch.cache_hit" not in counters
 
     def test_invalid_plan_mode_rejected(self):
@@ -433,7 +540,7 @@ class TestCli:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "search beat greedy" in out
-        assert re.search(r"^plansearch\.steps_simulated\s+15$", out, re.MULTILINE)
+        assert re.search(r"^plansearch\.steps_simulated\s+11$", out, re.MULTILINE)
 
     def test_run_plan_mode_search(self, capsys):
         from repro.cli import main

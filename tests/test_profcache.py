@@ -415,6 +415,10 @@ def _plan_path(cache, key):
     return cache.root / "plans" / f"{key}.json"
 
 
+def _profile_path(cache, key):
+    return cache.root / "profiles" / f"{key}.json"
+
+
 class TestPlanEntries:
     def test_undecodable_plan_is_a_miss_and_an_invalidation(self, cache):
         workload = get_workload("tpch_q6", scale=SCALE)
@@ -438,6 +442,43 @@ class TestPlanEntries:
         assert not report.search.cache_hit
         # The search re-ran and rewrote the entry: the next run hits.
         assert runtime.run(workload.program, workload.dataset).search.cache_hit
+
+
+class TestEnvelopeBytes:
+    """Entries serialise their payload once; the file is byte for byte
+    ``json.dumps`` of the whole envelope with sorted keys, estimates
+    built by ``dataclasses.asdict``."""
+
+    @staticmethod
+    def _envelope(key, payload):
+        from repro import __version__
+
+        canonical = json.dumps(payload, sort_keys=True, allow_nan=False)
+        return json.dumps({
+            "schema_version": profcache._SCHEMA_VERSION,
+            "repro_version": __version__,
+            "key": key,
+            "checksum": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "payload": payload,
+        }, sort_keys=True, allow_nan=False).encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["tpch_q6", "pagerank", "mixedgemm"])
+    def test_plan_and_profile_files(self, cache, name):
+        workload = get_workload(name, scale=SCALE)
+        report = ActivePy(plan_mode="search", profile_cache=cache).run(
+            workload.program, workload.dataset
+        )
+        key = cache.key_for(workload.program, workload.dataset, DEFAULT_CONFIG)
+        search = report.search
+        payload = search.to_jsonable()
+        for field in ("plan", "greedy_plan"):
+            plan = getattr(search, field)
+            assert plan.estimates
+            payload[field]["estimates"] = [dataclasses.asdict(e) for e in plan.estimates]
+        assert _plan_path(cache, key).read_bytes() == self._envelope(key, payload)
+        profile = _profile_path(cache, key).read_bytes()
+        stored = json.loads(profile)["payload"]
+        assert profile == self._envelope(key, stored)
 
 
 def _damage_in_place(path: Path, marker: bytes, alphabet: str) -> None:

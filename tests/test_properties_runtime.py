@@ -175,6 +175,11 @@ class _RecordingArea:
         self.writes.append((payload, tear_offset))
         return True
 
+    def write_deferred(self, slot, encode, size, tear_offset):
+        payload = encode()
+        assert len(payload) == size
+        return self.write(slot, payload, tear_offset)
+
 
 _LIVE_VAR_NAMES = st.lists(
     st.text(max_size=40).filter(lambda name: len(name.encode("utf-8")) <= 0xFF),
