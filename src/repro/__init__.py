@@ -36,12 +36,7 @@ from .runtime.activepy import ActivePy, ActivePyReport, RunOptions
 from .runtime.codegen import ExecutionMode
 from .runtime.estimator import net_profit
 from .runtime.planner import Plan, assign_csd_code
-from .baselines import (
-    StaticIspBaseline,
-    run_c_baseline,
-    run_cython_baseline,
-    run_python_baseline,
-)
+from .baselines import StaticIspBaseline, run_c_baseline
 from .workloads import Workload, all_workloads, get_workload, workload_names
 
 __version__ = "1.0.0"
@@ -80,8 +75,6 @@ __all__ = [
     "net_profit",
     "program_from_function",
     "run_c_baseline",
-    "run_cython_baseline",
-    "run_python_baseline",
     "workload_names",
     "__version__",
 ]

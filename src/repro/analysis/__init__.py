@@ -4,7 +4,6 @@ The package sits above the runtime: it imports ActivePy and the
 baselines, and nothing in the runtime imports it.
 """
 
-from .compare import Change, diff_results, max_relative_change
 from .experiments import (
     Fig2Result,
     Fig4Result,
@@ -30,9 +29,6 @@ __all__ = [
     "format_table",
     "SweepResult",
     "sweep_config",
-    "Change",
-    "diff_results",
-    "max_relative_change",
     "UtilizationReport",
     "utilization_report",
     "Fig2Result",

@@ -14,17 +14,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..baselines import StaticIspBaseline, run_c_baseline
+from ..baselines import StaticIspBaseline, run_c_baseline, run_host_only
 from ..baselines.static_isp import ground_truth_estimates
 from ..hw.topology import build_machine
-from ..runtime.activepy import ActivePy, RunOptions, run_plan
+from ..runtime.activepy import ActivePy, RunOptions
 from ..runtime.codegen import ExecutionMode
 from ..runtime.estimator import build_estimates
-from ..runtime.planner import host_only_plan
 from ..runtime.profcache import cached_sampling, default_cache
 from ..runtime.sampling import SamplingPhase
 from ..units import GB
-from ..workloads import Workload, get_workload, workload_names
+from ..workloads import get_workload, workload_names
 from .metrics import geometric_mean, relative_error, speedup
 
 #: The Table I application set (SparseMV is §V/Fig. 5 only).
@@ -289,19 +288,7 @@ def run_overhead_ladder(
             ExecutionMode.C, ExecutionMode.PYTHON,
             ExecutionMode.CYTHON, ExecutionMode.ACTIVEPY,
         ):
-            machine = build_machine(config)
-            machine.csd.store_dataset(workload.dataset.name, workload.raw_bytes)
-            estimates = ground_truth_estimates(
-                workload.program, workload.n_records, config
-            )
-            result = run_plan(
-                machine=machine,
-                program=workload.program,
-                plan=host_only_plan(estimates),
-                dataset=workload.dataset,
-                mode=mode,
-                config=config,
-            )
+            result = run_host_only(workload.program, workload.dataset, mode, config)
             if mode is ExecutionMode.C:
                 c_seconds = result.total_seconds
             modes[mode.value] = result.total_seconds / c_seconds
@@ -479,33 +466,3 @@ def run_csr_matrix_sweep(
             ))
     return rows
 
-
-# --- convenience: one workload end to end ---------------------------------------
-
-@dataclass
-class WorkloadComparison:
-    workload: Workload
-    baseline_seconds: float
-    activepy_seconds: float
-    plan: List[str]
-
-    @property
-    def speedup(self) -> float:
-        return self.baseline_seconds / self.activepy_seconds
-
-
-def compare_workload(
-    name: str,
-    scale: float = 1.0,
-    config: SystemConfig = DEFAULT_CONFIG,
-) -> WorkloadComparison:
-    """C baseline vs ActivePy for one workload (examples use this)."""
-    workload = get_workload(name, scale)
-    baseline = run_c_baseline(workload.program, workload.dataset, config=config)
-    report = ActivePy(config=config).run(workload.program, workload.dataset)
-    return WorkloadComparison(
-        workload=workload,
-        baseline_seconds=baseline.total_seconds,
-        activepy_seconds=report.total_seconds,
-        plan=list(report.plan.assignments),
-    )

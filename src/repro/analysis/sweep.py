@@ -86,18 +86,3 @@ def activepy_speedup_metric(workload_name: str) -> Metric:
 
     return metric
 
-
-def static_isp_speedup_metric(workload_name: str) -> Metric:
-    """Metric: programmer-directed static ISP speedup over C baseline."""
-
-    def metric(config: SystemConfig) -> float:
-        from ..baselines import StaticIspBaseline, run_c_baseline
-        from ..workloads import get_workload
-
-        workload = get_workload(workload_name)
-        baseline = run_c_baseline(workload.program, workload.dataset, config=config)
-        static = StaticIspBaseline(config=config)
-        result = static.run(workload.program, workload.dataset)
-        return baseline.total_seconds / result.total_seconds
-
-    return metric

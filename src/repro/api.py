@@ -22,12 +22,7 @@ from __future__ import annotations
 
 from . import __version__
 from .analysis.export import ReportLike, dump, dumps, to_jsonable
-from .baselines import (
-    StaticIspBaseline,
-    run_c_baseline,
-    run_cython_baseline,
-    run_python_baseline,
-)
+from .baselines import StaticIspBaseline, run_c_baseline
 from .chaos import (
     CampaignConfig,
     CampaignResult,
@@ -107,7 +102,6 @@ from .obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .parallel import merge_metric_snapshots
 from .perfgate import GatedMetric, GateReport, PerfGateError
 from .perfgate import check as perf_check
 from .perfgate import snapshot as perf_snapshot
@@ -222,7 +216,6 @@ __all__ = [
     "evaluate_alerts",
     "explain_plan",
     "get_workload",
-    "merge_metric_snapshots",
     "percentile",
     "perf_check",
     "perf_snapshot",
@@ -230,9 +223,7 @@ __all__ = [
     "render_gantt",
     "run_c_baseline",
     "run_campaign",
-    "run_cython_baseline",
     "run_plan",
-    "run_python_baseline",
     "search_plan",
     "sparkline",
     "to_chrome_trace",

@@ -1,8 +1,9 @@
 """Host-only baselines at the three language-runtime levels.
 
 The paper's performance anchor is the equivalent application written in
-C without any ISP involvement; the Python and Cython variants quantify
-the interpreter-overhead ladder of §V (C +41% → +20% → ~+1%).
+C without any ISP involvement; the Python and Cython modes quantify the
+interpreter-overhead ladder of §V (Python +41% → Cython +20% → ActivePy
+~+1% over C).
 """
 
 from __future__ import annotations
@@ -19,13 +20,18 @@ from ..runtime.executor import ExecutionResult
 from .static_isp import ground_truth_estimates
 
 
-def _run_host_only(
+def run_host_only(
     program: Program,
     dataset: Dataset,
     mode: ExecutionMode,
-    config: SystemConfig,
-    machine: Optional[Machine],
+    config: SystemConfig = DEFAULT_CONFIG,
+    machine: Optional[Machine] = None,
 ) -> ExecutionResult:
+    """Run ``program`` entirely on the host, compiled per ``mode``.
+
+    The §V ladder runs this once per mode; ``ExecutionMode.C`` is the
+    hand-written C anchor.
+    """
     from ..runtime.planner import host_only_plan
 
     if machine is None:
@@ -52,24 +58,5 @@ def run_c_baseline(
     machine: Optional[Machine] = None,
 ) -> ExecutionResult:
     """The equivalent hand-written C application, no ISP."""
-    return _run_host_only(program, dataset, ExecutionMode.C, config, machine)
+    return run_host_only(program, dataset, ExecutionMode.C, config, machine)
 
-
-def run_python_baseline(
-    program: Program,
-    dataset: Dataset,
-    config: SystemConfig = DEFAULT_CONFIG,
-    machine: Optional[Machine] = None,
-) -> ExecutionResult:
-    """Plain CPython: interpreter dispatch + redundant copies."""
-    return _run_host_only(program, dataset, ExecutionMode.PYTHON, config, machine)
-
-
-def run_cython_baseline(
-    program: Program,
-    dataset: Dataset,
-    config: SystemConfig = DEFAULT_CONFIG,
-    machine: Optional[Machine] = None,
-) -> ExecutionResult:
-    """Cython-compiled Python: dispatch gone, copies remain."""
-    return _run_host_only(program, dataset, ExecutionMode.CYTHON, config, machine)

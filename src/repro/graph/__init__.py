@@ -8,14 +8,13 @@ CSR volume over-estimation (§V).
 """
 
 from .csr import CSRMatrix, csr_from_edges, csr_nbytes
-from .generators import power_law_edges, power_law_true_csr_bytes
+from .generators import power_law_true_csr_bytes
 from .pagerank_core import pagerank, spmv
 
 __all__ = [
     "CSRMatrix",
     "csr_from_edges",
     "csr_nbytes",
-    "power_law_edges",
     "power_law_true_csr_bytes",
     "pagerank",
     "spmv",

@@ -120,22 +120,6 @@ def power_law_prefix(
     return src, dst, n_vertices
 
 
-def power_law_edges(
-    n_edges: int,
-    avg_degree: float = 8.0,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 11,
-) -> tuple:
-    """A complete small graph (prefix == population), for tests/examples."""
-    return power_law_prefix(
-        prefix_edges=n_edges,
-        full_edges=n_edges,
-        avg_degree=avg_degree,
-        alpha=alpha,
-        seed=seed,
-    )
-
-
 def power_law_true_csr_bytes(
     n_edges: int,
     avg_degree: float = 8.0,
@@ -151,9 +135,3 @@ def power_law_true_csr_bytes(
         return full
     return full - 8.0 * n_edges  # no values array
 
-
-def distinct_sources(src: np.ndarray) -> int:
-    """Number of distinct source vertices in an edge-list slice."""
-    if src.size == 0:
-        return 0
-    return int(np.unique(src).size)

@@ -8,12 +8,8 @@ external ML dependency — so the workloads' kernels are real.
 
 from .gbdt import GBDTModel, GBDTRegressor, TreeNode, quantise_features
 from .kmeans_core import (
-    KMeansState,
-    inertia,
     init_centroids,
-    init_centroids_pp,
     kmeans_assign,
-    kmeans_fit,
     kmeans_update,
 )
 
@@ -22,11 +18,7 @@ __all__ = [
     "GBDTRegressor",
     "TreeNode",
     "quantise_features",
-    "KMeansState",
-    "inertia",
     "init_centroids",
-    "init_centroids_pp",
     "kmeans_assign",
-    "kmeans_fit",
     "kmeans_update",
 ]

@@ -8,24 +8,9 @@ cheap, host-side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import WorkloadError
-
-
-@dataclass
-class KMeansState:
-    """Centroids plus convergence bookkeeping."""
-
-    centroids: np.ndarray  # (k, d)
-    iteration: int = 0
-    shift: float = np.inf
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
 
 
 def init_centroids(points: np.ndarray, k: int, seed: int = 7) -> np.ndarray:
@@ -38,34 +23,6 @@ def init_centroids(points: np.ndarray, k: int, seed: int = 7) -> np.ndarray:
     rng = np.random.default_rng(seed)
     indices = rng.choice(n, size=k, replace=False)
     return points[indices].copy()
-
-
-def init_centroids_pp(points: np.ndarray, k: int, seed: int = 7) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids D^2-proportionally.
-
-    Converges in fewer Lloyd iterations on clustered data than uniform
-    seeding, at the cost of k extra distance passes.
-    """
-    if points.ndim != 2:
-        raise WorkloadError(f"points must be 2-D, got shape {points.shape}")
-    n = points.shape[0]
-    if k <= 0 or k > n:
-        raise WorkloadError(f"need 0 < k <= {n}, got k={k}")
-    rng = np.random.default_rng(seed)
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    centroids[0] = points[rng.integers(n)]
-    closest = np.full(n, np.inf)
-    for i in range(1, k):
-        deltas = points - centroids[i - 1]
-        closest = np.minimum(closest, np.einsum("nd,nd->n", deltas, deltas))
-        total = closest.sum()
-        if total <= 0:
-            # All points coincide with chosen centroids; fall back to
-            # uniform picks for the remainder.
-            centroids[i:] = points[rng.choice(n, size=k - i, replace=False)]
-            break
-        centroids[i] = points[rng.choice(n, p=closest / total)]
-    return centroids
 
 
 def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -122,34 +79,3 @@ def kmeans_update(
     )
     return centroids, counts
 
-
-def kmeans_fit(
-    points: np.ndarray,
-    k: int,
-    iterations: int = 10,
-    seed: int = 7,
-) -> KMeansState:
-    """Full Lloyd loop, for functional tests and examples."""
-    if iterations < 1:
-        raise WorkloadError(f"iterations must be >= 1, got {iterations}")
-    centroids = init_centroids(points, k, seed=seed)
-    state = KMeansState(centroids=centroids)
-    for _ in range(iterations):
-        labels = kmeans_assign(points, state.centroids)
-        new_centroids, counts = kmeans_update(points, labels, k)
-        # Keep old centroids for clusters that emptied out.
-        empty = counts == 0
-        new_centroids[empty] = state.centroids[empty]
-        state.shift = float(np.linalg.norm(new_centroids - state.centroids))
-        state.centroids = new_centroids
-        state.iteration += 1
-        if state.shift < 1e-9:
-            break
-    return state
-
-
-def inertia(points: np.ndarray, centroids: np.ndarray) -> float:
-    """Sum of squared distances to assigned centroids (quality metric)."""
-    labels = kmeans_assign(points, centroids)
-    deltas = points - centroids[labels]
-    return float(np.einsum("nd,nd->", deltas, deltas))

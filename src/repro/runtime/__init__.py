@@ -8,7 +8,6 @@ migrate the CSD task back to the host when the device degrades.
 
 from .activepy import ActivePy, ActivePyReport
 from .codegen import CompiledProgram, ExecutionMode
-from .coschedule import CoScheduleResult, coschedule_pair
 from .estimator import LineEstimate, build_estimates, net_profit
 from .executor import ExecutionResult, PlanExecutor
 from .fitting import ComplexityCurve, FittedCurve, fit_curve
@@ -23,8 +22,6 @@ __all__ = [
     "ActivePy",
     "ActivePyReport",
     "CompiledProgram",
-    "CoScheduleResult",
-    "coschedule_pair",
     "ExecutionMode",
     "LineEstimate",
     "build_estimates",

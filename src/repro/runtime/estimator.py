@@ -134,9 +134,8 @@ def calibration_constant(config: SystemConfig, counters: Optional[dict] = None) 
     """The constant C that scales host compute time to CSD compute time.
 
     When the device exposes performance counters (our CSE does), C is
-    derived from its nominal per-cycle throughput; otherwise the caller
-    falls back to probing both units with a small program
-    (:func:`calibrate_by_probe`).
+    derived from its nominal per-cycle throughput; otherwise it is the
+    configured host-to-CSE instruction-rate ratio.
     """
     if counters is not None:
         device_ips = counters["ipc_nominal"] * counters["clock_hz"]
@@ -144,19 +143,6 @@ def calibration_constant(config: SystemConfig, counters: Optional[dict] = None) 
             raise PlanningError("device counters report non-positive throughput")
         return config.host_ips / device_ips
     return config.host_ips / config.cse_ips
-
-
-def calibrate_by_probe(host_unit, device_unit, probe_instructions: float = 1e6) -> float:
-    """Measure C by running a small sample program on both units.
-
-    The fallback path of §III-A for devices without readable counters.
-    Advances the simulated clock by the (tiny) probe cost.
-    """
-    host_time = host_unit.execute(probe_instructions)
-    device_time = device_unit.execute(probe_instructions)
-    if host_time <= 0:
-        raise PlanningError("host probe took no measurable time")
-    return device_time / host_time
 
 
 def build_estimates(

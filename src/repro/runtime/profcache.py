@@ -26,7 +26,7 @@ root with ``REPRO_CACHE_DIR``; disable entirely with
 ``REPRO_PROFCACHE=0``) with a checksum over the payload; a corrupted or
 truncated file is ignored with a warning and recomputed, never served.
 Writes are atomic (tempfile + ``os.replace``), so concurrent writers —
-e.g. :mod:`repro.parallel` campaign workers — race benignly: the key is
+e.g. :mod:`repro.chaos.campaign` workers — race benignly: the key is
 content-addressed, every writer writes the same bytes.
 
 A warm hit pays its serialisation once per distinct input per process:

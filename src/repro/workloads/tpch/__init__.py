@@ -9,7 +9,7 @@ drives ISP profit — matches the real benchmark.
 
 from .datagen import generate_lineitem, generate_part
 from .engine import filter_rows, group_aggregate, hash_join, order_by, top_n
-from .queries import q1_reference, q6_reference, q14_reference
+from .queries import q1_reference, q6_reference
 from .schema import LINEITEM_ROW_BYTES, PART_ROW_BYTES, date_index
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "top_n",
     "q1_reference",
     "q6_reference",
-    "q14_reference",
     "LINEITEM_ROW_BYTES",
     "PART_ROW_BYTES",
     "date_index",

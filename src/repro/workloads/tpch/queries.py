@@ -11,7 +11,7 @@ from typing import Dict
 
 import numpy as np
 
-from .engine import Table, filter_rows, group_aggregate, hash_join
+from .engine import Table, filter_rows, group_aggregate
 from .schema import date_index
 
 
@@ -61,45 +61,6 @@ def q6_reference(lineitem: Table) -> float:
     )
     kept = filter_rows(lineitem, mask)
     return float(np.sum(kept["extendedprice"] * kept["discount"]))
-
-
-def q14_reference(lineitem: Table, part: Table) -> float:
-    """Q14: promotion effect.
-
-    Filter one ship month, join ``part``, and return
-    ``100 * promo revenue / total revenue`` (promo = p_type PROMO%).
-    """
-    start = date_index(1995, 9, 1)
-    end = date_index(1995, 10, 1)
-    month = filter_rows(
-        lineitem,
-        (lineitem["shipdate"] >= start) & (lineitem["shipdate"] < end),
-    )
-    joined = hash_join(
-        month, part,
-        left_key="partkey", right_key="p_partkey",
-        right_columns=("p_is_promo",),
-    )
-    revenue = joined["extendedprice"] * (1.0 - joined["discount"])
-    total = float(np.sum(revenue))
-    if total == 0.0:
-        return 0.0
-    promo = float(np.sum(revenue[joined["p_is_promo"]]))
-    return 100.0 * promo / total
-
-
-def q6_selectivity(lineitem: Table) -> float:
-    """Fraction of rows Q6's predicate keeps (for data-reduction checks)."""
-    start = date_index(1994, 1, 1)
-    end = date_index(1995, 1, 1)
-    mask = (
-        (lineitem["shipdate"] >= start)
-        & (lineitem["shipdate"] < end)
-        & (lineitem["discount"] >= 0.05 - 1e-9)
-        & (lineitem["discount"] <= 0.07 + 1e-9)
-        & (lineitem["quantity"] < 24)
-    )
-    return float(np.mean(mask))
 
 
 def summarize(table: Dict[str, np.ndarray]) -> str:

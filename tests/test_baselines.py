@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import PlanningError
 from repro.hw.topology import build_machine
+from repro.runtime.codegen import ExecutionMode
 from repro.runtime.planner import CSD, HOST
 from repro.baselines import (
     StaticIspBaseline,
     ground_truth_estimates,
     run_c_baseline,
-    run_cython_baseline,
-    run_python_baseline,
+    run_host_only,
 )
 
 from .conftest import make_toy_dataset, make_toy_program
@@ -21,15 +21,15 @@ class TestLanguageLadder:
         program = make_toy_program()
         dataset = make_toy_dataset()
         c = run_c_baseline(program, dataset, config=config)
-        cython = run_cython_baseline(program, dataset, config=config)
-        python = run_python_baseline(program, dataset, config=config)
+        cython = run_host_only(program, dataset, ExecutionMode.CYTHON, config)
+        python = run_host_only(program, dataset, ExecutionMode.PYTHON, config)
         assert c.total_seconds < cython.total_seconds < python.total_seconds
 
     def test_python_overhead_near_41_percent(self, config):
         program = make_toy_program()
         dataset = make_toy_dataset()
         c = run_c_baseline(program, dataset, config=config)
-        python = run_python_baseline(program, dataset, config=config)
+        python = run_host_only(program, dataset, ExecutionMode.PYTHON, config)
         assert python.total_seconds / c.total_seconds == pytest.approx(1.41, rel=0.02)
 
     def test_baselines_never_touch_the_csd(self, config):

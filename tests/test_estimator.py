@@ -4,16 +4,13 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import PlanningError
-from repro.hw.compute import ComputeUnit
 from repro.runtime.estimator import (
     build_estimates,
-    calibrate_by_probe,
     calibration_constant,
     net_profit,
 )
 from repro.runtime.sampling import SamplingPhase
 from repro.baselines import ground_truth_estimates
-from repro.sim.clock import SimClock
 
 from .conftest import make_toy_dataset, make_toy_program
 
@@ -52,12 +49,6 @@ class TestCalibrationConstant:
 
     def test_without_counters_falls_back_to_config(self, config):
         assert calibration_constant(config, None) == pytest.approx(2.0)
-
-    def test_probe_measures_ratio(self):
-        clock = SimClock()
-        host = ComputeUnit("host", ips=8e9, clock=clock)
-        device = ComputeUnit("csd", ips=2e9, clock=clock)
-        assert calibrate_by_probe(host, device) == pytest.approx(4.0)
 
     def test_bad_counters(self, config):
         with pytest.raises(PlanningError):

@@ -1,11 +1,10 @@
-"""Shared address space, allocator, and mutable buffer objects."""
+"""Shared address space and free-list allocator."""
 
 import pytest
 
 from repro.errors import AddressError, AllocationError
 from repro.memory.address_space import SharedAddressSpace
 from repro.memory.allocator import Allocation, FreeListAllocator
-from repro.memory.objects import MutableBuffer, place_near_consumer
 
 
 class TestFreeListAllocator:
@@ -113,65 +112,3 @@ class TestSharedAddressSpace:
         with pytest.raises(AddressError):
             self.make_space().region_named("nope")
 
-
-class TestMutableBuffer:
-    def make_space(self):
-        space = SharedAddressSpace()
-        space.map_region("host.dram", 1 << 20, "host")
-        space.map_region("csd.bar", 1 << 20, "csd")
-        return space
-
-    def test_placement(self):
-        space = self.make_space()
-        buffer = MutableBuffer("prices", 4096, space, location="csd")
-        assert buffer.location == "csd"
-
-    def test_move_accounts_bytes(self):
-        space = self.make_space()
-        buffer = MutableBuffer("prices", 4096, space, location="csd")
-        moved = buffer.move_to("host")
-        assert moved == 4096
-        assert buffer.location == "host"
-        assert buffer.bytes_moved == 4096
-        assert buffer.moves == 1
-
-    def test_move_to_same_location_is_free(self):
-        space = self.make_space()
-        buffer = MutableBuffer("prices", 4096, space, location="host")
-        assert buffer.move_to("host") == 0
-        assert buffer.moves == 0
-
-    def test_share_counts_avoided_copies(self):
-        space = self.make_space()
-        buffer = MutableBuffer("prices", 64, space)
-        assert buffer.share() is buffer
-        buffer.share()
-        assert buffer.copies_avoided == 2
-
-    def test_release_frees_space(self):
-        space = self.make_space()
-        region = space.region_named("host.dram")
-        buffer = MutableBuffer("prices", 4096, space)
-        before = region.allocator.bytes_allocated
-        buffer.release()
-        assert region.allocator.bytes_allocated == before - 4096
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(AddressError):
-            MutableBuffer("empty", 0, self.make_space())
-
-
-class TestPlaceNearConsumer:
-    def test_prefers_consumer_location(self):
-        space = SharedAddressSpace()
-        space.map_region("host.dram", 1 << 20, "host")
-        space.map_region("csd.bar", 1 << 20, "csd")
-        buffer = place_near_consumer("x", 64, space, consumer_location="csd")
-        assert buffer.location == "csd"
-
-    def test_falls_back_to_host_when_device_full(self):
-        space = SharedAddressSpace()
-        space.map_region("host.dram", 1 << 20, "host")
-        space.map_region("csd.bar", 128, "csd")
-        buffer = place_near_consumer("big", 4096, space, consumer_location="csd")
-        assert buffer.location == "host"

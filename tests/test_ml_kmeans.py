@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.ml.kmeans_core import (
-    inertia,
-    init_centroids,
-    kmeans_assign,
-    kmeans_fit,
-    kmeans_update,
-)
+from repro.ml.kmeans_core import init_centroids, kmeans_assign, kmeans_update
 
 
 def blob_data(n_per_blob=200, seed=1):
@@ -20,6 +14,31 @@ def blob_data(n_per_blob=200, seed=1):
         center + rng.normal(0, 0.5, size=(n_per_blob, 2)) for center in centers
     ])
     return points, centers
+
+
+def lloyd(points, k, iterations, seed=7):
+    """Lloyd's loop over the workload's primitives: (centroids, iterations, shift).
+
+    Stops early once the centroids stop moving; a cluster that empties
+    keeps its old centroid.
+    """
+    centroids = init_centroids(points, k, seed=seed)
+    shift = np.inf
+    for done in range(1, iterations + 1):
+        new_centroids, counts = kmeans_update(points, kmeans_assign(points, centroids), k)
+        empty = counts == 0
+        new_centroids[empty] = centroids[empty]
+        shift = float(np.linalg.norm(new_centroids - centroids))
+        centroids = new_centroids
+        if shift < 1e-9:
+            break
+    return centroids, done, shift
+
+
+def inertia(points, centroids):
+    """Sum of squared distances to the assigned centroids."""
+    deltas = points - centroids[kmeans_assign(points, centroids)]
+    return float(np.einsum("nd,nd->", deltas, deltas))
 
 
 class TestAssign:
@@ -73,29 +92,27 @@ class TestUpdate:
 class TestFit:
     def test_recovers_separated_blobs(self):
         points, centers = blob_data()
-        state = kmeans_fit(points, k=3, iterations=20)
+        centroids, _, _ = lloyd(points, k=3, iterations=20)
         # Each true center must have a learned centroid within the blob
         # radius.
         for center in centers:
-            distances = np.linalg.norm(state.centroids - center, axis=1)
+            distances = np.linalg.norm(centroids - center, axis=1)
             assert distances.min() < 1.0
 
     def test_inertia_decreases_with_iterations(self):
         points, _ = blob_data()
-        one = kmeans_fit(points, k=3, iterations=1)
-        many = kmeans_fit(points, k=3, iterations=20)
-        assert inertia(points, many.centroids) <= inertia(points, one.centroids) + 1e-9
+        one, _, _ = lloyd(points, k=3, iterations=1)
+        many, _, _ = lloyd(points, k=3, iterations=20)
+        assert inertia(points, many) <= inertia(points, one) + 1e-9
 
     def test_converges_and_stops_early(self):
         points, _ = blob_data()
-        state = kmeans_fit(points, k=3, iterations=200)
-        assert state.iteration < 200
-        assert state.shift < 1e-9
+        _, iterations, shift = lloyd(points, k=3, iterations=200)
+        assert iterations < 200
+        assert shift < 1e-9
 
     def test_validation(self):
         points, _ = blob_data()
-        with pytest.raises(WorkloadError):
-            kmeans_fit(points, k=3, iterations=0)
         with pytest.raises(WorkloadError):
             init_centroids(points, k=0)
         with pytest.raises(WorkloadError):

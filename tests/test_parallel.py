@@ -8,7 +8,6 @@ import pytest
 from repro.chaos.campaign import CampaignConfig, run_campaign
 from repro.errors import ChaosError
 from repro.fleet import FleetCampaignConfig
-from repro.parallel import default_workers, merge_metric_snapshots
 
 #: Small scale so the workers-vs-serial comparison runs in seconds.
 SCALE = 2 ** -8
@@ -89,61 +88,3 @@ class TestParallelMatchesSerial:
             assert ours.shrink.minimal == theirs.shrink.minimal
             assert ours.shrink.probes == theirs.shrink.probes
             assert ours.replay_command == theirs.replay_command
-
-    def test_default_workers_at_least_one(self):
-        assert default_workers() >= 1
-
-
-class TestMergeMetricSnapshots:
-    def test_counters_sum(self):
-        merged = merge_metric_snapshots([
-            {"counters": {"a": 1.0, "b": 2.0}, "gauges": {}, "histograms": {}},
-            {"counters": {"a": 3.0, "c": 5.0}, "gauges": {}, "histograms": {}},
-        ])
-        assert merged["counters"] == {"a": 4.0, "b": 2.0, "c": 5.0}
-
-    def test_gauges_last_write_wins(self):
-        merged = merge_metric_snapshots([
-            {"counters": {}, "gauges": {"depth": 3.0}, "histograms": {}},
-            {"counters": {}, "gauges": {"depth": 1.0}, "histograms": {}},
-        ])
-        assert merged["gauges"] == {"depth": 1.0}
-
-    def test_histograms_accumulate(self):
-        histogram = {"buckets": [1.0, 2.0], "counts": [1, 0, 2],
-                     "sum": 5.5, "count": 3}
-        merged = merge_metric_snapshots([
-            {"counters": {}, "gauges": {}, "histograms": {"h": histogram}},
-            {"counters": {}, "gauges": {}, "histograms": {"h": histogram}},
-        ])
-        assert merged["histograms"]["h"] == {
-            "buckets": [1.0, 2.0], "counts": [2, 0, 4],
-            "sum": 11.0, "count": 6,
-        }
-
-    def test_bucket_mismatch_rejected(self):
-        with pytest.raises(ChaosError, match="bucket"):
-            merge_metric_snapshots([
-                {"histograms": {"h": {"buckets": [1.0], "counts": [0, 0],
-                                      "sum": 0.0, "count": 0}}},
-                {"histograms": {"h": {"buckets": [2.0], "counts": [0, 0],
-                                      "sum": 0.0, "count": 0}}},
-            ])
-
-    def test_empty_and_none_snapshots_skipped(self):
-        merged = merge_metric_snapshots([
-            {}, {"counters": {"a": 1.0}},
-        ])
-        assert merged["counters"] == {"a": 1.0}
-
-    def test_merged_over_real_campaign(self):
-        config = CampaignConfig(runs=4, scale=SCALE, collect_metrics=True)
-        result = run_campaign(config, workers=2)
-        merged = merge_metric_snapshots(
-            [o.metrics for o in result.outcomes if o.metrics]
-        )
-        total = sum(
-            o.metrics["counters"].get("sim.events_fired", 0.0)
-            for o in result.outcomes if o.metrics
-        )
-        assert merged["counters"].get("sim.events_fired", 0.0) == total

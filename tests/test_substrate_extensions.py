@@ -1,11 +1,10 @@
-"""Substrate enrichments: sort/top-n operators, k-means++, importance."""
+"""Substrate enrichments: sort/top-n operators, feature importance."""
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.ml.gbdt import GBDTRegressor
-from repro.ml.kmeans_core import inertia, init_centroids, init_centroids_pp, kmeans_fit
 from repro.workloads.tpch.engine import order_by, top_n
 
 
@@ -60,45 +59,6 @@ class TestTopN:
     def test_invalid_n(self):
         with pytest.raises(WorkloadError):
             top_n({"x": np.ones(3)}, by="x", n=0)
-
-
-class TestKMeansPlusPlus:
-    def blobs(self, n_per=150, spread=0.3):
-        rng = np.random.default_rng(3)
-        centers = np.array([[-20.0, 0.0], [20.0, 0.0], [0.0, 20.0], [0.0, -20.0]])
-        return np.concatenate([
-            c + rng.normal(0, spread, size=(n_per, 2)) for c in centers
-        ]), centers
-
-    def test_seeds_spread_across_blobs(self):
-        points, centers = self.blobs()
-        seeds = init_centroids_pp(points, k=4, seed=11)
-        # Every true center should have a seed nearby.
-        for center in centers:
-            assert np.linalg.norm(seeds - center, axis=1).min() < 2.0
-
-    def test_better_or_equal_initial_inertia_than_uniform(self):
-        points, _ = self.blobs()
-        pp = inertia(points, init_centroids_pp(points, k=4, seed=2))
-        uniform = inertia(points, init_centroids(points, k=4, seed=2))
-        assert pp <= uniform * 1.05
-
-    def test_degenerate_identical_points(self):
-        points = np.zeros((50, 3))
-        seeds = init_centroids_pp(points, k=4)
-        assert seeds.shape == (4, 3)
-
-    def test_validation(self):
-        points, _ = self.blobs()
-        with pytest.raises(WorkloadError):
-            init_centroids_pp(points, k=0)
-        with pytest.raises(WorkloadError):
-            init_centroids_pp(np.zeros(5), k=1)
-
-    def test_fit_still_converges_from_pp_seeds(self):
-        points, _ = self.blobs()
-        state = kmeans_fit(points, k=4, iterations=30)
-        assert state.shift < 1e-9
 
 
 class TestFeatureImportance:

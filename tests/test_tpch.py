@@ -10,13 +10,10 @@ from repro.workloads.tpch.datagen import (
     part_rows_for,
 )
 from repro.workloads.tpch.engine import filter_rows, group_aggregate, hash_join
-from repro.workloads.tpch.queries import (
-    q1_reference,
-    q6_reference,
-    q6_selectivity,
-    q14_reference,
-)
+from repro.workloads.tpch.queries import q1_reference, q6_reference
 from repro.workloads.tpch.schema import EPOCH, MAX_DATE_INDEX, date_index
+
+from .oracles import q14_reference
 
 
 class TestSchema:
@@ -51,7 +48,14 @@ class TestDatagen:
     def test_q6_selectivity_matches_spec(self):
         # year x discount band x quantity cut ~ 1.8%.
         table = generate_lineitem(300_000)
-        assert q6_selectivity(table) == pytest.approx(0.0181, rel=0.15)
+        start, end = date_index(1994, 1, 1), date_index(1995, 1, 1)
+        mask = (
+            (table["shipdate"] >= start) & (table["shipdate"] < end)
+            & (table["discount"] >= 0.05 - 1e-9)
+            & (table["discount"] <= 0.07 + 1e-9)
+            & (table["quantity"] < 24)
+        )
+        assert float(np.mean(mask)) == pytest.approx(0.0181, rel=0.15)
 
     def test_part_keys_unique(self):
         part = generate_part(1000)

@@ -177,8 +177,18 @@ class TestWorkloadResults:
         assert np.allclose(result["sum_disc_price"], expected["sum_disc_price"])
 
     def test_tpch_q14_in_promo_band(self):
+        from repro.workloads.tpch.datagen import LINEITEM_PER_PART, generate_part
+
+        from .oracles import q14_reference
+
         workload = get_workload("tpch_q14", scale=TEST_SCALES["tpch_q14"])
-        result = workload.program.run_kernels(workload.dataset.payload)
+        lineitem = workload.dataset.payload
+        result = workload.program.run_kernels(lineitem)
+        # The part table the join line reads, laid out off the scanned
+        # population size.
+        part = generate_part(max(1, lineitem["shipdate"].size // LINEITEM_PER_PART))
+        expected = q14_reference(lineitem, part)
+        assert result["promo_revenue_pct"] == pytest.approx(expected)
         assert 5.0 < result["promo_revenue_pct"] < 40.0
 
     def test_lightgbm_model_learns_signal(self):
