@@ -3,15 +3,15 @@
 Two deterministic claims the perf gate pins:
 
 * **Never worse.**  Over the whole workload rotation, the search's
-  speculative makespan is at most greedy's on every workload — the
+  fault-free makespan is at most greedy's on every workload — the
   search is exact and keeps greedy's plan on a tie, so this is
   structural, and ``never_worse.max_search_minus_greedy_s`` stays
   pinned at <= 0.
 * **Strictly better where Eq. 1 extrapolates wrong.**  On the §V CSR
   workloads (``pagerank``, ``sparsemv``) the sampled volume curve
   over-predicts the conversion's output ~2.4x, greedy keeps it on the
-  host, and the speculative search — which *measures* candidate
-  prefixes on forked simulator states instead of trusting the fit —
+  host, and the search — which *prices* candidate steps from the
+  volumes the executor charges instead of trusting the fit —
   offloads it.  The gate pins both workloads' greedy and search
   makespans, so the win can neither erode nor silently vanish.
 
@@ -19,7 +19,7 @@ Search wall time over the full rotation is also recorded and gated
 with a generous band: the search must stay interactive-planning cheap
 (milliseconds per workload), not grow into a second sampling phase.
 The rotation's total ``steps_simulated`` is gated too, exactly: the
-branch-and-bound measures 96 of the 122 steps an unpruned pass would,
+branch-and-bound prices 96 of the 122 steps an unpruned pass would,
 and losing the bound would show up as a rise.
 """
 

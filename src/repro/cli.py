@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--plan-mode", choices=PLAN_MODES, default="greedy",
         help="how step 3 picks the host/CSD split: the paper's greedy "
-             "Algorithm 1, or the exact speculative search",
+             "Algorithm 1, or the exact plan search",
     )
     run_parser.add_argument("--trace", action="store_true",
                             help="render the run's spans as a Gantt chart")

@@ -16,6 +16,8 @@ see DESIGN.md §5 for the calibration rationale of each value.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -201,6 +203,16 @@ class SystemConfig:
     integrity_verify_bandwidth: float = 64.0 * GB
 
     def __post_init__(self) -> None:
+        # Every bound below, and the plan search's pruning, needs a
+        # number that compares: NaN passes no check and fails none.
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if type(value) not in (float, int) and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         positive_fields = (
             "host_ips", "cse_ips", "bw_host_storage", "bw_internal",
             "bw_d2h", "nand_capacity_bytes", "device_dram_bytes",
@@ -222,6 +234,11 @@ class SystemConfig:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.sampling_factors:
             raise ConfigError("sampling_factors must not be empty")
+        if any(
+            isinstance(f, bool) or not isinstance(f, numbers.Real)
+            for f in self.sampling_factors
+        ):
+            raise ConfigError(f"sampling factors must be numbers, got {self.sampling_factors!r}")
         if any(not 0 < f < 1 for f in self.sampling_factors):
             raise ConfigError("sampling factors must lie in (0, 1)")
         if list(self.sampling_factors) != sorted(self.sampling_factors):
@@ -307,6 +324,11 @@ class SystemConfig:
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **changes)
 
+
+#: The fields that hold a number; each must be a finite one.
+_NUMERIC_FIELDS = tuple(
+    spec.name for spec in dataclasses.fields(SystemConfig) if spec.type in ("float", "int")
+)
 
 #: Default platform used by tests, examples and benchmarks.
 DEFAULT_CONFIG = SystemConfig()

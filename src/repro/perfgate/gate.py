@@ -156,7 +156,7 @@ GATED_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
         GatedMetric(
             "wall.rotation_search_wall_seconds", "max", rel_tol=1.5, abs_tol=5.0
         ),
-        # Speculative steps the search measures over the rotation: the
+        # Steps the search prices over the rotation: the
         # branch-and-bound skips steps that can neither win nor tie, and
         # a lost bound shows up here as a rise.
         GatedMetric("steps.rotation_steps_simulated", "max"),

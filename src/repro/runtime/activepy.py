@@ -13,11 +13,13 @@ dataclass.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..errors import PlanningError
+from ..errors import ConfigError, PlanningError
 from ..faults import FaultInjector, FaultPlan
 from ..hw.topology import Machine, build_machine
 from ..lang.dataset import Dataset
@@ -35,8 +37,8 @@ from .sampling import SamplingPhase, SamplingReport
 __all__ = ["ActivePy", "ActivePyReport", "PLAN_MODES", "RunOptions", "run_plan"]
 
 #: How step 3 picks the host/CSD split: the paper's greedy Algorithm 1,
-#: or the exact speculative search over forked simulator states
-#: (:mod:`repro.runtime.plansearch`).
+#: or the exact search over steps priced in closed form, each what the
+#: executor would charge for it (:mod:`repro.runtime.plansearch`).
 PLAN_MODES = ("greedy", "search")
 
 
@@ -52,7 +54,9 @@ class RunOptions:
     progress_triggers:
         Experiment machinery: ``(progress_fraction, availability)``
         pairs that throttle the CSE when the offloaded work crosses a
-        progress fraction (the paper's Figure 5 study).
+        progress fraction (the paper's Figure 5 study).  Each is a pair
+        of finite numbers, the fraction in [0, 1] and the availability
+        in (0, 1]; anything else raises :class:`ConfigError`.
     fault_plan:
         Deterministic fault injection (:mod:`repro.faults`) armed
         before execution.
@@ -66,6 +70,35 @@ class RunOptions:
     progress_triggers: Tuple[ProgressTrigger, ...] = ()
     fault_plan: Optional[FaultPlan] = None
     obs: Optional[Observability] = None
+
+    def __post_init__(self) -> None:
+        _check_progress_triggers(self.progress_triggers)
+
+
+def _check_progress_triggers(triggers: Sequence[ProgressTrigger]) -> None:
+    """Raise :class:`ConfigError` unless every trigger is a pair of finite
+    numbers, the fraction in [0, 1] and the availability in (0, 1]."""
+    try:
+        pairs = [tuple(trigger) for trigger in triggers]
+    except TypeError:
+        raise ConfigError(
+            f"progress triggers must be (fraction, availability) pairs, got {triggers!r}"
+        ) from None
+    for pair in pairs:
+        if not (
+            len(pair) == 2
+            and all(
+                isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value)
+                for value in pair
+            )
+            and 0.0 <= pair[0] <= 1.0
+            and 0.0 < pair[1] <= 1.0
+        ):
+            raise ConfigError(
+                "a progress trigger is a pair of finite numbers, the fraction in "
+                f"[0, 1] and the availability in (0, 1]; got {pair!r}"
+            )
 
 
 @dataclass
@@ -158,9 +191,9 @@ class ActivePy:
         are meant to differ run to run).
     plan_mode:
         "greedy" runs the paper's Algorithm 1 (the default); "search"
-        runs the exact speculative search
-        (:mod:`repro.runtime.plansearch`), which returns the plan with
-        the smallest speculative makespan and keeps greedy's on a tie.
+        runs the exact plan search (:mod:`repro.runtime.plansearch`),
+        which returns the plan with the smallest fault-free makespan
+        and keeps greedy's on a tie.
         Search results are keyed into the profile cache, so warm runs
         skip the search entirely.
     """
@@ -266,9 +299,10 @@ class ActivePy:
         )
 
         # 3. Pick the CSD code regions: Algorithm 1's greedy pass, and
-        #    — in "search" mode — the exact search over steps measured
-        #    on forked simulator states, which keeps greedy's plan on a
-        #    tie so it can only match or beat it.  Like greedy, the search is
+        #    — in "search" mode — the exact search over steps priced in
+        #    closed form (each bit for bit what the executor charges for
+        #    it fault-free), which keeps greedy's plan on a tie so it can
+        #    only match or beat it.  Like greedy, the search is
         #    digital-twin work and charges no simulated time; its wall
         #    cost is bounded by the perf gate and amortised by the
         #    profile cache.
@@ -414,6 +448,7 @@ def run_plan(
     against the device holding the dataset.  ``fault_plan`` arms
     deterministic fault injection before execution.
     """
+    _check_progress_triggers(progress_triggers)
     device = _resolve_device(machine, dataset)
     injector = None
     if fault_plan is not None and len(fault_plan) > 0:

@@ -12,8 +12,11 @@ IPC, and the plan's own fitted estimates.
 :meth:`PlanExecutor.step`, over the plan, started by ``begin`` and
 closed by ``finish`` (the final readback).  The per-run variables live
 in a :class:`RunState`.  Plan search (:mod:`repro.runtime.plansearch`)
-measures its speculative steps by calling the same ``step`` and
-``finish`` on a fresh state, so there is one execution path.
+prices a step in closed form: the clock advances ``step`` makes on a
+fault-free, undisturbed machine, added in the same order, so a change
+to the charges here must change them there too
+(``tests/test_plansearch.py`` holds the two equal with ``==`` on random
+programs and configs).
 
 Each line executes in ``chunks`` pieces (its dynamic instances).  After
 every CSD chunk the device posts a status update, the simulator fires
@@ -169,8 +172,8 @@ class RunState:
     """The per-run variables :meth:`PlanExecutor.step` folds over.
 
     Built by :meth:`PlanExecutor.begin`; one state carries a whole
-    :meth:`~PlanExecutor.execute`, while plan search builds a fresh one
-    per measured step, seeded with that step's ``value_location``.
+    :meth:`~PlanExecutor.execute`.  ``value_location`` seeds where the
+    live value starts, so a single line-step can also run alone.
     """
 
     compiled: CompiledProgram
@@ -282,7 +285,7 @@ class PlanExecutor:
                 "migration needs the plan's line estimates for re-estimation"
             )
         triggers = sorted(progress_triggers, reverse=True)
-        # Only the triggers read the total; plan search steps skip it.
+        # Only the triggers read the total.
         total_csd_instr = sum(
             statement.instructions(n)
             for statement, where in zip(program, plan.assignments)

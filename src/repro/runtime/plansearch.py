@@ -1,4 +1,4 @@
-"""Exact plan search: a two-state dynamic program over measured steps.
+"""Exact plan search: a two-state dynamic program over priced steps.
 
 Algorithm 1 plans from Equation 1's *fitted* estimates and inherits the
 sampling phase's extrapolation errors.  In §V's CSR case study
@@ -6,12 +6,18 @@ sampling phase's extrapolation errors.  In §V's CSR case study
 conversion's output ~2.4x, so greedy keeps it on the host while the
 oracle offloads it; no re-fitting at sample scale can see that bend.
 
-The search measures instead.  A step — line ``i`` at ``location`` with
-the live value on ``value_location`` — is dry-run on a restored
-snapshot of a speculative machine through ``PlanExecutor.step``, the
-stepper ``execute`` folds over, and costs the simulated seconds that
-elapse.  A makespan is the left fold of its steps in line order, and a
-step sees the past only through where the live value sits, so the state
+The search prices each step instead, from the ground-truth volumes
+the executor charges.  A step — line ``i`` at ``location`` with the
+live value on ``value_location`` — costs the simulated seconds
+``PlanExecutor.step`` would advance the clock by on a fault-free,
+undisturbed machine.  :func:`_step_seconds` is that step in closed
+form: the executor's clock advances (input move, doorbell, per-chunk
+transfer, stretch, compute, verify, checkpoint and status message)
+added in the executor's order, from the clock reading a run starts its
+first line at, so it equals the executor's own measurement bit for bit
+(``tests/test_plansearch.py`` holds it to a fresh machine with ``==``).
+A makespan is the left fold of its steps in line order, and a step
+sees the past only through where the live value sits, so the state
 space is a two-state chain and a Viterbi-style pass is exact::
 
     best[-1] = {HOST: 0.0}
@@ -22,7 +28,7 @@ Every path is summed by the same fold and IEEE addition is monotone, so
 the DP minimum equals the brute-force minimum over all 2^k assignments
 with no epsilon.
 
-The pass is a branch-and-bound: a step is measured only if it can still
+The pass is a branch-and-bound: a step is priced only if it can still
 win.  At each (line, location) the prefix ending on the cheaper
 predecessor is completed first; the other predecessor's step is skipped
 when that predecessor's prefix alone is strictly greater than the
@@ -30,40 +36,48 @@ candidate found.  A step costs at least 0.0 seconds and rounding never
 makes ``a + s`` smaller than ``a``, so a skipped candidate could neither
 win nor tie: the kept ``best`` values and prefixes are those of the
 unpruned pass, bit for bit, and the final readback is bounded the same
-way.  Measured steps are memoised; greedy's walk and the all-host walk
-then measure, lazily, any step they still need.  A search measures at
-most 4k-1 steps with the CSD on (line 0 is only fed from the host) and
+way.  Priced steps are memoised; greedy's walk and the all-host walk
+then price, lazily, any step they still need.  A search prices at most
+4k-1 steps with the CSD on (line 0 is only fed from the host) and
 exactly k with it off (``SearchReport.steps_simulated``); over the
-rotation at scale 1 it measures 96 of 122.  Skipping steps is sound
-only because a step's seconds do not depend on which steps ran before
-it on the shared speculative machine, which tier-1 checks.
+rotation at scale 1 it prices 96 of 122.  Skipping steps is sound
+because a step's seconds are a pure function of the program, the
+record count, the config and the step.
 
 When greedy's walked makespan ties the optimum its assignment is
 returned bit for bit, so the search is never worse than Algorithm 1.
-Nothing here reads a statement's ground-truth cost model.
+Unlike Algorithm 1, the search reads the statements' ground-truth cost
+face, exactly as much of it as the executor charges: it stands for
+running each step on the machine, which is how it sees the volumes the
+sampled curves get wrong.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import chain, repeat
+from operator import add
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..config import SystemConfig
 from ..errors import PlanningError
-from ..hw.topology import Machine, build_machine
 from ..lang.dataset import Dataset
 from ..lang.program import Program
-from ..obs import Observability
-from .codegen import CodeGenerator, ExecutionMode
+from .codegen import ExecutionMode
 from .estimator import LineEstimate
-from .executor import PlanExecutor
 from .planner import CSD, HOST, Plan, assign_csd_code, host_only_plan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs import Observability
 
 __all__ = ["SearchReport", "search_plan"]
 
-#: A speculative step: line ``index`` runs at ``location`` with the
-#: live value currently on ``value_location``.
+#: A step: line ``index`` runs at ``location`` with the live value
+#: currently on ``value_location``.
 _StepKey = Tuple[int, str, str]
 
 #: Sentinel index for the final device→host readback step.
@@ -76,11 +90,11 @@ class SearchReport:
 
     plan: Plan
     greedy_plan: Plan
-    #: Speculative (fault-free simulated) makespan of the chosen plan.
+    #: Fault-free simulated makespan of the chosen plan.
     makespan_s: float
-    #: Speculative makespan of greedy's plan over the same steps.
+    #: Fault-free makespan of greedy's plan over the same steps.
     greedy_makespan_s: float
-    #: Distinct speculative line-steps simulated.
+    #: Distinct line-steps priced.
     steps_simulated: int = 0
     #: Host wall-clock seconds the search took.
     wall_seconds: float = 0.0
@@ -146,42 +160,93 @@ class SearchReport:
             raise PlanningError(f"malformed search report payload: {exc}") from exc
 
 
-class _SpeculativeMachine:
-    """A private fault-free machine the search dry-runs steps on.
+def _transfer(
+    latency: float, nbytes: float, bandwidth: float, multiplier: float
+) -> Tuple[float, ...]:
+    """The advances of ``PlanExecutor._move``: the wire time, then its stretch."""
+    if nbytes <= 0:
+        return ()
+    elapsed = latency + nbytes / bandwidth
+    return (elapsed, elapsed * (multiplier - 1.0))
 
-    Every line's device binary is installed and a base snapshot taken
-    once (no events pending, so restoring it is O(1)); each step
-    restores it, runs one line through ``PlanExecutor.step`` and reads
-    the clock.  No fault, trigger, obs or migration branch ever runs.
+
+def _verify(nbytes: float, config: SystemConfig) -> Tuple[float, ...]:
+    """The advance of ``IntegrityChecker.charge_verify``."""
+    if config.integrity_enabled and nbytes > 0:
+        return (nbytes / config.integrity_verify_bandwidth,)
+    return ()
+
+
+def _chunk(
+    latency: float, nbytes: float, bandwidth: float, multiplier: float,
+    instructions: float, ips: float, config: SystemConfig,
+) -> Tuple[float, ...]:
+    """The advances of ``PlanExecutor._chunk``: the move and the compute
+    (their max when overlapped), then the verify charge."""
+    compute = instructions / ips
+    if config.overlap_io_compute:
+        io = (latency + nbytes / bandwidth) * multiplier if nbytes > 0 else 0.0
+        work: Tuple[float, ...] = (max(io, compute),)
+    else:
+        work = _transfer(latency, nbytes, bandwidth, multiplier) + (compute,)
+    return work + _verify(nbytes, config)
+
+
+def _step_advances(
+    program: Program, n: float, config: SystemConfig, key: _StepKey
+) -> Iterator[float]:
+    """The clock advances of one fault-free, undisturbed line-step.
+
+    What ``PlanExecutor.step`` (``finish`` for the readback) advances
+    the clock by on a machine nothing else runs on, in its order: the
+    input move; for a CSD line the doorbell and the entry checkpoint,
+    then per chunk the internal stream, the compute, the verify charge,
+    the checkpoint and the status message; for a host line per chunk
+    the storage read, the compute and the verify charge.  Zero advances
+    within a chunk are dropped, since adding 0.0 is exact.
     """
-
-    def __init__(self, program: Program, dataset: Dataset, config: SystemConfig) -> None:
-        self.n_records = dataset.n_records
-        self.machine: Machine = build_machine(config, obs=Observability.disabled())
-        self.machine.csd.store_dataset(dataset.name, dataset.raw_bytes)
-        # With the CSD disabled nothing is ever dispatched to it.
-        scaffold = Plan(
-            assignments=[CSD if config.csd_enabled else HOST] * len(program),
-            t_host=0.0, t_csd=0.0, origin="external",
+    index, location, value_location = key
+    m = ExecutionMode.ACTIVEPY.time_multiplier(config)
+    lat = config.effective_link_latency_s
+    n = float(n)
+    if index == _FINAL:
+        nbytes = program[len(program) - 1].output_bytes(n)
+        return iter(_transfer(lat, nbytes, config.bw_d2h, m) + _verify(nbytes, config))
+    statement = program[index]
+    chunks = statement.chunks
+    instructions = statement.instructions(n) * m / chunks
+    storage = statement.storage_bytes(n) / chunks
+    d_in = program.input_bytes(index, n)
+    head: Tuple[float, ...] = ()
+    if location != value_location and d_in > 0:
+        head = _transfer(lat, d_in, config.bw_d2h, m) + _verify(d_in, config)
+    if location == CSD:
+        checkpoint = config.checkpoint_write_cost_s if config.checkpoint_enabled else 0.0
+        head += (lat, checkpoint)
+        # The internal bus has no latency.
+        body = _chunk(
+            0.0, storage, config.bw_internal, m, instructions, config.cse_ips, config,
+        ) + (checkpoint, lat)
+    else:
+        body = _chunk(
+            lat, storage, config.bw_host_storage, m, instructions, config.host_ips, config,
         )
-        self.compiled = CodeGenerator(config).generate(
-            self.machine, program, scaffold, mode=ExecutionMode.ACTIVEPY,
-        )
-        self.base = self.machine.simulator.snapshot()
+    return chain(head, chain.from_iterable(repeat(tuple(t for t in body if t), chunks)))
 
-    def step_seconds(self, key: _StepKey) -> float:
-        """Simulated seconds of one line-step, measured from the base snapshot."""
-        index, location, value_location = key
-        simulator = self.machine.simulator
-        simulator.restore(self.base)
-        executor = PlanExecutor(self.machine, migration_enabled=False)
-        state = executor.begin(self.compiled, self.n_records, value_location=value_location)
-        started = simulator.now
-        if index == _FINAL:
-            executor.finish(state)
-        else:
-            executor.step(state, index, location)
-        return simulator.now - started
+
+def _step_seconds(program: Program, n: float, config: SystemConfig, key: _StepKey) -> float:
+    """Simulated seconds of one fault-free, undisturbed line-step.
+
+    The left fold of :func:`_step_advances`.  A float sum depends on
+    the running total it is added to, so the fold starts where a run's
+    clock stands when its first line starts, after the compile charge,
+    and returns the difference: bit for bit what the executor measures
+    for the step on a freshly compiled machine.  Folding from 0.0
+    instead misses most steps in the last bits (117 of the 142
+    rotation steps at scale 1/4).
+    """
+    started = float(ExecutionMode.ACTIVEPY.compile_seconds(config))
+    return reduce(add, _step_advances(program, n, config, key), started) - started
 
 
 def search_plan(
@@ -195,8 +260,8 @@ def search_plan(
     """The minimum-makespan host/CSD assignment; never worse than greedy.
 
     The returned plan has ``origin="search"``, and its ``t_host`` and
-    ``t_csd`` are *measured* speculative makespans (all-host, and the
-    winner), not fitted projections.  ``greedy`` defaults to Algorithm
+    ``t_csd`` are fault-free makespans summed from priced steps
+    (all-host, and the winner), not fitted projections.  ``greedy`` defaults to Algorithm
     1 on ``estimates``.  A greedy plan of the wrong length, or one that
     offloads while the CSD is disabled, raises :class:`PlanningError`.
     """
@@ -214,12 +279,12 @@ def search_plan(
             f"{k}-line plan over {list(locations)}"
         )
 
-    spec = _SpeculativeMachine(program, dataset, config) if k else None
+    n = dataset.n_records
     steps: Dict[_StepKey, float] = {}
 
     def step(key: _StepKey) -> float:
         if key not in steps:
-            steps[key] = spec.step_seconds(key)
+            steps[key] = _step_seconds(program, n, config, key)
         return steps[key]
 
     def finish(value_location: str, elapsed: float) -> float:
@@ -241,7 +306,7 @@ def search_plan(
         Prefixes are completed cheapest first.  Completing adds steps of
         at least 0.0, so once a prefix alone exceeds the winner so far,
         neither it nor any later prefix can win or tie: their steps are
-        never measured.
+        never priced.
         """
         winner: Optional[Tuple[float, Tuple[str, ...]]] = None
         for location, (elapsed, prefix) in sorted(best.items(), key=lambda item: item[1][0]):

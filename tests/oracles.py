@@ -1,13 +1,22 @@
 """Independent oracles that only the tests use.
 
-Each one computes an answer straight from the data, without the program
-model or the simulator, so a test can hold the live kernels to it.
+Each one computes an answer another way than the code it checks, so a
+test can hold that code to it: the TPC-H reference straight from the
+data, without the program model or the simulator; the plan-search step
+by running it on a freshly built machine, not in closed form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.hw.topology import build_machine
+from repro.lang.program import Program
+from repro.obs import Observability
+from repro.runtime.codegen import CodeGenerator, ExecutionMode
+from repro.runtime.executor import PlanExecutor
+from repro.runtime.planner import CSD, HOST, Plan
+from repro.runtime.plansearch import _FINAL
 from repro.workloads.tpch.engine import Table, filter_rows, hash_join
 from repro.workloads.tpch.schema import date_index
 
@@ -35,3 +44,33 @@ def q14_reference(lineitem: Table, part: Table) -> float:
         return 0.0
     promo = float(np.sum(revenue[joined["p_is_promo"]]))
     return 100.0 * promo / total
+
+
+def step_seconds_on_fresh_machine(program: Program, n_records, config, key) -> float:
+    """Simulated seconds of one plan-search step, run on a fresh machine.
+
+    ``key`` is ``(index, location, value_location)``, or ``(_FINAL,
+    HOST, CSD)`` for the final readback.  Builds the machine, compiles
+    the program in ACTIVEPY mode with every line for the device (for
+    the host with the CSD off), begins a run with the live value on
+    ``value_location`` and runs the one line through
+    ``PlanExecutor.step`` (the readback through ``finish``), reading the
+    clock before and after.
+    """
+    index, location, value_location = key
+    machine = build_machine(config, obs=Observability.disabled())
+    scaffold = Plan(
+        assignments=[CSD if config.csd_enabled else HOST] * len(program),
+        t_host=0.0, t_csd=0.0, origin="external",
+    )
+    compiled = CodeGenerator(config).generate(
+        machine, program, scaffold, mode=ExecutionMode.ACTIVEPY,
+    )
+    executor = PlanExecutor(machine, migration_enabled=False)
+    state = executor.begin(compiled, n_records, value_location=value_location)
+    started = machine.now
+    if index == _FINAL:
+        executor.finish(state)
+    else:
+        executor.step(state, index, location)
+    return machine.now - started

@@ -1,5 +1,7 @@
 """SystemConfig validation and derived quantities."""
 
+import math
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
@@ -65,6 +67,33 @@ class TestValidation:
             SystemConfig(ipc_degradation_threshold=0.0)
         with pytest.raises(ConfigError):
             SystemConfig(ipc_degradation_threshold=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bw_internal", math.nan),
+        ("host_ips", math.nan),
+        ("link_latency_s", math.nan),
+        ("compile_overhead_s", math.nan),
+        ("bw_d2h", math.inf),
+        ("checkpoint_write_cost_s", -math.inf),
+        ("cse_cores", math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        # NaN passes every range check (each comparison is False), and
+        # the plan search's pruning needs steps that compare.
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("bw_internal", "x"), ("host_ips", None), ("cse_cores", True),
+        ("link_latency_s", [5e-6]),
+    ])
+    def test_non_numeric_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            SystemConfig(**{field: value})
+
+    def test_non_numeric_sampling_factor_rejected(self):
+        with pytest.raises(ConfigError, match="must be numbers"):
+            SystemConfig(sampling_factors=("x",))
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError):

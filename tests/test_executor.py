@@ -1,5 +1,9 @@
 """Plan execution: timing fidelity, transfers, migration paths."""
 
+import itertools
+from functools import reduce
+from operator import add
+
 import pytest
 
 from repro.errors import MigrationError, ProgramError
@@ -8,6 +12,7 @@ from repro.runtime.activepy import run_plan
 from repro.runtime.codegen import CodeGenerator, ExecutionMode
 from repro.runtime.executor import PlanExecutor
 from repro.runtime.planner import CSD, HOST, Plan, assign_csd_code, host_only_plan
+from repro.runtime.plansearch import _step_advances
 from repro.baselines import ground_truth_estimates
 
 from .conftest import make_toy_dataset, make_toy_program
@@ -29,15 +34,22 @@ def compiled_for(machine, assignments, config, mode=ExecutionMode.C):
 
 class TestHostOnlyTiming:
     def test_matches_analytic_time(self, config, machine):
-        compiled = compiled_for(machine, [HOST, HOST, HOST], config)
+        # The closed form of each step's clock advances (per-chunk
+        # latency, storage read, stretch and compute), folded over the
+        # host-only plan from the clock reading after codegen, is the
+        # run's time exactly.  Summing the steps' seconds instead rounds
+        # differently, by a few ulps.
+        compiled = compiled_for(
+            machine, [HOST, HOST, HOST], config, mode=ExecutionMode.ACTIVEPY
+        )
+        started = machine.now
         result = PlanExecutor(machine, migration_enabled=False).execute(compiled, N)
         program = make_toy_program()
-        expected = sum(
-            s.instructions(N) / config.host_ips for s in program
-        ) + program[0].storage_bytes(N) / config.bw_host_storage
-        # Chunked storage reads add per-chunk link latency.
-        slack = 70 * config.link_latency_s
-        assert result.total_seconds == pytest.approx(expected, abs=slack + 1e-6)
+        advances = itertools.chain.from_iterable(
+            _step_advances(program, N, config, (index, HOST, HOST))
+            for index in range(len(program))
+        )
+        assert result.total_seconds == reduce(add, advances, started) - started
 
     def test_line_timings_cover_program(self, config, machine):
         compiled = compiled_for(machine, [HOST, HOST, HOST], config)

@@ -4,15 +4,17 @@ import dataclasses
 import itertools
 import json
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.errors import PlanningError
 from repro.hw.topology import build_machine
+from repro.lang.program import Program, Statement, linear
 from repro.obs import Observability
 from repro.runtime import plansearch
 from repro.runtime.activepy import ActivePy, RunOptions
@@ -23,12 +25,14 @@ from repro.runtime.planner import CSD, HOST, Plan, assign_csd_code
 from repro.runtime.plansearch import (
     _FINAL,
     SearchReport,
-    _SpeculativeMachine,
+    _step_seconds,
     search_plan,
 )
 from repro.runtime.profcache import ProfileCache
 from repro.runtime.sampling import SamplingPhase
 from repro.workloads import get_workload, workload_names
+
+from .oracles import step_seconds_on_fresh_machine
 
 #: Small enough for fast tests; the §V CSR effect is scale-invariant
 #: (sample prefixes stay "sample-shaped" at any population size), so
@@ -63,8 +67,8 @@ def _locations(config):
 
 
 def _step_table(workload, config=DEFAULT_CONFIG):
-    """Every (line, location, value-location) step, measured eagerly."""
-    spec = _SpeculativeMachine(workload.program, workload.dataset, config)
+    """Every (line, location, value-location) step, priced eagerly."""
+    program, n = workload.program, workload.dataset.n_records
     locations = _locations(config)
     keys = [
         (index, location, value_location)
@@ -74,7 +78,7 @@ def _step_table(workload, config=DEFAULT_CONFIG):
     ]
     if config.csd_enabled:
         keys.append((_FINAL, HOST, CSD))
-    return {key: spec.step_seconds(key) for key in keys}
+    return {key: _step_seconds(program, n, config, key) for key in keys}
 
 
 def _walk(steps, assignments):
@@ -122,11 +126,8 @@ FIDELITY_CONFIGS = {
 
 
 class TestFidelity:
-    """The step table reproduces the executor, step for step.
-
-    Steps run through the same ``PlanExecutor.step`` that ``execute``
-    folds over, so this holds by construction; the test guards it.
-    """
+    """The step table reproduces the executor's fault-free run of every
+    plan, summed in line order."""
 
     @pytest.mark.parametrize("config_name", list(FIDELITY_CONFIGS))
     @pytest.mark.parametrize("workload_name", ["tpch_q6", "pagerank"])
@@ -278,29 +279,21 @@ class TestValidation:
             SearchReport.from_jsonable({"plan": {}})
 
 
-class _TableMachine:
-    """Stands in for the speculative machine: steps read off a table."""
-
-    def __init__(self, table):
-        self.table = table
-        self.measured = []
-
-    def step_seconds(self, key):
-        self.measured.append(key)
-        return self.table[key]
-
-
 def _table_search(table, k, config, greedy):
     """``search_plan`` over a step table; returns the report and the
-    keys it measured, in order."""
-    machine = _TableMachine(table)
-    # search_plan only takes len() of the program and estimates once
-    # the speculative machine is replaced.
-    with mock.patch.object(
-        plansearch, "_SpeculativeMachine", lambda *args: machine
-    ):
-        report = search_plan([None] * k, None, [None] * k, config, greedy=greedy)
-    return report, machine.measured
+    keys it priced, in order."""
+    measured = []
+
+    def step_seconds(program, n, config, key):
+        measured.append(key)
+        return table[key]
+
+    # search_plan only takes len() of the program and estimates, and
+    # the dataset's record count, once the step pricing is replaced.
+    dataset = SimpleNamespace(n_records=1)
+    with mock.patch.object(plansearch, "_step_seconds", step_seconds):
+        report = search_plan([None] * k, dataset, [None] * k, config, greedy=greedy)
+    return report, measured
 
 
 def _outcome(report):
@@ -419,23 +412,24 @@ def _reachable_keys(k, config):
 
 
 def _assert_steps_ignore_history(workload, config):
-    """Each step measured alone on a fresh speculative machine equals,
-    bit for bit, the same step inside a full sweep on one machine, run
-    forwards and backwards."""
-    keys = _reachable_keys(len(workload.program), config)
-    spec = _SpeculativeMachine(workload.program, workload.dataset, config)
-    forwards = {key: spec.step_seconds(key) for key in keys}
-    backwards = {key: spec.step_seconds(key) for key in reversed(keys)}
+    """Each step run alone on a fresh machine equals, bit for bit, the
+    closed form of the same step inside a full sweep, priced forwards
+    and backwards."""
+    program, n = workload.program, workload.dataset.n_records
+    keys = _reachable_keys(len(program), config)
+    forwards = {key: _step_seconds(program, n, config, key) for key in keys}
+    backwards = {
+        key: _step_seconds(program, n, config, key) for key in reversed(keys)
+    }
     for key in keys:
-        alone = _SpeculativeMachine(
-            workload.program, workload.dataset, config
-        ).step_seconds(key)
+        alone = step_seconds_on_fresh_machine(program, n, config, key)
         assert alone == forwards[key] == backwards[key], (workload.name, key)
 
 
 class TestStepsIgnoreHistory:
-    """The bound skips steps, so no step may depend on which steps ran
-    before it on the shared speculative machine."""
+    """The bound skips steps, so no step's price may depend on which
+    steps were priced before it, and each must be what the executor
+    measures for it on a fresh machine."""
 
     @pytest.mark.parametrize("csd_enabled", [True, False])
     @pytest.mark.parametrize("name", workload_names())
@@ -457,6 +451,82 @@ class TestStepsIgnoreHistory:
     def test_random_configs(self, name, **overrides):
         config = dataclasses.replace(DEFAULT_CONFIG, **overrides)
         _assert_steps_ignore_history(get_workload(name, scale=SCALE), config)
+
+
+#: A per-record cost that is often exactly zero: no storage stream, no
+#: input or output bytes.
+_PER_RECORD = st.just(0.0) | st.floats(0.0, 1e3)
+
+
+@st.composite
+def _programs(draw):
+    """Small random programs: zero and non-zero storage, input and
+    output bytes, and chunk counts from 1 up."""
+    statements = [
+        Statement(
+            f"line{index}", kernel=lambda payload: payload,
+            instructions=linear(draw(st.floats(0.0, 5e3)), draw(st.floats(0.0, 1e6))),
+            output_bytes=linear(draw(_PER_RECORD), draw(st.just(0.0) | st.floats(0.0, 64.0))),
+            storage_bytes=linear(draw(_PER_RECORD)),
+            chunks=draw(st.integers(1, 64)),
+        )
+        for index in range(draw(st.integers(1, 4)))
+    ]
+    return Program("random", statements)
+
+
+def _seconds(limit):
+    """Often exactly zero, otherwise in [0, limit]."""
+    return st.just(0.0) | st.floats(0.0, limit)
+
+
+@st.composite
+def _configs(draw):
+    """Random platforms that reach every charging path of a step, within
+    SystemConfig's limits (the CSE no faster than the host, the NAND
+    array sustaining bw_internal)."""
+    host_ips = draw(st.floats(1e9, 16e9))
+    return SystemConfig(
+        attachment=draw(st.sampled_from(["pcie", "nvmeof"])),
+        nvmeof_extra_latency_s=draw(_seconds(1e-4)),
+        overlap_io_compute=draw(st.booleans()),
+        integrity_enabled=draw(st.booleans()),
+        integrity_verify_bandwidth=draw(st.floats(1e9, 100e9)),
+        checkpoint_enabled=draw(st.booleans()),
+        checkpoint_write_cost_s=draw(_seconds(1e-3)),
+        compile_overhead_s=draw(st.just(0.1) | _seconds(1.0)),
+        codegen_residual_overhead=draw(st.just(0.005) | _seconds(0.5)),
+        csd_enabled=draw(st.booleans()),
+        bw_host_storage=draw(st.floats(0.2e9, 8e9)),
+        bw_internal=draw(st.floats(1e9, 10e9)),
+        bw_d2h=draw(st.floats(0.5e9, 8e9)),
+        host_ips=host_ips,
+        cse_ips=draw(st.floats(0.3e9, host_ips)),
+        link_latency_s=draw(st.just(5e-6) | _seconds(1e-4)),
+    )
+
+
+class TestClosedFormStep:
+    """``_step_seconds`` equals, bit for bit, the step the executor runs
+    on a fresh machine, for every key of random programs on random
+    platforms."""
+
+    @given(program=_programs(), n_records=st.integers(1, 10**6), config=_configs())
+    @settings(max_examples=200, deadline=None, print_blob=True)
+    def test_equals_a_fresh_machine_run(self, program, n_records, config):
+        locations = _locations(config)
+        keys = [
+            (index, location, value_location)
+            for index in range(len(program))
+            for location in locations
+            for value_location in locations
+        ]
+        if config.csd_enabled:
+            keys.append((_FINAL, HOST, CSD))
+        for key in keys:
+            closed = _step_seconds(program, n_records, config, key)
+            oracle = step_seconds_on_fresh_machine(program, n_records, config, key)
+            assert closed == oracle, key
 
 
 class TestActivePyIntegration:
