@@ -2,8 +2,7 @@
 
 These are engineering benchmarks (pytest-benchmark statistics matter
 here, unlike the deterministic figure benches): event-queue throughput,
-FTL garbage-collection churn, allocator operations, and one full
-sampling phase.
+allocator operations, one full sampling phase, and the SpMV kernel.
 """
 
 import numpy as np
@@ -12,8 +11,6 @@ from repro.config import DEFAULT_CONFIG
 from repro.memory.allocator import FreeListAllocator
 from repro.runtime.sampling import SamplingPhase
 from repro.sim.engine import Simulator
-from repro.storage.ftl import PageMappingFTL
-from repro.storage.nand import FlashArray, FlashGeometry
 from repro.workloads import get_workload
 
 
@@ -27,20 +24,6 @@ def test_event_queue_throughput(benchmark):
 
     fired = benchmark(schedule_and_drain)
     assert fired == 2000
-
-
-def test_ftl_churn_with_gc(benchmark):
-    def churn():
-        array = FlashArray(FlashGeometry(
-            channels=2, blocks_per_channel=8, pages_per_block=32,
-        ))
-        ftl = PageMappingFTL(array, overprovision_fraction=0.3)
-        for i in range(2000):
-            ftl.write(i % ftl.logical_pages)
-        return ftl.gc_runs
-
-    gc_runs = benchmark(churn)
-    assert gc_runs > 0
 
 
 def test_allocator_churn(benchmark):

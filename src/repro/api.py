@@ -74,7 +74,7 @@ from .fleet import (
 from .frontend import program_from_function
 from .hw.topology import Machine, build_machine
 from .integrity import CLEAN_DIGEST, IntegrityChecker
-from .lang import ProgramBuilder, array_dataset, dataset_of
+from .lang import ProgramBuilder, dataset_of
 from .lang.dataset import Dataset
 from .lang.program import Program, Statement
 from .obs import (
@@ -203,7 +203,6 @@ __all__ = [
     "Workload",
     "__version__",
     "all_workloads",
-    "array_dataset",
     "assign_csd_code",
     "build_attribution_report",
     "build_critical_path",

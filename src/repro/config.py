@@ -72,18 +72,13 @@ class SystemConfig:
     device_dram_bytes: float = 16.0 * GB
     #: NAND page size in bytes.
     nand_page_bytes: int = 16384
-    #: Pages per erase block.
-    nand_pages_per_block: int = 256
     #: Independent NAND channels.  Sized so the array's aggregate read
     #: rate can actually sustain ``bw_internal`` (checked in
     #: validation): 16 channels x 16 KiB / 25 us ~ 10.5 GB/s.
     nand_channels: int = 16
-    #: Single-page read latency, seconds.
+    #: Single-page read latency, seconds; a correctable read fault
+    #: costs one more per ECC re-read.
     nand_read_latency_s: float = 25e-6
-    #: Single-page program latency, seconds.
-    nand_program_latency_s: float = 600e-6
-    #: Block erase latency, seconds.
-    nand_erase_latency_s: float = 3e-3
 
     # --- language runtime ---------------------------------------------
     #: Fractional overhead of CPython interpreter dispatch over the C
@@ -126,18 +121,6 @@ class SystemConfig:
     #: CSD memory after a migration (remote load/store over the BAR
     #: mapping is slower than a streaming read).
     bw_remote_access: float = 1.2 * GB
-    #: After a host-ward migration, let *later* lines planned for the
-    #: CSD return to it once its status page reports recovery.  An
-    #: extension beyond the paper's prototype (which only migrates
-    #: host-ward); off by default.
-    readmission_enabled: bool = False
-    #: Device availability (from its self-reported rate) required
-    #: before re-admitting offloaded lines.
-    readmission_threshold: float = 0.9
-    #: Quiet period after a migration before re-admission is considered
-    #: again — keeps an oscillating co-tenant from ping-ponging the
-    #: task between units.
-    readmission_cooldown_s: float = 0.2
 
     # --- fault tolerance ----------------------------------------------
     #: Seed for deterministic fault-plan generation
@@ -216,10 +199,8 @@ class SystemConfig:
         positive_fields = (
             "host_ips", "cse_ips", "bw_host_storage", "bw_internal",
             "bw_d2h", "nand_capacity_bytes", "device_dram_bytes",
-            "nand_page_bytes", "nand_pages_per_block", "nand_channels",
-            "nand_read_latency_s", "nand_program_latency_s",
-            "nand_erase_latency_s", "bw_remote_access", "cse_cores",
-            "integrity_verify_bandwidth",
+            "nand_page_bytes", "nand_channels", "nand_read_latency_s",
+            "bw_remote_access", "cse_cores", "integrity_verify_bandwidth",
         )
         for name in positive_fields:
             if getattr(self, name) <= 0:
@@ -249,13 +230,6 @@ class SystemConfig:
             raise ConfigError(
                 f"profiler_noise must lie in [0, 0.5), got {self.profiler_noise}"
             )
-        if not 0 < self.readmission_threshold <= 1:
-            raise ConfigError(
-                "readmission_threshold must lie in (0, 1], got "
-                f"{self.readmission_threshold}"
-            )
-        if self.readmission_cooldown_s < 0:
-            raise ConfigError("readmission_cooldown_s must be non-negative")
         if self.command_deadline_s <= 0:
             raise ConfigError(
                 f"command_deadline_s must be positive, got {self.command_deadline_s}"

@@ -10,6 +10,7 @@ byte-identical fault logs (the determinism guarantee the tests pin).
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
@@ -192,10 +193,14 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, FaultKind):
             raise FaultError(f"kind must be a FaultKind, got {self.kind!r}")
-        if self.at_time < 0:
-            raise FaultError(f"at_time must be non-negative, got {self.at_time}")
-        if self.duration_s < 0:
-            raise FaultError(f"duration_s must be non-negative, got {self.duration_s}")
+        # NaN passes no comparison, so it would arm the fault at an
+        # undefined point; inf would silently never fire it.
+        for name in ("at_time", "duration_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise FaultError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise FaultError(f"{name} must be non-negative, got {value}")
         if self.count < 1:
             raise FaultError(f"count must be at least 1, got {self.count}")
         if self.retries < 1:
@@ -251,16 +256,23 @@ class FaultSpec:
         Every field is restored — dropping one here is exactly the kind
         of replay-path bug that makes a shrunk repro non-reproducible.
         """
-        return cls(
-            kind=FaultKind(payload["kind"]),
-            at_time=float(payload["at_time"]),
-            target=str(payload.get("target", "csd")),
-            duration_s=float(payload.get("duration_s", 0.0)),
-            count=int(payload.get("count", 1)),
-            retries=int(payload.get("retries", 3)),
-            factor=float(payload.get("factor", 1.0)),
-            persistent=bool(payload.get("persistent", False)),
-        )
+        if not isinstance(payload, dict):
+            raise FaultError(
+                f"fault spec payload must be a dict, got {type(payload).__name__}"
+            )
+        try:
+            return cls(
+                kind=FaultKind(payload["kind"]),
+                at_time=float(payload["at_time"]),
+                target=str(payload.get("target", "csd")),
+                duration_s=float(payload.get("duration_s", 0.0)),
+                count=int(payload.get("count", 1)),
+                retries=int(payload.get("retries", 3)),
+                factor=float(payload.get("factor", 1.0)),
+                persistent=bool(payload.get("persistent", False)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FaultError(f"malformed fault spec payload: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -299,12 +311,20 @@ class FaultPlan:
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "FaultPlan":
-        return cls(
-            specs=tuple(
-                FaultSpec.from_jsonable(entry) for entry in payload.get("specs", ())
-            ),
-            seed=int(payload.get("seed", 0)),
-        )
+        """Rebuild a plan from :meth:`to_jsonable` output."""
+        if not isinstance(payload, dict):
+            raise FaultError(
+                f"fault plan payload must be a dict, got {type(payload).__name__}"
+            )
+        try:
+            return cls(
+                specs=tuple(
+                    FaultSpec.from_jsonable(entry) for entry in payload.get("specs", ())
+                ),
+                seed=int(payload.get("seed", 0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise FaultError(f"malformed fault plan payload: {exc!r}") from exc
 
     @classmethod
     def random(

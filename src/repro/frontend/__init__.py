@@ -16,11 +16,10 @@ package delivers that interface for the simulator: hand
 """
 
 from .liveness import live_after_each, names_read, names_written
-from .tracer import FrontendError, infer_column_bytes, program_from_function
+from .tracer import FrontendError, program_from_function
 
 __all__ = [
     "FrontendError",
-    "infer_column_bytes",
     "live_after_each",
     "names_read",
     "names_written",

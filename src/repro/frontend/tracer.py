@@ -46,7 +46,7 @@ _OP_NODES = (
 )
 
 _DISALLOWED_NODES = (
-    ast.While, ast.If, ast.With, ast.Try,
+    ast.For, ast.While, ast.If, ast.With, ast.Try,
     ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
 )
 
@@ -67,35 +67,10 @@ def _function_def(fn: Callable) -> ast.FunctionDef:
     raise FrontendError(f"no function definition found in source of {fn!r}")
 
 
-def _trip_count(statement: ast.stmt) -> Optional[int]:
-    """Constant trip count of a ``for _ in range(K)`` loop, else None."""
-    if not isinstance(statement, ast.For) or statement.orelse:
-        return None
-    call = statement.iter
-    if not (
-        isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Name)
-        and call.func.id == "range"
-        and len(call.args) == 1
-        and isinstance(call.args[0], ast.Constant)
-        and isinstance(call.args[0].value, int)
-        and call.args[0].value >= 1
-    ):
-        return None
-    return int(call.args[0].value)
-
-
 def _validate_body(body: Sequence[ast.stmt], fn_name: str) -> None:
     if not body:
         raise FrontendError(f"{fn_name} has an empty body")
     for statement in body:
-        if isinstance(statement, ast.For) and _trip_count(statement) is None:
-            raise FrontendError(
-                f"{fn_name} line {statement.lineno}: only "
-                f"'for _ in range(<constant>)' loops can be folded; "
-                f"vectorise other iteration (the style the paper's "
-                f"workloads use)"
-            )
         if isinstance(statement, _DISALLOWED_NODES):
             raise FrontendError(
                 f"{fn_name} line {statement.lineno}: top-level "
@@ -103,15 +78,6 @@ def _validate_body(body: Sequence[ast.stmt], fn_name: str) -> None:
                 f"and branches into vectorised expressions (the style the "
                 f"paper's workloads use)"
             )
-        if isinstance(statement, ast.For):
-            for inner in ast.walk(statement):
-                if inner is not statement and isinstance(
-                    inner, _DISALLOWED_NODES + (ast.For, ast.Return)
-                ):
-                    raise FrontendError(
-                        f"{fn_name} line {statement.lineno}: folded loops "
-                        f"must have straight-line bodies"
-                    )
     if not isinstance(body[-1], ast.Return) or body[-1].value is None:
         raise FrontendError(f"{fn_name} must end with 'return <expression>'")
     for statement in body[:-1]:
@@ -127,30 +93,12 @@ def _statement_name(statement: ast.stmt, index: int) -> str:
         target = statement.targets[0]
         if isinstance(target, ast.Name):
             return f"L{index}_{target.id}"
-    if isinstance(statement, ast.For):
-        from .liveness import names_written
-
-        written = sorted(names_written(statement) - _loop_indices(statement))
-        suffix = written[0] if written else "loop"
-        return f"L{index}_{suffix}_loop"
     if isinstance(statement, ast.Return):
         return f"L{index}_return"
     return f"L{index}_stmt"
 
 
-def _loop_indices(statement: ast.For) -> Set[str]:
-    indices: Set[str] = set()
-    for node in ast.walk(statement.target):
-        if isinstance(node, ast.Name):
-            indices.add(node.id)
-    return indices
-
-
 def _op_count(statement: ast.stmt) -> int:
-    if isinstance(statement, ast.For):
-        # Count the body only: the range() iterator is loop plumbing,
-        # not per-record work.
-        return sum(_op_count(inner) for inner in statement.body)
     return sum(1 for node in ast.walk(statement) if isinstance(node, _OP_NODES))
 
 
@@ -274,23 +222,14 @@ def program_from_function(
         code = _compile_line(statement, filename=f"<{fn_name}:L{index}>")
         kernel = _make_kernel(code, fn, index, keep, unread)
         stmt_name = _statement_name(statement, index)
-        # Folded loops: the line's cost is its body's, times the trip
-        # count; the trips are its dynamic instances (migration points).
-        trips = _trip_count(statement) if isinstance(statement, ast.For) else None
-        density = hints.get(
-            stmt_name,
-            instr_per_op * max(1, _op_count(statement)) * (trips or 1),
-        )
+        density = hints.get(stmt_name, instr_per_op * max(1, _op_count(statement)))
         storage_per_record = sum(
             shares[parameter]
             for parameter, reader in first_reader.items()
             if reader == index
         )
         out_per_record = _BYTES_PER_LIVE_VAR * max(1, len(keep))
-        if trips is not None:
-            chunks = max(8, trips)
-        else:
-            chunks = 64 if storage_per_record > 0 else 32
+        chunks = 64 if storage_per_record > 0 else 32
         statements.append(Statement(
             name=stmt_name,
             kernel=kernel,
@@ -343,28 +282,6 @@ def _calibrate_outputs_from_probe(program: Program, probe: Dict[str, Any]) -> No
         else:
             rate = measured / n
             statement.output_bytes = lambda count, r=rate: r * count
-
-
-def infer_column_bytes(probe: Dict[str, Any]) -> Dict[str, float]:
-    """Per-record stored width of each payload column, from its dtype.
-
-    Convenience for :func:`program_from_function`: with a probe payload
-    in hand, the stored record width is just the sum of the columns'
-    element sizes — no need to hand-compute ``record_bytes`` and
-    ``column_bytes``.
-    """
-    import numpy as np
-
-    widths: Dict[str, float] = {}
-    for name, value in probe.items():
-        array = np.asarray(value)
-        if array.ndim == 0:
-            continue
-        per_record = float(array.nbytes / array.shape[0])
-        widths[name] = per_record
-    if not widths:
-        raise FrontendError("probe payload needs at least one array column")
-    return widths
 
 
 def _probe_records(probe: Dict[str, Any]) -> int:

@@ -3,8 +3,8 @@
 A :class:`ComputeUnit` turns an instruction count into simulated time at
 its current *effective* throughput, which is the nominal throughput
 scaled by an availability factor in ``(0, 1]``.  Availability is how the
-simulator models contention on the CSE: other tenants, firmware tasks,
-or garbage collection stealing cycles (paper §II-B3).
+simulator models contention on the CSE: other tenants or firmware tasks
+stealing cycles (paper §II-B3).
 
 Every unit keeps architectural :class:`PerfCounters` (retired
 instructions, busy cycles).  ActivePy's monitor reads *only* these

@@ -7,7 +7,7 @@ collection of records stored on the CSD, able to produce scaled-down
 sample inputs for the sampling phase (§III-A).
 """
 
-from .builder import ProgramBuilder, array_dataset, dataset_of
+from .builder import ProgramBuilder, dataset_of
 from .checks import ValidationReport, validate_program
 from .dataset import Dataset
 from .program import Program, Statement, constant, linear, per_record
@@ -18,7 +18,6 @@ __all__ = [
     "ProgramBuilder",
     "Statement",
     "ValidationReport",
-    "array_dataset",
     "constant",
     "dataset_of",
     "linear",

@@ -6,21 +6,19 @@ like the Python source it models::
 
     program = (
         ProgramBuilder("wordcount")
-        .scan("parse_lines", parse, instr_per_record=45,
-              record_bytes=80, out_bytes_per_record=24)
-        .line("count_words", count, instr_per_record=12,
-              out_bytes_per_record=8)
+        .scan("count_words", count, instr_per_record=57,
+              record_bytes=80, out_bytes_per_record=8)
         .reduce("total", total, instr_per_record=1)
         .build()
     )
 
-``scan`` lines stream stored records; ``line``s transform the previous
-value; ``reduce`` emits a constant-size result.
+``scan`` lines stream stored records; ``reduce`` emits a constant-size
+result.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import List
 
 from ..errors import ProgramError
 from .dataset import Dataset, PayloadBuilder
@@ -61,24 +59,6 @@ class ProgramBuilder:
         ))
         return self
 
-    def line(
-        self,
-        name: str,
-        kernel: Kernel,
-        instr_per_record: float,
-        out_bytes_per_record: float,
-        chunks: int = 32,
-    ) -> "ProgramBuilder":
-        """A line consuming the previous line's value from memory."""
-        self._statements.append(Statement(
-            name=name,
-            kernel=kernel,
-            instructions=per_record(instr_per_record),
-            output_bytes=per_record(out_bytes_per_record),
-            chunks=chunks,
-        ))
-        return self
-
     def reduce(
         self,
         name: str,
@@ -114,28 +94,3 @@ def dataset_of(
         builder=builder,
     )
 
-
-def array_dataset(
-    name: str,
-    arrays: Dict[str, Any],
-    record_bytes: float,
-) -> Dataset:
-    """Wrap in-memory arrays as a (fully materialised) dataset.
-
-    Sampling takes prefixes of the given arrays — handy for tests and
-    notebooks where the data already exists.
-    """
-    import numpy as np
-
-    lengths = {np.asarray(a).shape[0] for a in arrays.values()}
-    if len(lengths) != 1:
-        raise ProgramError(f"arrays must share a leading dimension, got {lengths}")
-    n_records = lengths.pop()
-
-    def builder(n: int, full: int) -> Dict[str, Any]:
-        return {key: np.asarray(value)[:n] for key, value in arrays.items()}
-
-    return Dataset(
-        name=name, n_records=n_records, record_bytes=record_bytes,
-        builder=builder,
-    )

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..errors import AddressError
-from .allocator import Allocation, FreeListAllocator
+from .allocator import FreeListAllocator
 
 
 @dataclass
@@ -35,16 +34,13 @@ class MemoryRegion:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.end
-
 
 class SharedAddressSpace:
-    """Registry of non-overlapping regions with address translation.
+    """Registry of non-overlapping regions of one flat space.
 
-    The host program sees one flat space; translation tells the runtime
-    which physical home an address falls in, which drives transfer-cost
-    accounting (an access to a remote region crosses the interconnect).
+    The host program sees one flat space; each region's ``location``
+    names the physical home of its bytes (an access to a remote region
+    crosses the interconnect).
     """
 
     def __init__(self) -> None:
@@ -67,37 +63,8 @@ class SharedAddressSpace:
         self._regions.append(region)
         return region
 
-    def region_of(self, address: int) -> MemoryRegion:
-        """Translate an address to its containing region."""
-        for region in self._regions:
-            if region.contains(address):
-                return region
-        raise AddressError(f"address {address:#x} is not mapped")
-
     def region_named(self, name: str) -> MemoryRegion:
         for region in self._regions:
             if region.name == name:
                 return region
         raise AddressError(f"no region named {name!r}")
-
-    def regions_at(self, location: str) -> list[MemoryRegion]:
-        """All regions physically homed at ``location``."""
-        return [region for region in self._regions if region.location == location]
-
-    def allocate_at(self, location: str, size: int, alignment: int = 8) -> Allocation:
-        """Allocate ``size`` bytes in any region homed at ``location``."""
-        last_error: Optional[Exception] = None
-        for region in self.regions_at(location):
-            try:
-                return region.allocator.allocate(size, alignment)
-            except Exception as exc:  # try the next region at this location
-                last_error = exc
-        if last_error is not None:
-            raise AddressError(
-                f"no region at {location!r} can hold {size} bytes"
-            ) from last_error
-        raise AddressError(f"no region mapped at location {location!r}")
-
-    def free(self, allocation: Allocation) -> None:
-        region = self.region_of(allocation.address)
-        region.allocator.free(allocation)

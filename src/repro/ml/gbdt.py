@@ -280,28 +280,6 @@ class GBDTModel:
         """Quantise then predict — the end-to-end inference path."""
         return self.predict_codes(self.quantise(features))
 
-    def feature_importance(self) -> np.ndarray:
-        """Split counts per feature across the ensemble (normalised).
-
-        The standard "how often did a feature decide a split" measure;
-        sums to 1 for a non-trivial ensemble.
-        """
-        counts = np.zeros(self.bin_edges.shape[1], dtype=np.float64)
-
-        def visit(node: TreeNode) -> None:
-            if node.is_leaf:
-                return
-            counts[node.feature] += 1
-            if node.left is not None:
-                visit(node.left)
-            if node.right is not None:
-                visit(node.right)
-
-        for tree in self.trees:
-            visit(tree)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
 
 class GBDTRegressor:
     """Trainer: squared-error gradient boosting on histogram splits."""

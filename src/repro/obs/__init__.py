@@ -3,7 +3,7 @@
 Every simulated machine carries exactly one :class:`Observability`
 handle (``machine.obs``), created in
 :func:`repro.hw.topology.build_machine` and shared by reference with
-every component — the sim engine, compute units, links, NAND, FTL, the
+every component — the sim engine, compute units, links, NAND, the
 dispatcher, the executor, checkpointing and migration.  Components
 guard instrumentation with ``if obs.enabled:``, so a disabled handle
 costs one attribute check per site and **zero simulated seconds**: no

@@ -20,11 +20,6 @@ component that consumed the time:
 ``nand``
     In-device media transfers over the internal link and ECC retry
     latency on correctable read faults.
-``ftl``
-    Flash translation layer work.  GC contention is modelled as CSE
-    availability dips rather than direct clock charges, so this bucket
-    is usually empty — it exists so the identity covers the component
-    taxonomy, not because the simulator charges it today.
 ``checkpoint`` / ``migration``
     Checkpoint write costs and migration compile/state-transfer costs.
 ``integrity``
@@ -75,7 +70,6 @@ COMPONENTS = (
     "pcie",
     "nvme",
     "nand",
-    "ftl",
     "checkpoint",
     "migration",
     "integrity",

@@ -4,10 +4,8 @@ The host writes a call request into the submission queue mapped in
 device memory and rings the doorbell; the CSE fetches requests whenever
 it is free.  At the end of every executed line the device posts a
 status update — execution rate (IPC) and progress — to the completion
-queue, and checks whether the host raised anything it must handle with
-high priority.  The update costs a small interconnect message, which is
-why the paper can claim the status mechanism adds "very little
-overhead".
+queue.  The update costs a small interconnect message, which is why the
+paper can claim the status mechanism adds "very little overhead".
 
 The dispatcher is also where the host survives a misbehaving device
 (:mod:`repro.faults`): a full submission queue is waited out in sim
@@ -39,7 +37,6 @@ class StatusUpdate:
     chunk: int
     ipc: float
     progress: float  # fraction of this line's dynamic instances done
-    high_priority_pending: bool
 
 
 class CallQueueDispatcher:

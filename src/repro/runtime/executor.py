@@ -20,15 +20,16 @@ programs and configs).
 
 Each line executes in ``chunks`` pieces (its dynamic instances).  After
 every CSD chunk the device posts a status update, the simulator fires
-any due background events (availability changes, GC), and the monitor
-gets a chance to trigger re-estimation and migration.  Migration breaks
-at a chunk boundary — "the end of the currently executing line" in the
-paper's terms — saves locals, regenerates host code, and finishes the
-remaining work on the host with live device-resident data accessed over
-the remote BAR path.  Every way a device line can end on the host — a
-refused dispatch, exhausted chunk replays, a migration, a lost
-completion — goes through one helper, ``_fall_back``, which runs the
-remaining chunks in the single host-chunk loop.
+any due background events (availability changes, tenant bursts), and
+the monitor gets a chance to trigger re-estimation and migration.
+Migration breaks at a chunk boundary — "the end of the currently
+executing line" in the paper's terms — saves locals, regenerates host
+code, and finishes the remaining work on the host with live
+device-resident data accessed over the remote BAR path.  Every way a
+device line can end on the host — a refused dispatch, exhausted chunk
+replays, a migration, a lost completion — goes through one helper,
+``_fall_back``, which runs the remaining chunks in the single
+host-chunk loop.
 """
 
 from __future__ import annotations
@@ -193,7 +194,6 @@ class RunState:
     migrated: bool = False
     #: A fault forced work off its planned unit.
     degraded: bool = False
-    last_migration_at: float = -float("inf")
     csd_instr_done: float = 0.0
     chunk_replays: int = 0
     timings: List[LineTiming] = field(default_factory=list)
@@ -308,8 +308,7 @@ class PlanExecutor:
     def step(self, state: RunState, index: int, location: str) -> None:
         """Run line ``index``, planned for ``location``, and record its timing.
 
-        After a migration the line runs on the host unless the device
-        has recovered enough to re-admit it.
+        After a migration the line runs on the host.
         """
         machine = self.machine
         program = state.compiled.program
@@ -317,22 +316,6 @@ class PlanExecutor:
         planned = location
         if state.migrated:
             location = HOST
-            cooled_down = (
-                machine.now - state.last_migration_at
-                >= machine.config.readmission_cooldown_s
-            )
-            if (
-                planned == CSD
-                and cooled_down
-                and self._device_recovered()
-                and self._readmission_profitable(state.estimates.get(index))
-            ):
-                # Re-admission (extension beyond the paper): the
-                # device's status page reports a healthy rate again and
-                # the line's Equation-1 economics still favour it, so
-                # it returns to its planned home.
-                location = CSD
-                state.migrated = False
         line_start = machine.now
         d_in = program.input_bytes(index, state.n)
         chunks = statement.chunks
@@ -533,7 +516,6 @@ class PlanExecutor:
                 chunk=chunk,
                 inferred_availability=decision.inferred_availability,
                 reason=decision.reason,
-                forced=update.high_priority_pending,
             )
             if event is None:
                 continue
@@ -541,9 +523,6 @@ class PlanExecutor:
             self.obs.count("executor.migrations")
             # The drift that tipped this migration, for audits.
             self.obs.gauge("monitor.migration_trigger_drift", decision.ipc_drift)
-            state.last_migration_at = clock.now
-            if update.high_priority_pending:
-                cse.acknowledge_high_priority()
             # Finish this line's remaining chunks on the host, reading
             # the unconsumed input remotely.  The break chunk is re-read
             # from the checkpoint record the device left in shared
@@ -834,37 +813,6 @@ class PlanExecutor:
         )
         return True
 
-    def _device_recovered(self) -> bool:
-        """Poll the device's self-reported rate for re-admission.
-
-        Same observability channel as the status updates: the host
-        reads the execution rate the device publishes, never the
-        simulator's availability knob directly.
-        """
-        config = self.machine.config
-        if not config.readmission_enabled:
-            return False
-        if not self.device.healthy:
-            return False
-        cse = self.device.cse
-        reported_rate = cse.expected_ipc() * cse.availability
-        return reported_rate >= config.readmission_threshold * cse.expected_ipc()
-
-    def _readmission_profitable(self, estimate: Optional[LineEstimate]) -> bool:
-        """Equation-1 check for returning one line to the device.
-
-        The line's input now lives on the host (the previous line ran
-        there post-migration), so the move pays both transfers.
-        """
-        if estimate is None:
-            return False
-        bw = self.machine.config.bw_d2h
-        delta = (
-            -estimate.ct_host + estimate.ct_device
-            + estimate.d_in / bw + estimate.d_out / bw
-        )
-        return delta < 0
-
     def _post_status(
         self, statement: Statement, chunk: int, chunks: int, expected_ipc: float
     ) -> StatusUpdate:
@@ -882,7 +830,6 @@ class PlanExecutor:
             chunk=chunk,
             ipc=expected_ipc * cse.availability,
             progress=chunk / chunks,
-            high_priority_pending=cse.high_priority_pending,
         )
         self.dispatcher.exchange_status(update)
         return update
@@ -897,7 +844,6 @@ class PlanExecutor:
         chunk: int,
         inferred_availability: float,
         reason: str,
-        forced: bool,
     ) -> Optional[MigrationEvent]:
         """Re-estimate and migrate if the host now wins (paper §III-D)."""
         machine = self.machine
@@ -942,7 +888,7 @@ class PlanExecutor:
             live_input_bytes=live_input,
         )
 
-        if not forced and host_projection >= device_projection:
+        if host_projection >= device_projection:
             return None
         # The break chunk the host resumes at is read back from the
         # checkpoint record in BAR memory — with checkpointing off the
@@ -956,7 +902,7 @@ class PlanExecutor:
             line_index=index,
             line_name=statement.name,
             chunk=chunk,
-            reason=reason if not forced else f"high-priority request; {reason}",
+            reason=reason,
             projected_device_seconds=device_projection,
             projected_host_seconds=host_projection,
             resume_chunk=resume,

@@ -121,14 +121,3 @@ def fit_curve(ns: Sequence[float], ys: Sequence[float]) -> FittedCurve:
     assert best is not None
     return best
 
-
-def prediction_error(predicted: float, actual: float) -> float:
-    """Relative prediction error ``|predicted - actual| / actual``.
-
-    This is the metric behind the paper's "geometric mean of our error
-    rate ... is only 9%".  An actual of zero with a zero prediction is
-    a perfect hit; a nonzero prediction against zero is infinite error.
-    """
-    if actual == 0:
-        return 0.0 if predicted == 0 else math.inf
-    return abs(predicted - actual) / abs(actual)

@@ -78,9 +78,7 @@ class RuntimeMonitor:
         self.observations += 1
         inferred = min(1.0, ipc / self.expected_ipc)
 
-        if update.high_priority_pending:
-            reason = "device raised a high-priority request"
-        elif ipc < self.config.ipc_degradation_threshold * self.expected_ipc:
+        if ipc < self.config.ipc_degradation_threshold * self.expected_ipc:
             reason = (
                 f"IPC {ipc:.3f} below "
                 f"{self.config.ipc_degradation_threshold:.0%} of expected "

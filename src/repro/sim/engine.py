@@ -4,9 +4,9 @@
 and a min-heap of :class:`EventHandle` entries, and runs scheduled
 callbacks in time order — same-time events in scheduling order, with
 cancels honoured at any point.  Hardware models use it for
-asynchronous behaviour (background garbage collection, CSE
-availability changes, injected faults); straight-line execution cost
-is accounted synchronously via ``clock.advance``.
+asynchronous behaviour (CSE availability changes, co-tenant bursts,
+injected faults); straight-line execution cost is accounted
+synchronously via ``clock.advance``.
 
 The traffic is small: a whole paper run keeps at most a handful of
 events pending, so a plain heap with lazy cancellation is all the
@@ -83,7 +83,7 @@ class SimSnapshot:
     """Frozen event + clock state captured by :meth:`Simulator.snapshot`.
 
     Restorable any number of times (:meth:`Simulator.restore`), into the
-    simulator it came from or into a fresh one (:meth:`Simulator.fork`).
+    simulator it came from or into a fresh one.
     """
 
     clock_now: float
@@ -207,7 +207,8 @@ class Simulator:
 
         Used by synchronous execution paths after advancing the clock:
         the executor consumes compute time, then lets any background
-        events (availability changes, GC) that became due take effect.
+        events (availability changes, tenant bursts) that became due
+        take effect.
         Never advances the clock.  Returns the number of events fired.
         """
         heap = self._heap
@@ -237,7 +238,7 @@ class Simulator:
                 f"run_all exceeded {max_events} events; likely a scheduling loop"
             )
 
-    # --- snapshot / fork ----------------------------------------------------
+    # --- snapshot / restore -------------------------------------------------
 
     def snapshot(self) -> SimSnapshot:
         """Capture the event state and clock reading, O(pending events).
@@ -276,19 +277,3 @@ class Simulator:
         self._fired = snapshot.fired
         self._next_seq = max(self._next_seq, snapshot.next_seq)
         self.clock.restore(snapshot.clock_now)
-
-    def fork(self, *, obs: Optional[Observability] = None) -> "Simulator":
-        """A new independent simulator continuing from this one's state.
-
-        The fork gets its own clock (at the same reading, without the
-        parent's attributor) and its own copy of the pending events;
-        callbacks are shared by reference, so forked branches exploring
-        different futures should reschedule against their own model
-        state.  Handles stay bound to the simulator that issued them.
-        ``obs`` defaults to sharing the parent's handle — pass
-        ``Observability.disabled()`` to keep search branches out of the
-        parent's metrics.
-        """
-        branch = Simulator(obs=obs if obs is not None else self.obs)
-        branch.restore(self.snapshot())
-        return branch

@@ -1,16 +1,16 @@
 """Computational storage device (CSD) substrate.
 
 This package models the device in Figure 1 of the paper: NAND flash
-arrays behind an FTL, device DRAM, NVMe queue pairs toward the host,
-PCIe BAR windows exposing device memory, and a computational storage
-engine (CSE) that executes offloaded tasks near the data.
+(its read faults; no FTL, as on a zoned drive), device DRAM, NVMe queue
+pairs toward the host, PCIe BAR windows exposing device memory, and a
+computational storage engine (CSE) that executes offloaded tasks near
+the data.
 """
 
 from .bar import BarWindow
 from .cse import ComputationalStorageEngine
 from .csd import ComputationalStorageDevice
-from .ftl import PageMappingFTL
-from .nand import FlashArray, FlashGeometry, PageState
+from .nand import FlashArray
 from .nvme import CompletionQueue, QueuePair, SubmissionQueue
 from .tenant import BackgroundLoad
 
@@ -19,10 +19,7 @@ __all__ = [
     "BarWindow",
     "ComputationalStorageEngine",
     "ComputationalStorageDevice",
-    "PageMappingFTL",
     "FlashArray",
-    "FlashGeometry",
-    "PageState",
     "CompletionQueue",
     "QueuePair",
     "SubmissionQueue",

@@ -1,9 +1,8 @@
 """The assembled computational storage device.
 
-Wires together the pieces of Figure 1: NAND flash arrays behind a
-page-mapping FTL, device DRAM exposed through a PCIe BAR, an NVMe queue
-pair toward the host, the internal interconnect, and the CSE.  The
-device offers two data paths:
+Wires together the pieces of Figure 1: NAND flash, device DRAM exposed
+through a PCIe BAR, an NVMe queue pair toward the host, the internal
+interconnect, and the CSE.  The device offers two data paths:
 
 * the **host path** — the host reads stored data over the (shared,
   narrow) system interconnect, and
@@ -12,9 +11,10 @@ device offers two data paths:
   the paper's prototype).
 
 Bulk streaming bandwidth is modelled by the internal
-:class:`~repro.hw.interconnect.Link`; the :class:`FlashArray`/FTL pair
-additionally model page-level state so garbage collection emerges as a
-real contention source rather than a synthetic knob.
+:class:`~repro.hw.interconnect.Link`; the :class:`FlashArray` adds the
+media faults a read can hit.  There is no FTL and no device garbage
+collection: the model is a zoned (ZNS-style) drive, whose host owns data
+placement (ZCSD builds a CSD the same way).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from ..memory.address_space import SharedAddressSpace
 from ..sim import Simulator
 from .bar import BarWindow
 from .cse import ComputationalStorageEngine
-from .ftl import PageMappingFTL
-from .nand import FlashArray, FlashGeometry
+from .nand import FlashArray
 from .nvme import QueuePair
 
 
@@ -46,19 +45,8 @@ class ComputationalStorageDevice:
         self.config = config
         self.simulator = simulator
         self.obs = obs if obs is not None else simulator.obs
-        geometry = FlashGeometry(
-            channels=config.nand_channels,
-            page_bytes=config.nand_page_bytes,
-            pages_per_block=config.nand_pages_per_block,
-            read_latency_s=config.nand_read_latency_s,
-            program_latency_s=config.nand_program_latency_s,
-            erase_latency_s=config.nand_erase_latency_s,
-        )
         self.flash = FlashArray(
-            geometry, obs=self.obs, metric_prefix=f"{name}.nand",
-        )
-        self.ftl = PageMappingFTL(
-            self.flash, obs=self.obs, metric_prefix=f"{name}.ftl",
+            config.nand_read_latency_s, obs=self.obs, metric_prefix=f"{name}.nand",
         )
         self.cse = ComputationalStorageEngine(
             ips=config.cse_ips,
@@ -164,31 +152,3 @@ class ComputationalStorageDevice:
     def healthy(self) -> bool:
         """True when the engine can accept and complete work."""
         return not self.cse.crashed and not self.flash.has_persistent_fault
-
-    # --- garbage-collection contention ----------------------------------------
-
-    def inject_write_burst(self, pages: int) -> float:
-        """Issue a burst of logical writes, possibly triggering GC.
-
-        Returns the GC busy time the burst caused, and throttles the CSE
-        for that period by scheduling an availability dip: while the
-        controller relocates pages it steals engine cycles (paper
-        §II-B3, contention "from the storage management workloads").
-        """
-        if pages <= 0:
-            raise StorageError(f"write burst needs a positive page count, got {pages}")
-        gc_before = self.ftl.gc_busy_seconds
-        lpn_span = min(self.ftl.logical_pages, max(pages, 1))
-        for i in range(pages):
-            self.ftl.write(i % lpn_span)
-        gc_time = self.ftl.gc_busy_seconds - gc_before
-        if gc_time > 0:
-            now = self.simulator.now
-            original = self.cse.availability
-            self.cse.set_availability(max(0.05, original * 0.5))
-            self.simulator.schedule_at(
-                now + gc_time,
-                lambda: self.cse.set_availability(original),
-                label="gc-contention-end",
-            )
-        return gc_time

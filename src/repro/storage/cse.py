@@ -2,15 +2,11 @@
 
 The CSE is the in-device processor that runs offloaded tasks (the
 paper's prototype uses 8 ARM Cortex-A72 cores).  It is a
-:class:`~repro.hw.compute.ComputeUnit` plus two behaviours the
-experiments need:
-
-* an **availability schedule** — timed events that throttle the engine,
-  modelling co-located tenants or firmware work arriving mid-run
-  (Figures 2 and 5 sweep availability over 100%/50%/10%);
-* **high-priority preemption flags** — the device can signal the host
-  runtime through the command pages that it must reclaim the engine
-  (paper §III-D case 1).
+:class:`~repro.hw.compute.ComputeUnit` plus the behaviour the
+experiments need: an **availability schedule** — timed events that
+throttle the engine, modelling co-located tenants or firmware work
+arriving mid-run (Figures 2 and 5 sweep availability over
+100%/50%/10%) — and a crash/reset pair for fault injection.
 """
 
 from __future__ import annotations
@@ -48,9 +44,6 @@ class ComputationalStorageEngine(ComputeUnit):
             raise HardwareError(f"CSE needs a positive core count, got {cores}")
         self.cores = cores
         self.simulator = simulator
-        self.high_priority_pending = False
-        #: Pending contention handles, cancellable between experiments.
-        self._scheduled_events: list = []
         self.crashed = False
         self.crashes = 0
 
@@ -71,7 +64,6 @@ class ComputationalStorageEngine(ComputeUnit):
     def reset(self) -> None:
         """Firmware reset: the engine comes back clean at full speed."""
         self.crashed = False
-        self.high_priority_pending = False
         self.set_availability(1.0)
 
     def execute(self, instructions: float) -> float:
@@ -85,36 +77,11 @@ class ComputationalStorageEngine(ComputeUnit):
         """Throttle the engine to ``fraction`` at absolute sim time."""
         if not 0 < fraction <= 1:
             raise HardwareError(f"availability must lie in (0, 1], got {fraction}")
-        event = self.simulator.schedule_at(
+        self.simulator.schedule_at(
             at_time,
             lambda: self.set_availability(fraction),
             label=f"cse-availability-{fraction:.2f}",
         )
-        self._scheduled_events.append(event)
-
-    def schedule_high_priority_request(self, at_time: float) -> None:
-        """Raise the preemption flag at absolute sim time.
-
-        The host runtime observes the flag through status updates and
-        must migrate the offloaded task immediately.
-        """
-        event = self.simulator.schedule_at(
-            at_time, self._raise_high_priority, label="cse-high-priority"
-        )
-        self._scheduled_events.append(event)
-
-    def _raise_high_priority(self) -> None:
-        self.high_priority_pending = True
-
-    def acknowledge_high_priority(self) -> None:
-        """Host runtime acknowledges and clears the preemption flag."""
-        self.high_priority_pending = False
-
-    def cancel_scheduled(self) -> None:
-        """Cancel all pending contention events (between experiments)."""
-        for event in self._scheduled_events:
-            event.cancel()
-        self._scheduled_events.clear()
 
     # --- calibration --------------------------------------------------------
 

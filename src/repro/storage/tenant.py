@@ -6,10 +6,8 @@ work.  :class:`BackgroundLoad` models the first as a periodic duty
 cycle — for ``busy_fraction`` of every ``period_s`` the co-tenant holds
 the engine, throttling foreground availability to ``available_during``.
 The load drives itself through simulator events, so it composes with
-anything else the experiment schedules.
-
-GC-induced contention (the second thief) lives in
-:meth:`repro.storage.csd.ComputationalStorageDevice.inject_write_burst`.
+anything else the experiment schedules.  The device model has no FTL,
+so it has no garbage collection to steal cycles (the second thief).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ drives ISP profit — matches the real benchmark.
 """
 
 from .datagen import generate_lineitem, generate_part
-from .engine import filter_rows, group_aggregate, hash_join, order_by, top_n
+from .engine import filter_rows, group_aggregate, hash_join
 from .queries import q1_reference, q6_reference
 from .schema import LINEITEM_ROW_BYTES, PART_ROW_BYTES, date_index
 
@@ -18,8 +18,6 @@ __all__ = [
     "filter_rows",
     "group_aggregate",
     "hash_join",
-    "order_by",
-    "top_n",
     "q1_reference",
     "q6_reference",
     "LINEITEM_ROW_BYTES",

@@ -57,8 +57,3 @@ def generate_part(n_rows: int, seed: int = 29) -> Dict[str, np.ndarray]:
         "p_partkey": np.arange(n_rows, dtype=np.int64),
         "p_is_promo": (rng.random(n_rows) < PROMO_FRACTION),
     }
-
-
-def part_rows_for(lineitem_rows: int) -> int:
-    """Part-table size matched to a lineitem population."""
-    return max(1, lineitem_rows // LINEITEM_PER_PART)

@@ -80,49 +80,6 @@ def group_aggregate(
     return out
 
 
-def order_by(
-    table: Table,
-    keys: Iterable[str],
-    descending: bool = False,
-) -> Table:
-    """Sort all columns by the given keys (stable lexicographic)."""
-    n = _check_table(table)
-    key_names = list(keys)
-    if not key_names:
-        raise WorkloadError("order_by needs at least one key")
-    key_columns = [table[name] for name in key_names]
-    order = np.lexsort(key_columns[::-1])
-    if descending:
-        order = order[::-1]
-    del n
-    return {name: column[order] for name, column in table.items()}
-
-
-def top_n(
-    table: Table,
-    by: str,
-    n: int,
-    descending: bool = True,
-) -> Table:
-    """The ``ORDER BY ... LIMIT n`` idiom: n extreme rows by one column.
-
-    Uses a partial selection before the sort, so cost is O(rows) plus
-    O(n log n) — the way an engine would actually execute it.
-    """
-    rows = _check_table(table)
-    if n <= 0:
-        raise WorkloadError(f"top_n needs n >= 1, got {n}")
-    keys = np.asarray(table[by])
-    n = min(n, rows)
-    if descending:
-        partition = np.argpartition(-keys, n - 1)[:n]
-        order = partition[np.argsort(-keys[partition], kind="stable")]
-    else:
-        partition = np.argpartition(keys, n - 1)[:n]
-        order = partition[np.argsort(keys[partition], kind="stable")]
-    return {name: column[order] for name, column in table.items()}
-
-
 def hash_join(
     left: Table,
     right: Table,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProgramError
-from repro.lang.builder import ProgramBuilder, array_dataset, dataset_of
+from repro.lang.builder import ProgramBuilder, dataset_of
 from repro.runtime.activepy import ActivePy
 
 
@@ -12,12 +12,8 @@ def _k_parse(p):
     return {"v": p["raw"] * 0.5}
 
 
-def _k_square(p):
-    return {"v2": p["v"] ** 2}
-
-
 def _k_total(p):
-    return {"total": float(np.sum(p["v2"]))}
+    return {"total": float(np.sum(p["v"]))}
 
 
 def build_program():
@@ -25,17 +21,15 @@ def build_program():
         ProgramBuilder("fluent")
         .scan("parse", _k_parse, instr_per_record=40,
               record_bytes=64, out_bytes_per_record=8)
-        .line("square", _k_square, instr_per_record=5,
-              out_bytes_per_record=8)
         .reduce("total", _k_total, instr_per_record=1)
         .build()
     )
 
 
 class TestProgramBuilder:
-    def test_builds_three_lines(self):
+    def test_builds_scan_and_reduce(self):
         program = build_program()
-        assert len(program) == 3
+        assert len(program) == 2
         assert program[0].reads_storage()
         assert not program[1].reads_storage()
 
@@ -43,7 +37,7 @@ class TestProgramBuilder:
         program = build_program()
         assert program[0].instructions(1000) == 40_000
         assert program[0].storage_bytes(1000) == 64_000
-        assert program[2].output_bytes(1e9) == 24.0
+        assert program[1].output_bytes(1e9) == 24.0
 
     def test_scan_passes_multiply_storage(self):
         program = (
@@ -74,27 +68,3 @@ class TestProgramBuilder:
         report = ActivePy(config).run(build_program(), dataset)
         assert report.plan.uses_csd
         assert report.result.total_seconds > 0
-
-
-class TestArrayDataset:
-    def test_wraps_arrays(self):
-        dataset = array_dataset(
-            "mem", {"x": np.arange(10_000.0)}, record_bytes=8.0,
-        )
-        assert dataset.n_records == 10_000
-        assert dataset.payload["x"].shape == (10_000,)
-
-    def test_sampling_takes_prefixes(self):
-        dataset = array_dataset(
-            "mem", {"x": np.arange(100_000.0)}, record_bytes=8.0,
-        )
-        sample = dataset.sample(2**-10)
-        assert np.array_equal(
-            sample.payload["x"], np.arange(float(sample.n_records))
-        )
-
-    def test_ragged_arrays_rejected(self):
-        with pytest.raises(ProgramError):
-            array_dataset(
-                "bad", {"x": np.zeros(5), "y": np.zeros(3)}, record_bytes=8.0,
-            )

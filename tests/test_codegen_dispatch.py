@@ -117,7 +117,6 @@ class TestDispatch:
         before = machine.now
         dispatcher.post_status(StatusUpdate(
             line_name="scan", chunk=1, ipc=1.0, progress=0.5,
-            high_priority_pending=False,
         ))
         assert machine.now == pytest.approx(before + config.link_latency_s)
         assert dispatcher.status_updates == 1
@@ -125,9 +124,9 @@ class TestDispatch:
     def test_drain_returns_updates_and_preserves_completions(self, machine):
         dispatcher = CallQueueDispatcher(machine)
         command_id = dispatcher.invoke("scan", binary_address=0x1000)
-        dispatcher.post_status(StatusUpdate("scan", 1, 1.0, 0.5, False))
+        dispatcher.post_status(StatusUpdate("scan", 1, 1.0, 0.5))
         dispatcher.complete(command_id)
-        dispatcher.post_status(StatusUpdate("scan", 2, 1.0, 1.0, False))
+        dispatcher.post_status(StatusUpdate("scan", 2, 1.0, 1.0))
         updates = dispatcher.drain_status()
         assert [u.chunk for u in updates] == [1, 2]
         # The interleaved completion survived the drain.

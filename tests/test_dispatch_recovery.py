@@ -201,7 +201,6 @@ class TestStatusPathUnaffected:
         command_id = dispatcher.invoke("scan", binary_address=0x1000)
         dispatcher.post_status(StatusUpdate(
             line_name="scan", chunk=0, ipc=1.0, progress=0.5,
-            high_priority_pending=False,
         ))
         dispatcher.complete(command_id)
         updates = dispatcher.drain_status()
@@ -228,7 +227,7 @@ class TestStatusExchange:
             cq.post(Completion(command_id=command_id))
         if loss:
             cq.arm_loss(loss)
-        update = StatusUpdate("scan", 1, 1.0, 0.5, False)
+        update = StatusUpdate("scan", 1, 1.0, 0.5)
         if exchange == "idle":
             # The executor's round trip when nothing reads the update:
             # no update is built unless the ring needs one.

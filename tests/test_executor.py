@@ -140,14 +140,6 @@ class TestMigration:
         )
         assert not result.migrated
 
-    def test_high_priority_request_forces_migration(self, config, machine):
-        compiled = compiled_for(machine, [CSD, CSD, HOST], config)
-        machine.csd.cse.schedule_high_priority_request(at_time=0.05)
-        result = PlanExecutor(machine, migration_enabled=True).execute(compiled, N)
-        assert result.migrated
-        assert "high-priority" in result.migrations[0].reason
-        assert not machine.csd.cse.high_priority_pending  # acknowledged
-
     def test_remote_access_charged_after_migration(self, config, machine):
         compiled = compiled_for(machine, [CSD, CSD, HOST], config)
         result = PlanExecutor(machine, migration_enabled=True).execute(

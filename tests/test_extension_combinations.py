@@ -1,7 +1,7 @@
 """Extensions composed together: the features must not fight.
 
-Each extension (multi-CSD, tenant loads, NVMe-oF, overlap, readmission,
-noise) is tested alone elsewhere; these scenarios stack them.
+Each extension (multi-CSD, tenant loads, NVMe-oF, overlap, noise) is
+tested alone elsewhere; these scenarios stack them.
 """
 
 import pytest
@@ -47,22 +47,6 @@ class TestStackedExtensions:
             clean.total_seconds, rel=1e-9
         )
 
-    def test_readmission_with_tenant_bursts(self):
-        # A burst hits mid-scan, then the tenant leaves; with
-        # readmission the later planned-CSD work may return, and the
-        # run must always complete sanely either way.
-        config = SystemConfig(readmission_enabled=True)
-        machine = build_machine(config)
-        load = BackgroundLoad(
-            machine.csd.cse, period_s=10.0, busy_fraction=0.04,
-            available_during=0.05, start_at=0.2,
-        ).start()
-        report = ActivePy(config).run(
-            make_toy_program(), make_toy_dataset(), machine=machine
-        )
-        assert report.result.total_seconds > 0
-        assert load.bursts_started >= 1
-
     def test_overlap_with_migration(self):
         config = SystemConfig(overlap_io_compute=True)
         report = ActivePy(config).run(
@@ -77,10 +61,7 @@ class TestStackedExtensions:
         assert report.total_seconds < 2.0 * baseline.total_seconds
 
     def test_trace_with_everything_on(self):
-        config = SystemConfig(
-            overlap_io_compute=True, readmission_enabled=True,
-            profiler_noise=0.01,
-        )
+        config = SystemConfig(overlap_io_compute=True, profiler_noise=0.01)
         machine = build_machine(config, num_csds=2)
         report = ActivePy(config).run(
             make_toy_program(), make_toy_dataset(), machine=machine,
@@ -95,6 +76,5 @@ class TestStackedExtensions:
         from repro.config import DEFAULT_CONFIG
 
         assert not DEFAULT_CONFIG.overlap_io_compute
-        assert not DEFAULT_CONFIG.readmission_enabled
         assert DEFAULT_CONFIG.profiler_noise == 0
         assert all(verdict.ok for verdict in verdicts.values())

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
-from repro.errors import (
-    AllocationError,
-    FlashError,
-    SamplingError,
-)
+from repro.errors import AllocationError, SamplingError
 from repro.hw.topology import build_machine
 from repro.lang.dataset import Dataset
 from repro.lang.program import Program, Statement, constant, per_record
 from repro.runtime.activepy import ActivePy, RunOptions
-from repro.storage.ftl import PageMappingFTL
-from repro.storage.nand import FlashArray, FlashGeometry
 from repro.units import MIB
 
 from .conftest import make_toy_dataset, make_toy_program
@@ -69,37 +63,6 @@ class TestDeviceMemoryExhaustion:
             make_toy_program(), make_toy_dataset(), config=tiny, machine=machine
         )
         assert result.total_seconds > 0
-
-
-class TestFlashExhaustion:
-    def test_ftl_without_overprovision_eventually_fails_loudly(self):
-        array = FlashArray(FlashGeometry(
-            channels=1, blocks_per_channel=2, pages_per_block=4,
-        ))
-        # Zero overprovision and a full logical space: churn must end in
-        # a FlashError, never silent corruption.
-        ftl = PageMappingFTL(array, gc_threshold_blocks=1,
-                             overprovision_fraction=0.0)
-        with pytest.raises(FlashError):
-            for i in range(100):
-                ftl.write(i % ftl.logical_pages)
-
-    def test_mappings_stay_consistent_up_to_the_failure(self):
-        array = FlashArray(FlashGeometry(
-            channels=1, blocks_per_channel=2, pages_per_block=4,
-        ))
-        ftl = PageMappingFTL(array, gc_threshold_blocks=1,
-                             overprovision_fraction=0.0)
-        written = []
-        try:
-            for i in range(100):
-                ftl.write(i % ftl.logical_pages)
-                written.append(i % ftl.logical_pages)
-        except FlashError:
-            pass
-        for lpn in set(written[:-1]):
-            if ftl.is_mapped(lpn):
-                ftl.read(lpn)  # must not raise
 
 
 class TestDegenerateInputs:

@@ -14,7 +14,7 @@ from repro.hw.topology import build_machine
 from repro.runtime.activepy import ActivePy, RunOptions, run_plan
 from repro.runtime.codegen import ExecutionMode
 from repro.runtime.planner import CSD, HOST, Plan
-from repro.storage.nand import FlashArray, FlashGeometry
+from repro.storage.nand import FlashArray
 
 from .conftest import make_toy_dataset, make_toy_program
 
@@ -92,6 +92,28 @@ class TestFaultSpecValidation:
         plan = FaultPlan.random(seed=3, horizon_s=1.0, count=8)
         times = [spec.at_time for spec in plan.sorted_specs()]
         assert times == sorted(times)
+
+
+_CRASH = {"kind": "cse-crash", "at_time": 0.1}
+
+
+@pytest.mark.parametrize("payload", [
+    {"specs": [{"kind": "nope"}]},
+    {"seed": "x"},
+    [1],
+    {"specs": [1]},
+    {"specs": None},
+    {"specs": [{"kind": "cse-crash"}]},
+    {"specs": [dict(_CRASH, at_time=float("nan"))]},
+    {"specs": [dict(_CRASH, at_time=float("inf"))]},
+    {"specs": [dict(_CRASH, at_time=float("-inf"))]},
+    {"specs": [dict(_CRASH, duration_s=float("nan"))]},
+    {"specs": [dict(_CRASH, duration_s=float("inf"))]},
+], ids=repr)
+def test_malformed_plan_payload_raises_fault_error(payload):
+    """A bad replay payload fails where it is decoded, with a typed error."""
+    with pytest.raises(FaultError):
+        FaultPlan.from_jsonable(payload)
 
 
 class TestInjectorArming:
@@ -191,42 +213,34 @@ class TestInjectorArming:
 
 
 class TestNandReadFaults:
-    def _array(self):
-        array = FlashArray(FlashGeometry(
-            channels=1, blocks_per_channel=2, pages_per_block=4,
-        ))
-        addr, _ = array.program_next_page(0)
-        return array, addr
-
     def test_correctable_fault_adds_latency_then_clears(self):
-        array, addr = self._array()
-        clean = array.geometry.read_latency_s
+        array = FlashArray(read_latency_s=60e-6)
         array.arm_read_fault(correctable=True, retries=4)
-        assert array.read_page(addr) == pytest.approx(clean * 5)
-        assert array.read_page(addr) == pytest.approx(clean)
+        assert array.consume_read_fault() == 4 * 60e-6
+        assert array.consume_read_fault() == 0.0
         assert array.ecc_corrected_reads == 1
 
     def test_uncorrectable_fault_is_typed(self):
-        array, addr = self._array()
+        array = FlashArray(read_latency_s=60e-6)
         array.arm_read_fault(correctable=False)
         with pytest.raises(UncorrectableMediaError) as excinfo:
-            array.read_page(addr)
+            array.consume_read_fault()
         # Wired into both hierarchies: a fault and a flash error.
         assert isinstance(excinfo.value, FaultError)
         assert isinstance(excinfo.value, FlashError)
         # One-shot: the re-read succeeds.
-        array.read_page(addr)
+        assert array.consume_read_fault() == 0.0
         assert array.uncorrectable_reads == 1
 
     def test_persistent_fault_survives_retries(self):
-        array, addr = self._array()
+        array = FlashArray(read_latency_s=60e-6)
         array.arm_read_fault(correctable=False, persistent=True)
         for _ in range(3):
             with pytest.raises(UncorrectableMediaError):
-                array.read_page(addr)
+                array.consume_read_fault()
         assert array.has_persistent_fault
         array.clear_read_faults()
-        array.read_page(addr)
+        assert array.consume_read_fault() == 0.0
 
 
 class TestEndToEndRecovery:

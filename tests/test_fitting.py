@@ -10,7 +10,6 @@ from repro.runtime.fitting import (
     ComplexityCurve,
     FittedCurve,
     fit_curve,
-    prediction_error,
 )
 
 NS = [1024.0, 2048.0, 4096.0, 8192.0]  # the paper's 2^-10..2^-7 shape
@@ -92,20 +91,6 @@ class TestValidation:
     def test_non_positive_size(self):
         with pytest.raises(FittingError):
             fit_curve([0.0, 1.0], [1.0, 2.0])
-
-
-class TestPredictionError:
-    def test_exact_hit(self):
-        assert prediction_error(10.0, 10.0) == 0.0
-
-    def test_overestimate(self):
-        assert prediction_error(24.1, 10.0) == pytest.approx(1.41)
-
-    def test_zero_actual_zero_predicted(self):
-        assert prediction_error(0.0, 0.0) == 0.0
-
-    def test_zero_actual_nonzero_predicted(self):
-        assert prediction_error(1.0, 0.0) == math.inf
 
 
 class TestFittedCurve:

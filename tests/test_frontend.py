@@ -137,6 +137,16 @@ class TestValidation:
         with pytest.raises(FrontendError, match="vectorise"):
             program_from_function(looping, record_bytes=8.0)
 
+    def test_constant_range_loops_rejected(self):
+        def smooth(signal):
+            x = signal * 1.0
+            for _ in range(8):
+                x = (x + np.roll(x, 1)) * 0.5
+            return float(np.sum(x))
+
+        with pytest.raises(FrontendError, match="vectorise"):
+            program_from_function(smooth, record_bytes=8.0)
+
     def test_missing_return_rejected(self):
         def no_return(data):
             _ = data * 2

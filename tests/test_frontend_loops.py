@@ -1,94 +1,11 @@
-"""Loop folding in the plain-Python frontend, plus liveness properties."""
+"""Liveness properties of the plain-Python frontend."""
 
 import ast
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend import (
-    FrontendError,
-    live_after_each,
-    names_read,
-    program_from_function,
-)
-
-
-def smooth(signal):
-    x = signal * 1.0
-    for _ in range(8):
-        x = (x + np.roll(x, 1)) * 0.5
-    return float(np.sum(x))
-
-
-def _signal_payload(n, full=None):
-    rng = np.random.default_rng(61)
-    return {"signal": rng.normal(size=n)}
-
-
-class TestLoopFolding:
-    def test_loop_becomes_one_line(self):
-        program = program_from_function(smooth, record_bytes=8.0)
-        assert len(program) == 3
-        assert program[1].name == "L1_x_loop"
-
-    def test_trip_count_multiplies_instructions(self):
-        looped = program_from_function(smooth, record_bytes=8.0)
-
-        def one_pass(signal):
-            x = signal * 1.0
-            x = (x + np.roll(x, 1)) * 0.5
-            return float(np.sum(x))
-
-        single = program_from_function(one_pass, record_bytes=8.0)
-        assert looped[1].instructions(1000) == pytest.approx(
-            8 * single[1].instructions(1000)
-        )
-
-    def test_trips_become_dynamic_instances(self):
-        program = program_from_function(smooth, record_bytes=8.0)
-        assert program[1].chunks == 8
-
-    def test_folded_loop_computes_correctly(self):
-        program = program_from_function(smooth, record_bytes=8.0)
-        payload = _signal_payload(300)
-        result = program.run_kernels(dict(payload))
-        assert result["__result__"] == pytest.approx(
-            smooth(payload["signal"])
-        )
-
-    def test_dynamic_trip_count_rejected(self):
-        def dynamic(data, k):
-            x = data
-            for _ in range(int(k)):
-                x = x * 2
-            return float(x.sum())
-
-        with pytest.raises(FrontendError, match="constant"):
-            program_from_function(dynamic, record_bytes=8.0)
-
-    def test_nested_loops_rejected(self):
-        def nested(data):
-            x = data
-            for _ in range(3):
-                for _ in range(3):
-                    x = x * 2
-            return float(x.sum())
-
-        with pytest.raises(FrontendError, match="straight-line"):
-            program_from_function(nested, record_bytes=8.0)
-
-    def test_branch_inside_loop_rejected(self):
-        def branching(data):
-            x = data
-            for _ in range(3):
-                if x.sum() > 0:
-                    x = x * 2
-            return float(x.sum())
-
-        with pytest.raises(FrontendError):
-            program_from_function(branching, record_bytes=8.0)
+from repro.frontend import live_after_each, names_read
 
 
 # --- property-based liveness checks --------------------------------------

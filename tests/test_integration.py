@@ -67,14 +67,6 @@ class TestContentionScenarios:
         report = ActivePy(config).run(workload.program, workload.dataset, machine=machine)
         assert report.result.migrated
 
-    def test_high_priority_preemption_forces_migration(self, config):
-        workload = get_workload("tpch_q6")
-        machine = build_machine(config)
-        machine.csd.cse.schedule_high_priority_request(at_time=1.5)
-        report = ActivePy(config).run(workload.program, workload.dataset, machine=machine)
-        assert report.result.migrated
-        assert "high-priority" in report.result.migrations[0].reason
-
     def test_migrated_run_still_beats_stranded_static_plan(self, config):
         workload = get_workload("tpch_q6")
 
@@ -92,17 +84,6 @@ class TestContentionScenarios:
             workload.program, workload.dataset, machine=static_machine, plan=plan
         )
         assert active.total_seconds < stranded.total_seconds
-
-    def test_gc_write_burst_throttles_then_recovers(self, config):
-        machine = build_machine(config)
-        pages = machine.csd.ftl.logical_pages
-        machine.csd.inject_write_burst(min(pages * 2, 50_000))
-        # Whatever happened, the device must end consistent and usable.
-        workload = get_workload("tpch_q6")
-        report = ActivePy(config).run(
-            workload.program, workload.dataset, machine=machine
-        )
-        assert report.result.total_seconds > 0
 
 
 class TestDeterminism:

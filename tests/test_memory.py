@@ -85,30 +85,11 @@ class TestSharedAddressSpace:
         host, bar = space.regions
         assert host.end == bar.base
 
-    def test_translation(self):
-        space = self.make_space()
-        assert space.region_of(10).name == "host.dram"
-        assert space.region_of((1 << 20) + 10).name == "csd.bar"
-
-    def test_unmapped_address(self):
-        with pytest.raises(AddressError):
-            self.make_space().region_of(1 << 22)
-
     def test_duplicate_name_rejected(self):
         space = self.make_space()
         with pytest.raises(AddressError):
             space.map_region("host.dram", 64, "host")
 
-    def test_allocate_at_location(self):
-        space = self.make_space()
-        allocation = space.allocate_at("csd", 128)
-        assert space.region_of(allocation.address).location == "csd"
-
-    def test_allocate_at_unknown_location(self):
-        with pytest.raises(AddressError):
-            self.make_space().allocate_at("gpu", 64)
-
     def test_region_named_missing(self):
         with pytest.raises(AddressError):
             self.make_space().region_named("nope")
-

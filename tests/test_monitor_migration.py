@@ -13,11 +13,8 @@ from repro.runtime.migration import migration_cost_estimate, perform_migration
 from repro.runtime.monitor import RuntimeMonitor
 
 
-def update(ipc: float, high_priority: bool = False, chunk: int = 1) -> StatusUpdate:
-    return StatusUpdate(
-        line_name="scan", chunk=chunk, ipc=ipc, progress=0.5,
-        high_priority_pending=high_priority,
-    )
+def update(ipc: float, chunk: int = 1) -> StatusUpdate:
+    return StatusUpdate(line_name="scan", chunk=chunk, ipc=ipc, progress=0.5)
 
 
 class TestMonitorTriggers:
@@ -51,12 +48,6 @@ class TestMonitorTriggers:
             decision = monitor.observe(update(1.9))
         assert not decision.reestimate
 
-    def test_high_priority_always_triggers(self, config):
-        monitor = RuntimeMonitor(config=config, expected_ipc=2.0)
-        decision = monitor.observe(update(2.0, high_priority=True))
-        assert decision.reestimate
-        assert "high-priority" in decision.reason
-
     def test_reset_clears_history(self, config):
         monitor = RuntimeMonitor(config=config, expected_ipc=2.0, trend_window=2)
         monitor.observe(update(2.0))
@@ -71,7 +62,7 @@ class TestMonitorTriggers:
             RuntimeMonitor(config=config, expected_ipc=1.0, trend_window=1)
 
 
-def _oracle_decision(history, ipc, high_priority, config, expected, window):
+def _oracle_decision(history, ipc, config, expected, window):
     """The monitor's decision from the whole history, checked by brute force."""
     inferred = min(1.0, ipc / expected)
     drift = max(0.0, 1.0 - inferred)
@@ -79,9 +70,7 @@ def _oracle_decision(history, ipc, high_priority, config, expected, window):
     falling = len(tail) == window and all(
         later < earlier for earlier, later in zip(tail, tail[1:])
     )
-    if high_priority:
-        reason = "device raised a high-priority request"
-    elif ipc < config.ipc_degradation_threshold * expected:
+    if ipc < config.ipc_degradation_threshold * expected:
         reason = "below"
     elif falling:
         reason = f"IPC decreasing over the last {window} updates"
@@ -95,7 +84,7 @@ _IPCS = st.one_of(
     st.floats(min_value=-1.0, max_value=3.0, allow_nan=False),
 )
 _STEPS = st.lists(
-    st.one_of(st.just(None), st.tuples(_IPCS, st.booleans())),  # None: reset
+    st.one_of(st.just(None), _IPCS),  # None: reset
     max_size=40,
 )
 
@@ -120,11 +109,11 @@ def test_trend_counter_matches_brute_force_window(steps, window, threshold):
             monitor.reset()
             history.clear()
         else:
-            raw, high_priority = step
+            raw = step
             ipc = max(0.0, raw)
             history.append(ipc)
-            decision = monitor.observe(update(raw, high_priority=high_priority))
-            want = _oracle_decision(history, ipc, high_priority, config, expected, window)
+            decision = monitor.observe(update(raw))
+            want = _oracle_decision(history, ipc, config, expected, window)
             got = (decision.reestimate, decision.reason,
                    decision.inferred_availability, decision.ipc_drift)
             if want[1] == "below":

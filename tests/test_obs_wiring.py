@@ -7,8 +7,6 @@ from repro.obs import Observability
 from repro.runtime.activepy import ActivePy, RunOptions
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulator
-from repro.storage.ftl import PageMappingFTL
-from repro.storage.nand import FlashArray, FlashGeometry
 from repro.workloads import get_workload
 
 _SCALE = 2 ** -7
@@ -44,19 +42,6 @@ class TestComponentWiring:
         counters = _counters(obs)
         assert counters["link.d2h.bytes"] == 4096
         assert counters["link.d2h.transfers"] == 1
-
-    def test_nand_and_ftl_count_media_ops(self):
-        obs = Observability()
-        array = FlashArray(FlashGeometry(), obs=obs, metric_prefix="nand")
-        ftl = PageMappingFTL(array, obs=obs, metric_prefix="ftl")
-        for lpn in range(4):
-            ftl.write(lpn)
-        ftl.read(0)
-        counters = _counters(obs)
-        assert counters["ftl.host_writes"] == 4
-        assert counters["nand.programs"] == 4
-        assert counters["nand.reads"] == 1
-        assert obs.snapshot()["gauges"]["nand.free_blocks"] > 0
 
 
 class TestEndToEndWiring:

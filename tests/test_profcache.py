@@ -133,9 +133,13 @@ class TestKeying:
 
 #: sha256 over the profile-cache keys of the 10 rotation workloads at
 #: scale 1/4, under ``DEFAULT_CONFIG`` then ``_PIN_CONFIG``, with the
-#: engine and module digests stubbed to constants.
+#: engine and module digests stubbed to constants.  Re-pinned when six
+#: unread ``SystemConfig`` fields were deleted (the three NAND program,
+#: erase and block-size fields and the three re-admission fields): the
+#: keys computed before that deletion, with those six config entries
+#: dropped from the token tree, hash to this value.
 _PINNED_KEYS_DIGEST = (
-    "b4d6f3bebb53d9b63166bb6e14c852c95dc7ff32e22be90b7ebee95ac1e8ff16"
+    "101a6a37cb04112bdfe18780fdeaa9f19c5d97a2405c9566a1d2b5bcc7c72a42"
 )
 
 _PIN_CONFIG = dataclasses.replace(

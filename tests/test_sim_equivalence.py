@@ -18,8 +18,8 @@ heap fires, in the same order.  This module checks that three ways:
   replaced (an object heap and a NumPy-array store);
 * a pinned digest over whole execution results (every line timing,
   fault event, migration, chunk ledger and counter) of runs that drive
-  the executor's fault-free, migrating, readmitting and recovering
-  paths, plus one observed run's metrics and spans.
+  the executor's fault-free, migrating and recovering paths, plus one
+  observed run's metrics and spans.
 """
 
 import hashlib
@@ -41,7 +41,6 @@ from repro.sim import Simulator
 from repro.workloads import get_workload, workload_names
 
 from .test_faults import completion_lost_run, dispatch_refused_run
-from .test_readmission import run_scenario as readmission_scenario
 
 
 class HeapOracle:
@@ -288,9 +287,11 @@ PINNED_SMALL_CHAOS_DIGEST = (
 #: run's metric snapshot and span list.  The snapshot holds the plan
 #: search's ``plansearch.steps_simulated``: 11 steps, down from the
 #: unpruned 15 once the search skipped steps that can neither win nor
-#: tie; everything else hashes as before.
+#: tie; everything else hashes as before.  The result of a re-admission
+#: run left the list when re-admission was deleted; the code before
+#: that deletion hashes the remaining parts to this same pin.
 PINNED_WHOLE_RESULT_DIGEST = (
-    "0d16d160260dbfd9e817b605e3ac6f8f4dc6464f4ba183018b2da8d7d4d2afda"
+    "39987614867e371427d0efe5459d6d1151a428d14d648b29754ccb6717436338"
 )
 
 
@@ -339,9 +340,6 @@ class TestWorkloadEquivalence:
                     ActivePy(SystemConfig(), migration_enabled=migration_enabled)
                     .run(workload.program, workload.dataset, options=trigger).result
                 )
-        results.append(
-            readmission_scenario(SystemConfig(readmission_enabled=True), recovery_at=0.65)
-        )
         with _recorded_reports() as silent_chaos:
             run_campaign(CampaignConfig(
                 runs=12, scale=PINNED_SCALE, base_seed=20230423,

@@ -1,4 +1,4 @@
-"""Snapshot, restore, and fork semantics of the simulator."""
+"""Snapshot and restore semantics of the simulator."""
 
 from repro.sim import SimSnapshot
 
@@ -68,55 +68,6 @@ class TestSnapshotRestore:
         assert sim.events_fired == 1
 
 
-class TestFork:
-    def test_fork_starts_at_parent_state(self, sim):
-        sim.schedule_at(1.0, lambda: None)
-        sim.run_all()
-        sim.schedule_at(4.0, lambda: None)
-        branch = sim.fork()
-        assert branch.now == sim.now == 1.0
-        assert branch.pending_events == 1
-
-    def test_fork_diverges_independently(self, sim):
-        parent_fired = []
-        sim.schedule_at(2.0, lambda: parent_fired.append("shared"))
-        branch = sim.fork()
-
-        branch_fired = []
-        branch.schedule_at(1.0, lambda: branch_fired.append("branch-only"))
-        branch.run_all()
-        # The pending "shared" event was copied into the branch, so its
-        # callback (closing over parent_fired) runs once per timeline.
-        assert branch_fired == ["branch-only"]
-        assert branch.now == 2.0
-
-        sim.run_all()
-        assert parent_fired == ["shared", "shared"]
-        assert sim.now == 2.0
-
-    def test_parent_unaffected_by_forked_run(self, sim):
-        sim.schedule_at(1.0, lambda: None)
-        branch = sim.fork()
-        branch.run_all()
-        assert branch.events_fired == 1
-        assert sim.events_fired == 0
-        assert sim.pending_events == 1
-        assert sim.now == 0.0
-
-    def test_fork_of_fork(self, sim):
-        sim.schedule_at(1.0, lambda: None)
-        grandchild = sim.fork().fork()
-        assert grandchild.pending_events == 1
-        grandchild.run_all()
-        assert grandchild.events_fired == 1
-        assert sim.pending_events == 1
-
-    def test_forks_do_not_share_a_clock(self, sim):
-        branch = sim.fork()
-        branch.clock.advance(5.0)
-        assert sim.now == 0.0
-
-
 class TestHandlesAcrossRestore:
     """A handle cancels only its own event, in the current timeline."""
 
@@ -165,13 +116,3 @@ class TestHandlesAcrossRestore:
             assert sim.pending_events == 0
             sim.restore(snap)
             assert sim.pending_events == 3
-
-    def test_handle_does_not_reach_into_a_fork(self, sim):
-        fired = []
-        handle = sim.schedule_at(1.0, lambda: fired.append("f"))
-        branch = sim.fork()
-        handle.cancel()
-        assert sim.pending_events == 0
-        assert branch.pending_events == 1
-        branch.run_all()
-        assert fired == ["f"]

@@ -26,28 +26,9 @@ class TestCseAvailability:
         with pytest.raises(HardwareError):
             make_cse().schedule_availability(1.0, 0.0)
 
-    def test_cancel_scheduled(self):
-        sim = Simulator()
-        cse = ComputationalStorageEngine(ips=4e9, simulator=sim)
-        cse.schedule_availability(1.0, 0.1)
-        cse.cancel_scheduled()
-        sim.run_until(2.0)
-        assert cse.availability == 1.0
-
     def test_zero_cores_rejected(self):
         with pytest.raises(HardwareError):
             ComputationalStorageEngine(ips=4e9, simulator=Simulator(), cores=0)
-
-
-class TestHighPriority:
-    def test_flag_raised_and_acknowledged(self):
-        sim = Simulator()
-        cse = ComputationalStorageEngine(ips=4e9, simulator=sim)
-        cse.schedule_high_priority_request(at_time=0.5)
-        sim.run_until(0.5)
-        assert cse.high_priority_pending
-        cse.acknowledge_high_priority()
-        assert not cse.high_priority_pending
 
 
 class TestPerformanceCounterInterface:

@@ -1,11 +1,9 @@
-"""Utilization reporting and frontend column inference."""
+"""Utilization reporting."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.utilization import utilization_report
 from repro.errors import ReproError
-from repro.frontend import infer_column_bytes, program_from_function, FrontendError
 from repro.hw.topology import build_machine
 from repro.runtime.activepy import ActivePy, RunOptions
 
@@ -64,38 +62,3 @@ class TestUtilizationReport:
             spans=report.spans,
         )
         assert usage.total_seconds == report.total_seconds
-
-
-class TestInferColumnBytes:
-    def test_widths_from_dtypes(self):
-        probe = {
-            "prices": np.zeros(100, dtype=np.float64),
-            "flags": np.zeros(100, dtype=np.int8),
-            "scalar": 3.0,
-        }
-        widths = infer_column_bytes(probe)
-        assert widths == {"prices": 8.0, "flags": 1.0}
-
-    def test_matrix_columns_count_full_rows(self):
-        probe = {"features": np.zeros((50, 4), dtype=np.float32)}
-        assert infer_column_bytes(probe) == {"features": 16.0}
-
-    def test_no_arrays_rejected(self):
-        with pytest.raises(FrontendError):
-            infer_column_bytes({"x": 1.0})
-
-    def test_composes_with_frontend(self):
-        def fn(prices, flags):
-            kept = prices[flags > 0]
-            return float(np.sum(kept))
-
-        probe = {
-            "prices": np.linspace(0, 1, 4096),
-            "flags": np.tile([0, 1], 2048).astype(np.int8),
-        }
-        widths = infer_column_bytes(probe)
-        program = program_from_function(
-            fn, record_bytes=sum(widths.values()),
-            column_bytes=widths, probe_payload=probe,
-        )
-        assert program[0].storage_bytes(1000) == pytest.approx(9_000)
