@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
@@ -193,6 +194,16 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, FaultKind):
             raise FaultError(f"kind must be a FaultKind, got {self.kind!r}")
+        for name in ("at_time", "duration_s", "factor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise FaultError(f"{name} must be a number, got {value!r}")
+        for name in ("count", "retries"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise FaultError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.persistent, bool):
+            raise FaultError(f"persistent must be a bool, got {self.persistent!r}")
         # NaN passes no comparison, so it would arm the fault at an
         # undefined point; inf would silently never fire it.
         for name in ("at_time", "duration_s"):
@@ -260,16 +271,21 @@ class FaultSpec:
             raise FaultError(
                 f"fault spec payload must be a dict, got {type(payload).__name__}"
             )
+        # A whole JSON number (``2.0``) is an int; any other value goes
+        # as it is, for the constructor to accept or reject.
+        counts = {"count": payload.get("count", 1), "retries": payload.get("retries", 3)}
+        for name, value in counts.items():
+            if isinstance(value, float) and value.is_integer():
+                counts[name] = int(value)
         try:
             return cls(
                 kind=FaultKind(payload["kind"]),
                 at_time=float(payload["at_time"]),
                 target=str(payload.get("target", "csd")),
                 duration_s=float(payload.get("duration_s", 0.0)),
-                count=int(payload.get("count", 1)),
-                retries=int(payload.get("retries", 3)),
                 factor=float(payload.get("factor", 1.0)),
-                persistent=bool(payload.get("persistent", False)),
+                persistent=payload.get("persistent", False),
+                **counts,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FaultError(f"malformed fault spec payload: {exc!r}") from exc

@@ -15,6 +15,9 @@ the real system infers congestion from a dropping IPC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Optional
 
 from ..errors import HardwareError
@@ -151,26 +154,32 @@ class ComputeUnit:
         self._record_work(instructions, elapsed)
         return elapsed
 
-    def charge(self, instructions: float, elapsed: float) -> None:
-        """Account work against externally managed time.
+    def charge(self, instructions: float, elapsed: float, count: int = 1) -> None:
+        """Account work against externally managed time, ``count`` times over.
 
         Overlapped execution advances the clock once for a whole chunk
-        (max of I/O and compute time); this books the retired
-        instructions and busy cycles without touching the clock.
+        (max of I/O and compute time), and a quiet stretch once for all
+        its chunks; this books the retired instructions and busy cycles
+        of ``count`` such chunks without touching the clock.  Each float
+        counter is the left fold of its ``count`` adds, the same bits as
+        one call per chunk.
         """
         if instructions < 0 or elapsed < 0:
             raise HardwareError("charge needs non-negative instructions and time")
-        self.counters.retired_instructions += instructions
-        self.counters.cycles += elapsed * self.clock_hz
-        self.counters.busy_seconds += elapsed
-        self.counters.tasks_completed += 1
-        self._record_work(instructions, elapsed)
+        counters = self.counters
+        counters.retired_instructions = reduce(
+            add, repeat(instructions, count), counters.retired_instructions
+        )
+        counters.cycles = reduce(add, repeat(elapsed * self.clock_hz, count), counters.cycles)
+        counters.busy_seconds = reduce(add, repeat(elapsed, count), counters.busy_seconds)
+        counters.tasks_completed += count
+        self._record_work(instructions, elapsed, count)
 
-    def _record_work(self, instructions: float, elapsed: float) -> None:
+    def _record_work(self, instructions: float, elapsed: float, count: int = 1) -> None:
         if self.obs.enabled:
-            self._busy_cell.append(elapsed)
-            self._instr_cell.append(instructions)
-            self._tasks_cell.append(1.0)
+            self._busy_cell.extend(repeat(elapsed, count))
+            self._instr_cell.extend(repeat(instructions, count))
+            self._tasks_cell.extend(repeat(1.0, count))
 
     def expected_ipc(self) -> float:
         """IPC the unit would show when fully available."""

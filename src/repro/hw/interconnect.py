@@ -12,6 +12,9 @@ of the paper:
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Optional
 
 from ..errors import HardwareError
@@ -141,33 +144,42 @@ class Link:
         self._record_traffic(nbytes)
         return elapsed
 
-    def account(self, nbytes: float) -> None:
-        """Record traffic without advancing time.
+    def account(self, nbytes: float, count: int = 1) -> None:
+        """Record the traffic of ``count`` transfers without advancing time.
 
         Used by overlapped execution, where the enclosing chunk already
         advanced the clock by max(io, compute) and the link only needs
-        its statistics updated.
+        its statistics updated, and by a quiet stretch of chunks, which
+        advanced it for all of them.  The byte total is the left fold of
+        the ``count`` adds, the same bits as one call per transfer.
         """
         if nbytes < 0:
             raise HardwareError(f"transfer size must be non-negative, got {nbytes}")
-        self.bytes_transferred += nbytes
+        self.bytes_transferred = reduce(add, repeat(nbytes, count), self.bytes_transferred)
         if nbytes > 0:
-            self.transfers += 1
-        self._record_traffic(nbytes)
+            self.transfers += count
+        self._record_traffic(nbytes, count)
 
-    def _record_traffic(self, nbytes: float) -> None:
+    def _record_traffic(self, nbytes: float, count: int = 1) -> None:
         if self.obs.enabled:
-            self._bytes_cell.append(nbytes)
+            self._bytes_cell.extend(repeat(nbytes, count))
             if nbytes > 0:
-                self._transfers_cell.append(1.0)
+                self._transfers_cell.extend(repeat(1.0, count))
 
     def message(self) -> float:
         """Send a minimal control message (doorbell, status update)."""
         self.clock.advance(self.latency_s, component=self.component)
-        self.transfers += 1
-        if self.obs.enabled:
-            self._messages_cell.append(1.0)
+        self.message_many(1)
         return self.latency_s
+
+    def message_many(self, count: int) -> None:
+        """The bookkeeping of ``count`` :meth:`message` calls.
+
+        The caller advances the clock by their latencies.
+        """
+        self.transfers += count
+        if self.obs.enabled:
+            self._messages_cell.extend(repeat(1.0, count))
 
     def reset_stats(self) -> None:
         self.bytes_transferred = 0.0

@@ -40,6 +40,9 @@ just ingested were tainted.  Three rules keep the model honest:
 from __future__ import annotations
 
 import zlib
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Dict, Optional
 
 from .config import SystemConfig
@@ -114,15 +117,36 @@ class IntegrityChecker:
         Returns the seconds charged.  A no-op (exactly zero simulated
         and metric overhead) when the layer is disabled.
         """
-        if not self.enabled or nbytes <= 0:
+        seconds = self.verify_cost(nbytes)
+        if seconds is None:
             return 0.0
-        seconds = nbytes / self.config.integrity_verify_bandwidth
         self.clock.advance(seconds, component="integrity")
-        self.verified_bytes += nbytes
-        self.verify_seconds += seconds
-        if self.obs is not None and self.obs.enabled:
-            self._verified_cell.append(nbytes)
+        self.charge_verify_many(nbytes, 1)
         return seconds
+
+    def verify_cost(self, nbytes: float) -> Optional[float]:
+        """The seconds :meth:`charge_verify` charges for ``nbytes``.
+
+        None when it charges nothing: the layer is disabled or there
+        are no bytes.
+        """
+        if not self.enabled or nbytes <= 0:
+            return None
+        return nbytes / self.config.integrity_verify_bandwidth
+
+    def charge_verify_many(self, nbytes: float, count: int) -> None:
+        """The bookkeeping of ``count`` :meth:`charge_verify` calls.
+
+        The caller advances the clock by their seconds; each float
+        total is the left fold of its adds, as ``count`` calls make it.
+        """
+        seconds = self.verify_cost(nbytes)
+        if seconds is None:
+            return
+        self.verified_bytes = reduce(add, repeat(nbytes, count), self.verified_bytes)
+        self.verify_seconds = reduce(add, repeat(seconds, count), self.verify_seconds)
+        if self.obs is not None and self.obs.enabled:
+            self._verified_cell.extend(repeat(nbytes, count))
 
     # --- detection bookkeeping --------------------------------------------
 

@@ -35,6 +35,7 @@ import functools
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence, Tuple
 
 from ..errors import CheckpointError
@@ -224,9 +225,68 @@ class CheckpointManager:
         config = self.config
         if not config.checkpoint_enabled:
             return
+        clean = self.save_many(line_index, next_chunk, live_vars, (sim_time,))
+        cost = config.checkpoint_write_cost_s
+        if cost > 0:
+            self.device.simulator.clock.advance(cost, component="checkpoint")
+        if not clean:
+            self.obs.count("checkpoint.torn_writes")
+            # Accounting only: the host has no idea yet — it will find
+            # out through the CRC when (if) it ever restores.
+            self.fault_log.record(
+                self.device.simulator.now, "checkpoint-torn-write",
+                self.device.name, "torn",
+                f"record gen {self.area.next_generation - 1} (line {line_index}, "
+                f"cursor {next_chunk}) torn mid-write",
+            )
+
+    def save_many(
+        self,
+        line_index: int,
+        first_chunk: int,
+        live_vars: Sequence[str],
+        sim_times: Sequence[float],
+    ) -> bool:
+        """:meth:`save` at cursors ``first_chunk, first_chunk + 1, ...``,
+        one per entry of ``sim_times``, without the clock advances or
+        the torn-write record.
+
+        Returns False when the last write tore.  A quiet stretch of
+        chunks calls this directly: it advances the clock by the write
+        costs and has checked that no torn write is armed.  The slots
+        alternate, so only the last two images can ever be read: the
+        earlier saves advance the generation and the counters, and
+        write nothing.
+        """
+        config = self.config
+        if not config.checkpoint_enabled:
+            return True
+        count = len(sim_times)
+        skipped = max(0, count - 2)
+        if skipped:
+            area = self.area
+            area.next_generation += skipped
+            area.writes += skipped
+            self.saves += skipped
+        clean = True
+        for offset in range(skipped, count):
+            clean = self._commit(line_index, first_chunk + offset, live_vars, sim_times[offset])
+        if self.obs.enabled:
+            self._saves_cell.extend(repeat(1.0, count))
+            self._write_seconds_cell.extend(repeat(config.checkpoint_write_cost_s, count))
+        return clean
+
+    def _commit(
+        self,
+        line_index: int,
+        next_chunk: int,
+        live_vars: Sequence[str],
+        sim_time: float,
+    ) -> bool:
+        """Write the next generation's record; False when the write tore."""
         area = self.area
         generation = area.next_generation
-        slot = generation % 2 if config.checkpoint_double_buffer else 0
+        slot = generation % 2 if self.config.checkpoint_double_buffer else 0
         _check_counters(generation, line_index, next_chunk)
         if live_vars is not self._live_vars:
             # The executor passes one tuple per line: look its layout up
@@ -248,22 +308,7 @@ class CheckpointManager:
         )
         area.next_generation = generation + 1
         self.saves += 1
-        cost = config.checkpoint_write_cost_s
-        if self.obs.enabled:
-            self._saves_cell.append(1.0)
-            self._write_seconds_cell.append(cost)
-        if cost > 0:
-            self.device.simulator.clock.advance(cost, component="checkpoint")
-        if not clean:
-            self.obs.count("checkpoint.torn_writes")
-            # Accounting only: the host has no idea yet — it will find
-            # out through the CRC when (if) it ever restores.
-            self.fault_log.record(
-                self.device.simulator.now, "checkpoint-torn-write",
-                self.device.name, "torn",
-                f"record gen {generation} (line {line_index}, "
-                f"cursor {next_chunk}) torn mid-write",
-            )
+        return clean
 
     # --- read side ---------------------------------------------------------
 

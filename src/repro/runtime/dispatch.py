@@ -21,6 +21,7 @@ on the shared :class:`~repro.faults.FaultLog`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional
 
 from ..errors import DeadlineError, DeviceLostError, DispatchError
@@ -292,14 +293,15 @@ class CallQueueDispatcher:
         """
         cq = self.queue_pair.cq
         cq.post(Completion(command_id=-1, status="status", payload=update))
-        self._status_sent(len(cq))
-
-    def _status_sent(self, cq_depth: int) -> None:
         self.machine.d2h_link.message()
-        self.status_updates += 1
+        self._count_status(len(cq), 1)
+
+    def _count_status(self, cq_depth: int, count: int) -> None:
+        """Count ``count`` status messages sent at ``cq_depth``."""
+        self.status_updates += count
         if self.obs.enabled:
-            self._status_cell.append(1.0)
-            self._cq_depth_cell.append(cq_depth)
+            self._status_cell.extend(repeat(1.0, count))
+            self._cq_depth_cell.extend(repeat(cq_depth, count))
 
     def drain_status(self) -> List[StatusUpdate]:
         """Host side: collect all pending status updates."""
@@ -322,6 +324,21 @@ class CallQueueDispatcher:
             self.post_status(update)
             self.drain_status()
 
+    @property
+    def status_idle(self) -> bool:
+        """True when :meth:`exchange_idle_status` would take the idle round trip."""
+        cq = self.queue_pair.cq
+        return cq.is_empty and not cq.loss_armed
+
+    def exchange_idle_status_many(self, count: int) -> None:
+        """``count`` idle round trips, without the messages' clock advances.
+
+        The caller checked :attr:`status_idle` and advances the clock
+        by the messages' latencies.
+        """
+        self.machine.d2h_link.message_many(count)
+        self._count_status(1, count)
+
     def exchange_idle_status(self) -> bool:
         """The round trip of a status update without its ring entry, if idle.
 
@@ -332,8 +349,8 @@ class CallQueueDispatcher:
         only effects, and the update itself need not exist.  Returns
         False, doing nothing, when the entry must go through the ring.
         """
-        cq = self.queue_pair.cq
-        if cq.is_empty and not cq.loss_armed:
-            self._status_sent(1)
+        if self.status_idle:
+            self.machine.d2h_link.message()
+            self._count_status(1, 1)
             return True
         return False

@@ -11,12 +11,7 @@ IPC, and the plan's own fitted estimates.
 :meth:`PlanExecutor.execute` is a fold of one line stepper,
 :meth:`PlanExecutor.step`, over the plan, started by ``begin`` and
 closed by ``finish`` (the final readback).  The per-run variables live
-in a :class:`RunState`.  Plan search (:mod:`repro.runtime.plansearch`)
-prices a step in closed form: the clock advances ``step`` makes on a
-fault-free, undisturbed machine, added in the same order, so a change
-to the charges here must change them there too
-(``tests/test_plansearch.py`` holds the two equal with ``==`` on random
-programs and configs).
+in a :class:`RunState`.
 
 Each line executes in ``chunks`` pieces (its dynamic instances).  After
 every CSD chunk the device posts a status update, the simulator fires
@@ -30,12 +25,36 @@ device line can end on the host — a refused dispatch, exhausted chunk
 replays, a migration, a lost completion — goes through one helper,
 ``_fall_back``, which runs the remaining chunks in the single
 host-chunk loop.
+
+Most chunks are *quiet*: no event falls due at their
+``fire_due_events`` point, no fault is armed, the completion queue is
+idle, the taint ledger is empty, no progress trigger is crossed, and
+the monitor (if any) reads the full expected rate, so its decision is
+the shared steady one.  Such a stretch of chunks adds the same clock
+advances and counter increments chunk after chunk, so the device and
+host chunk loops charge it at once (``_csd_stretch``,
+``_charge_quiet``): :func:`chunk_advances` builds one chunk's advances
+from live machine state, one ``itertools.accumulate`` fold sets the
+clock (the same floats, in the same order, as one ``advance`` call
+each), every counter is a left fold of its adds, every metrics cell is
+extended, and only the last two checkpoint saves write their images.
+The chunk at each stretch boundary runs through the per-chunk body, so
+where a stretch ends shows nowhere (``tests/test_quiet_stretch.py``).
+:func:`chunk_advances` is also how the plan search
+(:mod:`repro.runtime.plansearch`) prices a step in closed form, so the
+charge formula of a chunk lives in one place; ``tests/test_plansearch.py``
+holds the closed form to a fresh machine whose chunks all take the
+per-chunk body.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from itertools import accumulate, chain, islice, repeat
+from operator import add, sub, truediv
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CseCrashError, FaultError, MigrationError, ProgramError
 from ..faults import FaultEvent, FaultLog
@@ -166,6 +185,79 @@ def _unit_name(key: _UnitKey) -> str:
         return key
     index, chunk = key
     return f"line{index}.chunk{chunk}"
+
+
+#: One move of a chunk: its bytes, then its link's latency, bandwidth
+#: (after any degradation) and attribution component.
+Move = Tuple[float, float, float, str]
+
+#: One clock advance: its seconds and attribution component.
+Advance = Tuple[float, str]
+
+
+def chunk_advances(
+    moves: Sequence[Move] = (),
+    multiplier: float = 1.0,
+    compute: Optional[Tuple[float, float, str]] = None,
+    overlap: bool = False,
+    verify_bandwidth: Optional[float] = None,
+    checkpoint: float = 0.0,
+    status: Optional[Advance] = None,
+) -> Tuple[Advance, ...]:
+    """The clock advances one chunk makes, in the executor's order.
+
+    This is the one charge formula of a chunk.  The executor charges a
+    quiet stretch of chunks with it, and the plan search prices a step
+    with it; the per-chunk body (``_chunk``, ``_move``,
+    ``charge_verify``, ``CheckpointManager.save``, the status message)
+    makes the same advances one call at a time.
+
+    A move with bytes takes ``latency + bytes / bandwidth`` on the wire.
+    ``compute`` is the unit's instructions, instructions per second
+    (after availability) and component; None makes a standalone
+    verified move, which cannot overlap (``ValueError``).  Without
+    ``overlap`` each move with wire time
+    advances by it and, when the boxed-buffer ``multiplier`` exceeds 1,
+    by its stretch; then the compute.  With ``overlap`` the chunk
+    advances once by the larger of the stretched I/O and the compute,
+    labelled by the binding side.  Then come the digest check of the
+    moved bytes (``verify_bandwidth`` None: the integrity layer is
+    off), a positive ``checkpoint`` write cost and the ``status``
+    message's (latency, component).
+    """
+    if overlap and compute is None:
+        raise ValueError("an overlapped chunk needs its compute")
+    advances: List[Advance] = []
+    if compute is not None:
+        instructions, ips, unit = compute
+        compute_seconds = instructions / ips
+    if overlap:
+        io_seconds = sum(
+            (latency + nbytes / bandwidth) * multiplier
+            for nbytes, latency, bandwidth, _ in moves if nbytes > 0
+        )
+        # Critical-path accounting: the hidden, shorter side
+        # contributes no path time.
+        binding = moves[0][3] if io_seconds >= compute_seconds and moves else unit
+        advances.append((max(io_seconds, compute_seconds), binding))
+    else:
+        for nbytes, latency, bandwidth, component in moves:
+            if nbytes > 0:
+                elapsed = latency + nbytes / bandwidth
+                if elapsed > 0:
+                    advances.append((elapsed, component))
+                    if multiplier > 1.0:
+                        advances.append((elapsed * (multiplier - 1.0), component))
+        if compute is not None:
+            advances.append((compute_seconds, unit))
+    payload = sum(nbytes for nbytes, _, _, _ in moves if nbytes > 0)
+    if verify_bandwidth is not None and payload > 0:
+        advances.append((payload / verify_bandwidth, "integrity"))
+    if checkpoint > 0:
+        advances.append((checkpoint, "checkpoint"))
+    if status is not None:
+        advances.append(status)
+    return tuple(advances)
 
 
 @dataclass
@@ -451,6 +543,10 @@ class PlanExecutor:
         # first chunk still restores to *this* line.
         checkpoints.save(index, 0, live_vars, clock.now)
         while chunk < chunks:
+            quiet = self._csd_stretch(state, line, chunk, monitor, expected_ipc)
+            if quiet:
+                chunk += quiet
+                continue
             fault: Optional[FaultError] = None
             try:
                 self._run_chunk_on_csd(state, line, chunk, moves)
@@ -751,16 +847,188 @@ class PlanExecutor:
         """Run chunks ``first_chunk..`` of a line on the host, reading its
         input over the remote BAR path when ``input_remote``."""
         machine = self.machine
+        host = machine.host
         moves = [(machine.host_storage_link, line.storage_bytes)]
         if input_remote:
             moves.append((machine.remote_access_link, line.input_bytes))
-        for chunk in range(first_chunk, line.statement.chunks):
+        chunks = line.statement.chunks
+        chunk = first_chunk
+        while chunk < chunks:
+            if not (
+                self.integrity.has_tainted_units
+                or any(link.transfer_corruption_armed for link, _ in moves)
+            ):
+                quiet, _ = self._charge_quiet(
+                    host, moves, line.instructions, state.multiplier, (), chunks - chunk
+                )
+                if quiet:
+                    state.chunk_ledger[line.index] += quiet
+                    chunk += quiet
+                    continue
             self._chunk(
-                machine.host, moves, line.instructions, state.multiplier,
+                host, moves, line.instructions, state.multiplier,
                 key=(line.index, chunk),
             )
             state.chunk_ledger[line.index] += 1
             machine.simulator.fire_due_events()
+            chunk += 1
+
+    # --- quiet stretches ------------------------------------------------------
+
+    def _csd_stretch(
+        self,
+        state: RunState,
+        line: _Line,
+        chunk: int,
+        monitor: Optional[RuntimeMonitor],
+        expected_ipc: float,
+    ) -> int:
+        """Charge the quiet device chunks of ``line`` from ``chunk`` on at once.
+
+        Returns how many it charged; 0 leaves the next chunk to the
+        per-chunk body.  A chunk is quiet when nothing can observe or
+        disturb it: no event falls due at its ``fire_due_events``
+        point, no fault is armed, the completion queue is idle, the
+        engine is up, the taint ledger is empty, it crosses no progress
+        trigger, and a monitor (if any) reads the full expected rate,
+        so every decision is the shared steady one.  The stretch leaves
+        every clock reading, counter, metrics cell and checkpoint slot
+        as the per-chunk body would.
+        """
+        device = self.device
+        cse = device.cse
+        link = device.internal_link
+        checkpoints = self.checkpoints
+        if (
+            cse.crashed
+            or device.flash.faults_armed
+            or link.transfer_corruption_armed
+            or not self.dispatcher.status_idle
+            or self.integrity.has_tainted_units
+            or (checkpoints.enabled and checkpoints.area.torn_write_armed)
+            or (monitor is not None and cse.availability < 1.0)
+        ):
+            return 0
+        instructions = line.instructions
+        triggers = state.triggers
+        before_trigger = None
+        if triggers:
+
+            def before_trigger(reach: int) -> int:
+                """How many of the next ``reach`` chunks end short of
+                the next progress trigger."""
+                progress = map(
+                    truediv,
+                    accumulate(repeat(instructions, reach), initial=state.csd_instr_done),
+                    repeat(state.total_csd_instr),
+                )
+                return bisect_left(list(islice(progress, 1, None)), triggers[-1][0])
+
+        config = self.machine.config
+        d2h = self.machine.d2h_link
+        tail = chunk_advances(
+            checkpoint=config.checkpoint_write_cost_s if checkpoints.enabled else 0.0,
+            status=(d2h.latency_s, d2h.component),
+        )
+        count, saved_at = self._charge_quiet(
+            cse, [(link, line.storage_bytes)], instructions, state.multiplier,
+            tail, line.statement.chunks - chunk, before_trigger,
+        )
+        if not count:
+            return 0
+        state.csd_instr_done = reduce(add, repeat(instructions, count), state.csd_instr_done)
+        state.chunk_ledger[line.index] += count
+        checkpoints.save_many(line.index, chunk + 1, line.statement.live_vars, saved_at)
+        self.dispatcher.exchange_idle_status_many(count)
+        if monitor is not None:
+            monitor.observe_many(expected_ipc * cse.availability, count)
+            if self.obs.enabled:
+                self._drift_cell.extend(repeat(0.0, count))
+        return count
+
+    def _charge_quiet(
+        self,
+        unit,
+        moves,
+        instructions: float,
+        multiplier: float,
+        tail: Tuple[Advance, ...],
+        remaining: int,
+        clip: Optional[Callable[[int], int]] = None,
+    ) -> Tuple[int, List[float]]:
+        """Charge up to ``remaining`` chunks on ``unit`` as one fold.
+
+        A chunk is :func:`chunk_advances` of ``moves`` and the compute,
+        built once from live machine state, then ``tail`` (the device's
+        checkpoint and status message).  The clock is one
+        ``itertools.accumulate`` fold over the chunks' advances: the
+        same floats, in the same order, as one ``advance`` call each.
+        The stretch ends before the first chunk whose
+        ``fire_due_events`` point, after its verify charge, reaches the
+        simulator's next pending event, and before any chunk ``clip``
+        (given how many chunks may go) cuts off.  Every counter is a
+        left fold of its per-chunk adds.  Returns how many chunks were
+        charged and each one's reading at its ``fire_due_events``
+        point, which is when its checkpoint is saved.  The caller
+        checked that no fault can strike these chunks.
+        """
+        integrity = self.integrity
+        payload = sum(nbytes for _, nbytes in moves if nbytes > 0)
+        body = chunk_advances(
+            [
+                (nbytes, link.latency_s, link.effective_bandwidth, link.component)
+                for link, nbytes in moves
+            ],
+            multiplier,
+            compute=(instructions, unit.effective_ips, unit.component),
+            overlap=self.machine.config.overlap_io_compute,
+            verify_bandwidth=(
+                integrity.config.integrity_verify_bandwidth if integrity.enabled else None
+            ),
+        )
+        advances = body + tail
+        width = len(advances)
+        fire = len(body)
+        clock = self.clock
+        seconds = tuple(s for s, _ in advances)
+        next_event = self.machine.simulator.next_event_time
+        per_chunk = sum(seconds)
+        if per_chunk > 0:
+            # Fold only the chunks that can end before the event: the
+            # readings gain ``per_chunk`` a chunk, so two chunks past
+            # the quotient reach it (were rounding to leave one short,
+            # the stretch would just end early).  Where events are
+            # dense this keeps a chunk's work constant.
+            reach = (next_event - clock.now) / per_chunk
+            if reach < remaining:
+                remaining = max(1, int(reach) + 2)
+        if clip is not None:
+            remaining = clip(remaining)
+        times = list(accumulate(
+            chain.from_iterable(repeat(seconds, remaining)), initial=clock.now,
+        ))
+        count = bisect_left(times[fire::width], next_event)
+        if not count:
+            return 0, []
+        end = count * width
+        clock.advance_along(
+            times[:end + 1],
+            chain.from_iterable(repeat(tuple(c for _, c in advances), count)),
+        )
+        # The unit's busy time is its compute, or the overlapped
+        # chunk's one advance: the last advance before the verify.
+        work = fire - (integrity.verify_cost(payload) is not None)
+        for link, nbytes in moves:
+            if nbytes > 0:
+                link.account(nbytes, count)
+        unit.charge(instructions, body[work - 1][0], count)
+        if self.obs.enabled:
+            self._chunk_cells[unit].extend(repeat(1.0, count))
+            self._chunk_seconds_cell.extend(
+                map(sub, times[work:work + end:width], times[:end:width])
+            )
+        integrity.charge_verify_many(payload, count)
+        return count, times[fire:fire + end:width]
 
     def _try_chunk_replay(
         self,

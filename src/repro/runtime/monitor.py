@@ -69,13 +69,8 @@ class RuntimeMonitor:
 
     def observe(self, update: StatusUpdate) -> MonitorDecision:
         """Ingest one status update and decide whether to re-estimate."""
-        ipc = max(0.0, update.ipc)
-        # The last ``trend_window`` updates fall strictly exactly when
-        # the run of strict falls ending here is ``trend_window - 1`` long.
-        last = self.last_ipc
-        self._falls = self._falls + 1 if last is not None and ipc < last else 0
-        self.last_ipc = ipc
-        self.observations += 1
+        self.observe_many(update.ipc, 1)
+        ipc = self.last_ipc
         inferred = min(1.0, ipc / self.expected_ipc)
 
         if ipc < self.config.ipc_degradation_threshold * self.expected_ipc:
@@ -96,6 +91,22 @@ class RuntimeMonitor:
             inferred_availability=inferred,
             ipc_drift=max(0.0, 1.0 - inferred),
         )
+
+    def observe_many(self, ipc: float, count: int) -> None:
+        """Ingest ``count`` status updates at ``ipc``, deciding nothing.
+
+        A quiet stretch of chunks calls this directly: there each
+        update's decision would be ``_STEADY``.
+        """
+        ipc = max(0.0, ipc)
+        # The last ``trend_window`` updates fall strictly exactly when
+        # the run of strict falls ending here is ``trend_window - 1``
+        # long.  Only the first of equal updates can fall.
+        last = self.last_ipc
+        falls = self._falls + 1 if last is not None and ipc < last else 0
+        self._falls = falls if count == 1 else 0
+        self.last_ipc = ipc
+        self.observations += count
 
     @staticmethod
     def reestimate_remaining_seconds(

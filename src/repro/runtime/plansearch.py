@@ -69,6 +69,7 @@ from ..lang.dataset import Dataset
 from ..lang.program import Program
 from .codegen import ExecutionMode
 from .estimator import LineEstimate
+from .executor import chunk_advances
 from .planner import CSD, HOST, Plan, assign_csd_code, host_only_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -160,38 +161,6 @@ class SearchReport:
             raise PlanningError(f"malformed search report payload: {exc}") from exc
 
 
-def _transfer(
-    latency: float, nbytes: float, bandwidth: float, multiplier: float
-) -> Tuple[float, ...]:
-    """The advances of ``PlanExecutor._move``: the wire time, then its stretch."""
-    if nbytes <= 0:
-        return ()
-    elapsed = latency + nbytes / bandwidth
-    return (elapsed, elapsed * (multiplier - 1.0))
-
-
-def _verify(nbytes: float, config: SystemConfig) -> Tuple[float, ...]:
-    """The advance of ``IntegrityChecker.charge_verify``."""
-    if config.integrity_enabled and nbytes > 0:
-        return (nbytes / config.integrity_verify_bandwidth,)
-    return ()
-
-
-def _chunk(
-    latency: float, nbytes: float, bandwidth: float, multiplier: float,
-    instructions: float, ips: float, config: SystemConfig,
-) -> Tuple[float, ...]:
-    """The advances of ``PlanExecutor._chunk``: the move and the compute
-    (their max when overlapped), then the verify charge."""
-    compute = instructions / ips
-    if config.overlap_io_compute:
-        io = (latency + nbytes / bandwidth) * multiplier if nbytes > 0 else 0.0
-        work: Tuple[float, ...] = (max(io, compute),)
-    else:
-        work = _transfer(latency, nbytes, bandwidth, multiplier) + (compute,)
-    return work + _verify(nbytes, config)
-
-
 def _step_advances(
     program: Program, n: float, config: SystemConfig, key: _StepKey
 ) -> Iterator[float]:
@@ -199,19 +168,31 @@ def _step_advances(
 
     What ``PlanExecutor.step`` (``finish`` for the readback) advances
     the clock by on a machine nothing else runs on, in its order: the
-    input move; for a CSD line the doorbell and the entry checkpoint,
-    then per chunk the internal stream, the compute, the verify charge,
-    the checkpoint and the status message; for a host line per chunk
-    the storage read, the compute and the verify charge.  Zero advances
-    within a chunk are dropped, since adding 0.0 is exact.
+    input move and its verify charge; for a CSD line the doorbell and
+    the entry checkpoint, then per chunk the internal stream, the
+    compute, the verify charge, the checkpoint and the status message;
+    for a host line per chunk the storage read, the compute and the
+    verify charge.  Each chunk and each move is the executor's own
+    :func:`~repro.runtime.executor.chunk_advances`, priced from the
+    config.  Zero advances within a chunk are dropped, since adding 0.0
+    is exact.
     """
     index, location, value_location = key
     m = ExecutionMode.ACTIVEPY.time_multiplier(config)
     lat = config.effective_link_latency_s
+    verify = config.integrity_verify_bandwidth if config.integrity_enabled else None
     n = float(n)
+
+    def seconds(advances: Tuple[Tuple[float, str], ...]) -> Tuple[float, ...]:
+        return tuple(s for s, _ in advances if s)
+
+    def readback(nbytes: float) -> Tuple[float, ...]:
+        return seconds(chunk_advances(
+            [(nbytes, lat, config.bw_d2h, "pcie")], m, verify_bandwidth=verify,
+        ))
+
     if index == _FINAL:
-        nbytes = program[len(program) - 1].output_bytes(n)
-        return iter(_transfer(lat, nbytes, config.bw_d2h, m) + _verify(nbytes, config))
+        return iter(readback(program[len(program) - 1].output_bytes(n)))
     statement = program[index]
     chunks = statement.chunks
     instructions = statement.instructions(n) * m / chunks
@@ -219,19 +200,24 @@ def _step_advances(
     d_in = program.input_bytes(index, n)
     head: Tuple[float, ...] = ()
     if location != value_location and d_in > 0:
-        head = _transfer(lat, d_in, config.bw_d2h, m) + _verify(d_in, config)
+        head = readback(d_in)
     if location == CSD:
         checkpoint = config.checkpoint_write_cost_s if config.checkpoint_enabled else 0.0
         head += (lat, checkpoint)
         # The internal bus has no latency.
-        body = _chunk(
-            0.0, storage, config.bw_internal, m, instructions, config.cse_ips, config,
-        ) + (checkpoint, lat)
-    else:
-        body = _chunk(
-            lat, storage, config.bw_host_storage, m, instructions, config.host_ips, config,
+        body = chunk_advances(
+            [(storage, 0.0, config.bw_internal, "nand")], m,
+            compute=(instructions, config.cse_ips, "cse"),
+            overlap=config.overlap_io_compute, verify_bandwidth=verify,
+            checkpoint=checkpoint, status=(lat, "pcie"),
         )
-    return chain(head, chain.from_iterable(repeat(tuple(t for t in body if t), chunks)))
+    else:
+        body = chunk_advances(
+            [(storage, lat, config.bw_host_storage, "pcie")], m,
+            compute=(instructions, config.host_ips, "host"),
+            overlap=config.overlap_io_compute, verify_bandwidth=verify,
+        )
+    return chain(head, chain.from_iterable(repeat(seconds(body), chunks)))
 
 
 def _step_seconds(program: Program, n: float, config: SystemConfig, key: _StepKey) -> float:

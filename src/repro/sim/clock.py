@@ -17,7 +17,8 @@ or off.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
 from ..errors import SimulationError
 
@@ -83,6 +84,21 @@ class SimClock:
         if self._attributor is not None:
             self._attributor.record(old, self._now, component)
         return self._now
+
+    def advance_along(self, readings: Sequence[float], components: Iterable[str]) -> None:
+        """Move the clock through ``readings``, one reading per advance.
+
+        ``readings[0]`` is the current reading and ``readings[i + 1]``
+        the reading after an advance labelled ``components[i]``: the
+        readings of one :meth:`advance` call each, as the caller's
+        ``itertools.accumulate`` fold computed them.  The attributor, if
+        any, sees every movement, in order.
+        """
+        attributor = self._attributor
+        if attributor is not None:
+            for old, new, component in zip(readings, islice(readings, 1, None), components):
+                attributor.record(old, new, component)
+        self._now = readings[-1]
 
     def restore(self, timestamp: float) -> None:
         """Set the clock to ``timestamp``, forwards *or backwards*.

@@ -139,6 +139,17 @@ class Simulator:
         """Live (scheduled, not fired, not cancelled) events — O(1)."""
         return len(self._pending)
 
+    @property
+    def next_event_time(self) -> float:
+        """When the earliest heap entry is due; ``inf`` with none.
+
+        The entry may be a cancelled one not yet dropped, so no event
+        fires before this time.  :meth:`fire_due_events` does nothing
+        while the clock reads less.
+        """
+        heap = self._heap
+        return heap[0][0] if heap else math.inf
+
     # --- scheduling ---------------------------------------------------------
 
     def schedule_at(

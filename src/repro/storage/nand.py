@@ -121,6 +121,11 @@ class FlashArray:
         return True
 
     @property
+    def faults_armed(self) -> bool:
+        """True while a read fault or a silent corruption is armed."""
+        return self._fault_count > 0 or self._silent_count > 0
+
+    @property
     def has_persistent_fault(self) -> bool:
         """True while an armed uncorrectable fault survives replays."""
         return self._fault_persistent and self._fault_count > 0

@@ -8,6 +8,8 @@ by running it on a freshly built machine, not in closed form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.hw.topology import build_machine
@@ -46,6 +48,26 @@ def q14_reference(lineitem: Table, part: Table) -> float:
     return 100.0 * promo / total
 
 
+def tick_every_chunk(simulator, budget: int) -> None:
+    """Keep a no-op event pending one ulp after the clock, ``budget`` times.
+
+    Each tick schedules the next at ``math.nextafter(now, inf)``, so
+    every chunk that advances the clock reaches an event at its
+    ``fire_due_events`` point and runs through the executor's per-chunk
+    body, not a quiet stretch.  At most ``budget`` events are ever
+    scheduled.
+    """
+    left = [budget]
+
+    def tick() -> None:
+        left[0] -= 1
+        if left[0] > 0:
+            simulator.schedule_at(math.nextafter(simulator.now, math.inf), tick)
+
+    if budget > 0:
+        simulator.schedule_at(math.nextafter(simulator.now, math.inf), tick)
+
+
 def step_seconds_on_fresh_machine(program: Program, n_records, config, key) -> float:
     """Simulated seconds of one plan-search step, run on a fresh machine.
 
@@ -55,7 +77,10 @@ def step_seconds_on_fresh_machine(program: Program, n_records, config, key) -> f
     the host with the CSD off), begins a run with the live value on
     ``value_location`` and runs the one line through
     ``PlanExecutor.step`` (the readback through ``finish``), reading the
-    clock before and after.
+    clock before and after.  A :func:`tick_every_chunk` ticker sends
+    every chunk through the per-chunk body, so the closed form, which
+    shares its chunk formula with the executor's quiet stretches, is
+    held to the per-chunk charges.
     """
     index, location, value_location = key
     machine = build_machine(config, obs=Observability.disabled())
@@ -69,6 +94,8 @@ def step_seconds_on_fresh_machine(program: Program, n_records, config, key) -> f
     executor = PlanExecutor(machine, migration_enabled=False)
     state = executor.begin(compiled, n_records, value_location=value_location)
     started = machine.now
+    chunks = 0 if index == _FINAL else program[index].chunks
+    tick_every_chunk(machine.simulator, chunks + 2)
     if index == _FINAL:
         executor.finish(state)
     else:

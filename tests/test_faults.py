@@ -109,11 +109,39 @@ _CRASH = {"kind": "cse-crash", "at_time": 0.1}
     {"specs": [dict(_CRASH, at_time=float("-inf"))]},
     {"specs": [dict(_CRASH, duration_s=float("nan"))]},
     {"specs": [dict(_CRASH, duration_s=float("inf"))]},
+    {"specs": [dict(_CRASH, persistent="false")]},
+    {"specs": [dict(_CRASH, persistent=1)]},
+    {"specs": [dict(_CRASH, count=2.9)]},
+    {"specs": [dict(_CRASH, count="2")]},
+    {"specs": [dict(_CRASH, count=True)]},
+    {"specs": [dict(_CRASH, retries=3.5)]},
 ], ids=repr)
 def test_malformed_plan_payload_raises_fault_error(payload):
     """A bad replay payload fails where it is decoded, with a typed error."""
     with pytest.raises(FaultError):
         FaultPlan.from_jsonable(payload)
+
+
+def test_whole_float_counts_decode_as_integers():
+    spec = FaultSpec.from_jsonable(dict(_CRASH, count=2.0, retries=4.0))
+    assert (spec.count, spec.retries) == (2, 4)
+    assert type(spec.count) is int and type(spec.retries) is int
+
+
+@pytest.mark.parametrize("fields", [
+    {"at_time": "0.1"},
+    {"at_time": None},
+    {"at_time": 0.1, "duration_s": "0.01"},
+    {"at_time": 0.1, "factor": "0.5"},
+    {"at_time": 0.1, "count": "2"},
+    {"at_time": 0.1, "count": 2.0},
+    {"at_time": 0.1, "retries": None},
+    {"at_time": 0.1, "persistent": "false"},
+], ids=repr)
+def test_mistyped_spec_field_raises_fault_error(fields):
+    """A field of the wrong type fails where the spec is built, typed."""
+    with pytest.raises(FaultError):
+        FaultSpec(kind=FaultKind.CSE_CRASH, **fields)
 
 
 class TestInjectorArming:

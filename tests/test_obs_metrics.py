@@ -26,6 +26,8 @@ from repro.obs import (
 from repro.runtime.activepy import ActivePy, RunOptions
 from repro.workloads import get_workload
 
+from .oracles import tick_every_chunk
+
 _SCALE = 2 ** -7
 
 
@@ -289,6 +291,10 @@ class _PerCallCell:
     def __init__(self, write):
         self.append = write
 
+    def extend(self, values):
+        for value in values:
+            self.append(value)
+
 
 class _PerCallObservability(Observability):
     """Every cell write goes straight into the registry: the oracle."""
@@ -336,13 +342,15 @@ class TestCells:
         record_work = ComputeUnit._record_work
         calls = []
 
-        def bad_third(unit, instructions, elapsed):
+        # A quiet stretch records all its chunks' work in one call, and
+        # the run below makes two: the second is mid-run.
+        def bad_second(unit, instructions, elapsed, count=1):
             calls.append(unit.name)
-            if len(calls) == 3:
+            if len(calls) == 2:
                 instructions = -1.0
-            record_work(unit, instructions, elapsed)
+            record_work(unit, instructions, elapsed, count)
 
-        monkeypatch.setattr(ComputeUnit, "_record_work", bad_third)
+        monkeypatch.setattr(ComputeUnit, "_record_work", bad_second)
         workload = get_workload("tpch_q6", scale=_SCALE)
         with pytest.raises(ObservabilityError, match=(
             r"counter 'compute\.\w+\.instructions' increment must be finite "
@@ -357,37 +365,62 @@ class TestCells:
     ):
         # ``charge_verify`` runs inside a chunk, after the chunk's
         # compute, link and executor writes and its own verified bytes.
-        charge_verify = IntegrityChecker.charge_verify
-        config = dataclasses.replace(DEFAULT_CONFIG, integrity_enabled=True)
-        workload = get_workload("blackscholes", scale=_SCALE)
+        # The ticker sends every chunk through the per-chunk body, so
+        # the run raises in the ``raise_at``-th chunk's verify charge.
+        _raise_in_a_run(monkeypatch, "charge_verify", raise_at, ticks=1000)
 
-        def snapshot_of(obs):
-            calls = []
+    def test_a_run_raising_in_a_quiet_stretch_publishes_every_earlier_write(
+        self, monkeypatch
+    ):
+        # ``charge_verify_many`` books a quiet stretch's verify charges
+        # after its compute, link and executor writes.  Without a
+        # ticker, the run's second call of it charges its second
+        # stretch.
+        raised_in = _raise_in_a_run(monkeypatch, "charge_verify_many", 2, ticks=0)
+        assert [count > 1 for _, count in raised_in] == [True, True]
 
-            def raising(checker, nbytes):
-                seconds = charge_verify(checker, nbytes)
-                calls.append(nbytes)
-                if len(calls) == raise_at:
-                    raise RuntimeError("mid-chunk")
-                return seconds
 
-            with monkeypatch.context() as patch:
-                patch.setattr(IntegrityChecker, "charge_verify", raising)
-                with pytest.raises(RuntimeError, match="mid-chunk"):
-                    ActivePy(config).run(
-                        workload.program, workload.dataset,
-                        machine=build_machine(config, obs=obs),
-                        options=RunOptions(
-                            obs=obs, progress_triggers=((0.5, 0.1),),
-                        ),
-                    )
-            return obs.metrics.snapshot()
+def _raise_in_a_run(monkeypatch, method, raise_at, ticks):
+    """Raise in the ``raise_at``-th call of ``IntegrityChecker.<method>``
+    of a blackscholes run, once published write-behind and once one
+    write at a time, and check both publish the same writes.
 
-        # Warm the profile cache, so both runs count one profcache hit.
-        ActivePy(config).run(workload.program, workload.dataset)
-        published = snapshot_of(Observability())
-        assert "integrity.verified_bytes" in published["counters"]
-        assert published == snapshot_of(_PerCallObservability())
+    ``ticks`` arms :func:`tick_every_chunk`.  Returns the raising
+    calls' arguments.
+    """
+    original = getattr(IntegrityChecker, method)
+    config = dataclasses.replace(DEFAULT_CONFIG, integrity_enabled=True)
+    workload = get_workload("blackscholes", scale=_SCALE)
+    raised_in = []
+
+    def snapshot_of(obs):
+        calls = []
+
+        def raising(checker, *args):
+            result = original(checker, *args)
+            calls.append(args)
+            if len(calls) == raise_at:
+                raised_in.append(args)
+                raise RuntimeError("mid-chunk")
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(IntegrityChecker, method, raising)
+            machine = build_machine(config, obs=obs)
+            tick_every_chunk(machine.simulator, ticks)
+            with pytest.raises(RuntimeError, match="mid-chunk"):
+                ActivePy(config).run(
+                    workload.program, workload.dataset, machine=machine,
+                    options=RunOptions(obs=obs, progress_triggers=((0.5, 0.1),)),
+                )
+        return obs.metrics.snapshot()
+
+    # Warm the profile cache, so both runs count one profcache hit.
+    ActivePy(config).run(workload.program, workload.dataset)
+    published = snapshot_of(Observability())
+    assert "integrity.verified_bytes" in published["counters"]
+    assert published == snapshot_of(_PerCallObservability())
+    return raised_in
 
 
 class TestRegistry:
